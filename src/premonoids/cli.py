@@ -371,16 +371,19 @@ def _verify_local(instance: Instance) -> list[dict]:
     return checks
 
 
+def _snf_self_check(a) -> tuple[bool, dict]:
+    try:
+        mx.snf(a)  # self-checking
+    except (AssertionError, PremonoidsError) as exc:
+        return False, {"error": str(exc)}
+    return True, {}
+
+
 def _verify_matrix(instance: Instance, seed: int) -> list[dict]:
     rng = random.Random(seed)
     a = instance.payload
     checks = []
-    try:
-        mx.snf(a)  # self-checking
-        ok = True
-        detail = {}
-    except (AssertionError, PremonoidsError) as exc:
-        ok, detail = False, {"error": str(exc)}
+    ok, detail = _snf_self_check(a)
     checks.append({"name": "snf-invariants", "applicable": True, "passed": ok, "details": detail})
     ls = mx.matrix_length_set(a)
     omega = len(mx.factor_multiset(mx.mat_det(a)))
@@ -394,13 +397,17 @@ def _verify_matrix(instance: Instance, seed: int) -> list[dict]:
             "details": {"lengths": sorted(got), "prime_count": omega},
         }
     )
+    ok, detail = True, {}
     for _ in range(10):
         n = len(a)
         b = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
         if mx.mat_det(b) == 0:
             continue
-        mx.snf(b)
-    checks.append({"name": "snf-random-probes", "applicable": True, "passed": True, "details": {}})
+        ok, detail = _snf_self_check(b)
+        if not ok:
+            detail["matrix"] = [list(row) for row in b]
+            break
+    checks.append({"name": "snf-random-probes", "applicable": True, "passed": ok, "details": detail})
     return checks
 
 
@@ -539,7 +546,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "describe":
-            degrees = tuple(int(d) for d in args.degree.split(","))
+            try:
+                degrees = tuple(int(d) for d in args.degree.split(","))
+            except ValueError:
+                raise CliError(f"--degree takes comma-separated integers, got {args.degree!r}", 2) from None
             instance = load_instance(args.instance, args.preorder)
             if args.format == "dot":
                 if instance.kind != "finite":

@@ -10,6 +10,10 @@ to two pruning facts about a factorization of x:
   one, so no minimal factorization is longer than ``len(divisors(x)) - 1``,
   and if any factorization exceeds that bound then factorizations of
   unbounded length exist (pump the excised segment instead of dropping it).
+
+Every search runs on one :class:`DivisorAutomaton` per element and alphabet:
+the divisors of x numbered 0..d-1, their transition table over the alphabet,
+and sets of divisors as int bitmasks.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 from .errors import ShapeError
 from .irreducibles import is_atom, is_irreducible
 from .lengthset import LengthSet
-from .words import class_reps, vector_lt, vector_total, word_vector
+from .words import class_reps, vector_total
 
 
 def factorization_alphabet(P, x, letters: str = "irreducibles", degree: int = 2) -> tuple:
@@ -33,6 +37,100 @@ def factorization_alphabet(P, x, letters: str = "irreducibles", degree: int = 2)
     return tuple(a for a in P.divisors(x) if pred(P, a, degree))
 
 
+# -- the divisor automaton -----------------------------------------------------------
+
+
+def _image(mask: int, succ) -> int:
+    """Union of ``succ[i]`` over the set bits i of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= succ[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _bitset(indices) -> int:
+    out = 0
+    for i in indices:
+        if i >= 0:
+            out |= 1 << i
+    return out
+
+
+class DivisorAutomaton:
+    """The divisors of x numbered 0..d-1 with their transition table over an
+    alphabet of divisors of x.
+
+    ``table[i][j]`` numbers ``states[i] * alphabet[j]``, or is -1 when that
+    product does not divide x, and then no extension of it is x either. Sets
+    of divisors are int bitmasks over the numbering. The alphabet is sorted by
+    ``element_sort_key``, so a search that tries letters in table order meets
+    the lexicographically least word first.
+    """
+
+    __slots__ = ("states", "alphabet", "table", "succ", "start", "goal", "_lengths")
+
+    def __init__(self, P, x, alphabet):
+        states = P.divisors(x)
+        index = {p: i for i, p in enumerate(states)}
+        op = P.op
+        self.states = states
+        self.alphabet = tuple(sorted((a for a in alphabet if a in index), key=P.element_sort_key))
+        self.table = [[index.get(op(p, a), -1) for a in self.alphabet] for p in states]
+        self.succ = [_bitset(row) for row in self.table]
+        self.start = index[P.identity]
+        self.goal = index[x]
+        self._lengths = None
+
+    def preimage(self, mask: int) -> int:
+        """States with a letter leading into ``mask``."""
+        return _bitset(i for i, s in enumerate(self.succ) if s & mask)
+
+    def class_succ(self, cls_of, classes: int) -> list:
+        """``out[c][i]``: the states reached from state i by a letter of class c."""
+        if classes == 1:
+            return [self.succ]
+        groups = [[j for j, c in enumerate(cls_of) if c == k] for k in range(classes)]
+        return [[_bitset(row[j] for j in group) for row in self.table] for group in groups]
+
+    def layers(self) -> tuple[list, int]:
+        """Masks of the layers L_1, L_2, ... (L_k: the products of k letters)
+        up to the first repeat, and the index at which the cycle starts."""
+        seen: dict[int, int] = {}
+        layers: list[int] = []
+        state = self.succ[self.start]
+        while state not in seen:
+            seen[state] = len(layers)
+            layers.append(state)
+            state = _image(state, self.succ)
+        return layers, seen[state]
+
+    def length_set(self) -> LengthSet:
+        """The lengths k with x in L_k; the layer sequence over a finite
+        domain is eventually periodic, so its first repeat gives the exact
+        preperiod and period."""
+        if self._lengths is None:
+            layers, first = self.layers()
+            period = len(layers) - first
+            hit = [m >> self.goal & 1 for m in layers]
+            self._lengths = LengthSet.make(
+                [k + 1 for k in range(first) if hit[k]],
+                offset=first + 1,
+                period=period,
+                residues=[r for r in range(period) if hit[first + r]],
+            )
+        return self._lengths
+
+
+def _automaton(P, x, letters, alphabet, automaton=None) -> DivisorAutomaton:
+    if automaton is None:
+        if alphabet is None:
+            alphabet = factorization_alphabet(P, x, letters)
+        automaton = DivisorAutomaton(P, x, alphabet)
+    return automaton
+
+
 # -- streaming enumeration -------------------------------------------------------
 
 
@@ -44,90 +142,53 @@ def enumerate_factorizations(P, x, max_len: int, letters: str = "irreducibles", 
     product of irreducibles cannot be a preorder unit when non-units form an
     ideal, and the empty word is excluded by contract.
     """
-    if alphabet is None:
-        alphabet = factorization_alphabet(P, x, letters)
-    alphabet = tuple(sorted(alphabet, key=P.element_sort_key))
-    if not alphabet or max_len < 1:
+    auto = _automaton(P, x, letters, alphabet)
+    if not auto.alphabet or max_len < 1:
         return
-    allowed = frozenset(P.divisors(x))
-    # finish[j] = prefix products that can reach x in exactly j more letters
-    finish = [frozenset({x})]
+    # finish[j] = states that reach x in exactly j more letters
+    finish = [1 << auto.goal]
     for _ in range(max_len):
-        prev = finish[-1]
-        finish.append(
-            frozenset(p for p in allowed if any(P.op(p, a) in prev for a in alphabet))
-        )
-    identity = P.identity
+        finish.append(auto.preimage(finish[-1]))
+    table, alpha = auto.table, auto.alphabet
 
-    def dfs(prefix_product, word, remaining):
+    def dfs(p, word, remaining):
         if remaining == 0:
-            if prefix_product == x:
-                yield tuple(word)
+            yield tuple(word)
             return
-        for a in alphabet:
-            q = P.op(prefix_product, a)
-            if q in allowed and q in finish[remaining - 1]:
-                word.append(a)
+        need = finish[remaining - 1]
+        for j, q in enumerate(table[p]):
+            if q >= 0 and need >> q & 1:
+                word.append(alpha[j])
                 yield from dfs(q, word, remaining - 1)
                 word.pop()
 
     for length in range(1, max_len + 1):
-        if identity in finish[length]:
-            yield from dfs(identity, [], length)
+        if finish[length] >> auto.start & 1:
+            yield from dfs(auto.start, [], length)
 
 
 # -- exact length sets -------------------------------------------------------------
 
 
-def length_set(P, x, letters: str = "irreducibles", alphabet=None) -> LengthSet:
+def length_set(P, x, letters: str = "irreducibles", alphabet=None, automaton=None) -> LengthSet:
     """Exact set of word lengths over the alphabet with product x.
 
     Iterates the layer map S_{k+1} = (S_k * alphabet) restricted to divisors
     of x; the layer sequence over a finite domain is eventually periodic, so
     hashing layers gives the exact preperiod and period.
     """
-    if alphabet is None:
-        alphabet = factorization_alphabet(P, x, letters)
-    allowed = frozenset(P.divisors(x))
-    alphabet = tuple(a for a in alphabet if a in allowed)
-    if not alphabet:
-        return LengthSet.empty()
-    seen: dict[frozenset, int] = {}
-    layers: list[frozenset] = [frozenset()]  # 1-indexed
-    state = frozenset(alphabet)
-    k = 1
-    while state not in seen:
-        seen[state] = k
-        layers.append(state)
-        state = frozenset(P.op(p, a) for p in state for a in alphabet) & allowed
-        k += 1
-    first = seen[state]
-    period = k - first
-    finite = [j for j in range(1, first) if x in layers[j]]
-    residues = [r for r in range(period) if x in layers[first + r]]
-    return LengthSet.make(finite, offset=first, period=period, residues=residues)
+    return _automaton(P, x, letters, alphabet, automaton).length_set()
 
 
 def layer_automaton(P, x, letters: str = "irreducibles", alphabet=None):
     """The layer-subset sequence with its (preperiod, period); for DOT export
     and diagnostics."""
-    if alphabet is None:
-        alphabet = factorization_alphabet(P, x, letters)
-    allowed = frozenset(P.divisors(x))
-    alphabet = tuple(a for a in alphabet if a in allowed)
-    seen: dict[frozenset, int] = {}
-    layers: list[frozenset] = []
-    state = frozenset(alphabet)
-    k = 0
-    if not alphabet:
+    auto = _automaton(P, x, letters, alphabet)
+    if not auto.alphabet:
         return [], 0, 1
-    while state not in seen:
-        seen[state] = k
-        layers.append(state)
-        state = frozenset(P.op(p, a) for p in state for a in alphabet) & allowed
-        k += 1
-    first = seen[state]
-    return layers, first, k - first
+    layers, first = auto.layers()
+    members = [frozenset(p for i, p in enumerate(auto.states) if m >> i & 1) for m in layers]
+    return members, first, len(layers) - first
 
 
 def layer_automaton_dot(P, x, letters: str = "irreducibles") -> str:
@@ -145,125 +206,161 @@ def layer_automaton_dot(P, x, letters: str = "irreducibles") -> str:
     return "\n".join(lines)
 
 
-# -- class-vector reachability -------------------------------------------------------
+# -- class vectors -------------------------------------------------------------------
+#
+# Inside the engine a class vector is a count tuple over class numbers; the
+# classes are numbered in the order of their representatives, so the public
+# form, sorted (representative, count) pairs, is read off in order.
 
 
-def _vector_levels(P, x, alphabet, max_level: int, rep=None):
-    """levels[k] (1-indexed) maps each realizable class vector of total k to
-    the set of products of words with that vector, all pruned to divisors of x."""
+def _numbering(P, auto: DivisorAutomaton, rep=None) -> tuple[list, list]:
+    """The class number of each letter and the representatives in number
+    order; the classes are those of the automaton's alphabet unless ``rep``
+    (letter to class representative) is given."""
     if rep is None:
-        rep = class_reps(P.leq, alphabet, sort_key=P.element_sort_key)
-    allowed = frozenset(P.divisors(x))
-    levels = [{(): frozenset({P.identity})}]
-    for _ in range(max_level):
-        current = levels[-1]
+        rep = class_reps(P.leq, auto.alphabet, sort_key=P.element_sort_key)
+    reps = sorted(set(rep.values()))
+    number = {r: c for c, r in enumerate(reps)}
+    return [number[rep[a]] for a in auto.alphabet], reps
+
+
+def _pairs(counts: tuple, reps) -> tuple:
+    return tuple((reps[c], k) for c, k in enumerate(counts) if k)
+
+
+def _class_vectors(auto: DivisorAutomaton, cls_of, classes: int, cap: int, minimal: bool = False) -> list:
+    """Class vectors of total at most ``cap`` realized by words with product x,
+    in order of total.
+
+    Level k maps each vector of total k to the set of products of its words,
+    all divisors of x. With ``minimal`` only the minimal vectors come out: a
+    vector that dominates a realized one is dropped and a realized vector is
+    not extended, so every realized survivor is minimal (by Dickson's lemma
+    only the minimal generators of a monoid ideal matter). ``below[c][k]`` is
+    the bitmask of the minima with count at most k in class c; a vector
+    dominates a minimum exactly when the AND of these masks over its counts
+    is nonzero.
+    """
+    goal = 1 << auto.goal
+    csucc = auto.class_succ(cls_of, classes)
+    images: list[dict] = [{} for _ in range(classes)]
+    below = [[0] * (cap + 1) for _ in range(classes)]
+    found: list = []
+    level = {(0,) * classes: 1 << auto.start}
+    for _ in range(cap):
         nxt: dict = {}
-        for vec, prods in current.items():
-            for a in alphabet:
-                extended = frozenset(P.op(p, a) for p in prods) & allowed
-                if not extended:
+        for vec, mask in level.items():
+            for c in range(classes):
+                img = images[c].get(mask)
+                if img is None:
+                    img = images[c][mask] = _image(mask, csucc[c])
+                if img:
+                    v = vec[:c] + (vec[c] + 1,) + vec[c + 1:]
+                    nxt[v] = nxt.get(v, 0) | img
+        level = {}
+        for v, mask in nxt.items():
+            if minimal and found and _dominates(v, below):
+                continue
+            if mask & goal:
+                found.append(v)
+                if minimal:
+                    bit = 1 << (len(found) - 1)
+                    for c, k in enumerate(v):
+                        row = below[c]
+                        for j in range(k, cap + 1):
+                            row[j] |= bit
                     continue
-                key = _vector_add(vec, rep[a])
-                got = nxt.get(key)
-                nxt[key] = extended if got is None else got | extended
-        levels.append(nxt)
-    return levels
+            level[v] = mask
+        if not level:
+            break
+    return found
 
 
-def _vector_add(vec: tuple, cls) -> tuple:
-    d = dict(vec)
-    d[cls] = d.get(cls, 0) + 1
-    return tuple(sorted(d.items()))
+def _dominates(v: tuple, below) -> bool:
+    acc = -1
+    for c, k in enumerate(v):
+        acc &= below[c][k]
+        if not acc:
+            return False
+    return True
 
 
-def realizable_vectors(P, x, letters: str = "irreducibles", alphabet=None):
+def _witness(auto: DivisorAutomaton, cls_of, counts: tuple):
+    """Lexicographically least alphabet word with the given class counts and
+    product x, or None."""
+    table, goal = auto.table, auto.goal
+    dead: set = set()
+
+    def dfs(p, rem, left):
+        if not left:
+            return () if p == goal else None
+        if (p, rem) in dead:
+            return None
+        for j, q in enumerate(table[p]):
+            c = cls_of[j]
+            if q >= 0 and rem[c]:
+                tail = dfs(q, rem[:c] + (rem[c] - 1,) + rem[c + 1:], left - 1)
+                if tail is not None:
+                    return (auto.alphabet[j],) + tail
+        dead.add((p, rem))
+        return None
+
+    return dfs(auto.start, counts, sum(counts))
+
+
+def realizable_vectors(P, x, letters: str = "irreducibles", alphabet=None, automaton=None):
     """Exact census of the class vectors realized by factorizations of x.
 
-    Returns (vectors, infinite): when ``infinite`` is True some factorization
-    is longer than the distinct-prefix bound, so pumping gives infinitely many
-    vectors and ``vectors`` only lists those of total at most the bound.
+    Returns (vectors, infinite). A finite alphabet has finitely many vectors
+    of each total, so infinitely many are realized exactly when the length
+    set is infinite; the census then returns ``((), True)`` without listing
+    any. Otherwise no factorization is longer than the largest length, and
+    every realized vector is listed.
     """
-    if alphabet is None:
-        alphabet = factorization_alphabet(P, x, letters)
-    alphabet = tuple(a for a in alphabet if a in set(P.divisors(x)))
-    if not alphabet:
+    auto = _automaton(P, x, letters, alphabet, automaton)
+    lengths = auto.length_set()
+    if not lengths.is_finite:
+        return (), True
+    if lengths.is_empty:
         return (), False
-    bound = P.prefix_bound(x)
-    # a factorization longer than the bound exists iff one exists with length
-    # in (bound, 2*bound + 1]: repeatedly excising a repeated-prefix segment
-    # (of length at most bound + 1) from any long factorization must at some
-    # point step from above the bound to at most it
-    levels = _vector_levels(P, x, alphabet, 2 * bound + 1)
-    realized = set()
-    infinite = False
-    for k in range(1, len(levels)):
-        for vec, prods in levels[k].items():
-            if x in prods:
-                if k > bound:
-                    infinite = True
-                else:
-                    realized.add(vec)
-    return tuple(sorted(realized)), infinite
+    cls_of, reps = _numbering(P, auto)
+    found = _class_vectors(auto, cls_of, len(reps), lengths.finite[-1])
+    return tuple(sorted(_pairs(v, reps) for v in found)), False
 
 
-def minimal_factorization_classes(P, x, letters: str = "irreducibles", alphabet=None):
+def minimal_factorization_classes(P, x, letters: str = "irreducibles", alphabet=None, automaton=None):
     """All minimal factorization classes of x: class vectors minimal under
     sub-multiset order among realizable ones, each with its lexicographically
     least representative word.
 
     Complete by the distinct-prefix bound: any longer factorization excises to
     a strictly smaller one, so every minimal vector has total within the
-    bound, and so does any witness of non-minimality.
+    bound (and within the largest length when the length set is finite).
     """
-    if alphabet is None:
-        alphabet = factorization_alphabet(P, x, letters)
-    alphabet = tuple(sorted((a for a in alphabet if a in set(P.divisors(x))), key=P.element_sort_key))
-    if not alphabet:
+    auto = _automaton(P, x, letters, alphabet, automaton)
+    lengths = auto.length_set()
+    if lengths.is_empty:
         return ()
-    rep = class_reps(P.leq, alphabet, sort_key=P.element_sort_key)
-    bound = P.prefix_bound(x)
-    levels = _vector_levels(P, x, alphabet, bound, rep=rep)
-    realized = {
-        vec
-        for k in range(1, len(levels))
-        for vec, prods in levels[k].items()
-        if x in prods
-    }
-    minima = sorted(
-        (vec for vec in realized if not any(vector_lt(w, vec) for w in realized)),
-        key=lambda v: (vector_total(v), v),
-    )
-    return tuple((vec, _witness_word(P, x, alphabet, rep, vec)) for vec in minima)
+    cap = lengths.finite[-1] if lengths.is_finite else P.prefix_bound(x)
+    cls_of, reps = _numbering(P, auto)
+    classes = [
+        (_pairs(v, reps), _witness(auto, cls_of, v))
+        for v in _class_vectors(auto, cls_of, len(reps), cap, minimal=True)
+    ]
+    return tuple(sorted(classes, key=lambda vw: (vector_total(vw[0]), vw[0])))
 
 
-def _witness_word(P, x, alphabet, rep, vec) -> tuple:
-    """Lexicographically least word over the alphabet with the given class
-    vector and product x."""
-    remaining = dict(vec)
-    dead: set = set()
-
-    def dfs(p, rem_key, rem):
-        if not rem:
-            return () if p == x else None
-        if (p, rem_key) in dead:
-            return None
-        for a in alphabet:
-            c = rep[a]
-            if rem.get(c, 0) > 0:
-                rem[c] -= 1
-                if rem[c] == 0:
-                    del rem[c]
-                tail = dfs(P.op(p, a), tuple(sorted(rem.items())), rem)
-                rem[c] = rem.get(c, 0) + 1
-                if tail is not None:
-                    return (a,) + tail
-        dead.add((p, rem_key))
-        return None
-
-    word = dfs(P.identity, tuple(sorted(remaining.items())), remaining)
-    if word is None:
-        raise AssertionError("vector marked realizable but no witness found")
-    return word
+def _literal_classes(P, atom: DivisorAutomaton, rep, minimal) -> tuple:
+    """The minimal irreducible classes that atom words realize, each with its
+    least atom word; the witness search visits only sub-vectors of them."""
+    cls_of, reps = _numbering(P, atom, rep)
+    out = []
+    for vec, _ in minimal:
+        counts = dict(vec)
+        word = _witness(atom, cls_of, tuple(counts.get(r, 0) for r in reps))
+        if word is not None:
+            out.append((vec, word))
+    return tuple(out)
 
 
 # -- per-element profile and whole-instance classification ----------------------------
@@ -315,35 +412,25 @@ class ElementProfile:
 def element_profile(P, x) -> ElementProfile:
     irr_alpha = factorization_alphabet(P, x, "irreducibles")
     atom_alpha = tuple(a for a in irr_alpha if is_atom(P, a))
-    lengths = length_set(P, x, alphabet=irr_alpha)
-    atomic_lengths = length_set(P, x, alphabet=atom_alpha)
-
-    vectors, infinite = realizable_vectors(P, x, alphabet=irr_alpha)
+    irr = DivisorAutomaton(P, x, irr_alpha)
+    lengths = length_set(P, x, automaton=irr)
+    vectors, infinite = realizable_vectors(P, x, automaton=irr)
     class_count = None if infinite else len(vectors)
-    avectors, ainfinite = realizable_vectors(P, x, alphabet=atom_alpha)
-    atomic_class_count = None if ainfinite else len(avectors)
-
-    minimal = minimal_factorization_classes(P, x, alphabet=irr_alpha)
-    minimal_within = minimal_factorization_classes(P, x, alphabet=atom_alpha)
-
-    # literal reading of minimal atomic classes: minimal among all
-    # irreducible factorizations, then intersect with atom words
-    literal = []
-    if minimal and atom_alpha:
+    minimal = minimal_factorization_classes(P, x, automaton=irr)
+    if atom_alpha == irr_alpha:
+        # every irreducible divisor is an atom, so the atomic data coincide
+        atomic_lengths, atomic_class_count = lengths, class_count
+        minimal_within = literal = minimal
+    else:
+        atom = DivisorAutomaton(P, x, atom_alpha)
+        atomic_lengths = length_set(P, x, automaton=atom)
+        avectors, ainfinite = realizable_vectors(P, x, automaton=atom)
+        atomic_class_count = None if ainfinite else len(avectors)
+        minimal_within = minimal_factorization_classes(P, x, automaton=atom)
+        # literal reading of minimal atomic classes: minimal among all
+        # irreducible factorizations, then intersect with atom words
         rep = class_reps(P.leq, irr_alpha, sort_key=P.element_sort_key)
-        bound = P.prefix_bound(x)
-        alevels = _vector_levels(P, x, atom_alpha, bound, rep=rep)
-        atom_realizable = {
-            vec
-            for k in range(1, len(alevels))
-            for vec, prods in alevels[k].items()
-            if x in prods
-        }
-        for vec, _ in minimal:
-            if vec in atom_realizable:
-                literal.append(
-                    (vec, _witness_word(P, x, tuple(sorted(atom_alpha, key=P.element_sort_key)), rep, vec))
-                )
+        literal = _literal_classes(P, atom, rep, minimal)
     return ElementProfile(
         element=P.label(x),
         irreducible_divisors=tuple(P.label(a) for a in irr_alpha),

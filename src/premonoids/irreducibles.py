@@ -8,6 +8,7 @@ presented ones with certified divisor sets.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import (
@@ -48,6 +49,25 @@ def _layered_product_hit(P, a, factors, s: int) -> bool:
     return False
 
 
+def _per_premonoid(decide):
+    """Memoise a verdict on (a, s) in the premonoid's ``_irrcache`` dict;
+    premonoids without one decide afresh on every call."""
+
+    @functools.wraps(decide)
+    def cached(P, a, s: int = 2) -> bool:
+        cache = getattr(P, "_irrcache", None)
+        if cache is None:
+            return decide(P, a, s)
+        key = (decide.__name__, a, s)
+        got = cache.get(key)
+        if got is None:
+            got = cache[key] = decide(P, a, s)
+        return got
+
+    return cached
+
+
+@_per_premonoid
 def is_irreducible(P, a, s: int = 2) -> bool:
     """Non-unit not equal to any product of 2..s strictly smaller non-units."""
     _check_degree(s)
@@ -59,10 +79,14 @@ def is_irreducible(P, a, s: int = 2) -> bool:
     return not _layered_product_hit(P, a, factors, s)
 
 
+@_per_premonoid
 def is_atom(P, a, s: int = 2) -> bool:
-    """Non-unit not equal to any product of 2..s non-units."""
-    _check_degree(s)
-    if P.is_unit(a):
+    """Non-unit not equal to any product of 2..s non-units.
+
+    Strictly smaller non-units are non-units, so every atom is irreducible
+    and only irreducibles need the search.
+    """
+    if not is_irreducible(P, a, s):
         return False
     factors = [d for d in P.divisors(a) if not P.is_unit(d)]
     if not factors:

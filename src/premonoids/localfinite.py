@@ -82,6 +82,7 @@ class LocalPremonoid:
         self._strict_lower = strict_lower
         self.name = name or type(monoid).__name__
         self._divcache: dict = {}
+        self._irrcache: dict = {}  # irreducibles.is_irreducible/is_atom
         if order != "divisibility" and strict_lower is None:
             raise NotComputableError(
                 "rule preorders need a certified strict-lower hook"

@@ -362,7 +362,7 @@ def _positive_divisors(value: int) -> tuple:
     return tuple(d for d in range(1, value + 1) if value % d == 0)
 
 
-def matrix_is_irreducible(b: Matrix, _memo: dict | None = None) -> bool:
+def matrix_is_irreducible(b: Matrix) -> bool:
     """No splitting B = C*D with both determinants of absolute value >= 2."""
     b = mat(b)
     det = abs(mat_det(b))

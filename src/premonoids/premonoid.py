@@ -42,7 +42,7 @@ class PremonoidFlags:
 class Premonoid:
     """Finite carrier: a FiniteMonoid together with a PreorderRel."""
 
-    __slots__ = ("monoid", "preorder", "_units", "_heights", "_flags")
+    __slots__ = ("monoid", "preorder", "_units", "_heights", "_flags", "_irrcache")
 
     def __init__(self, monoid: FiniteMonoid, preorder: PreorderRel):
         if monoid.n != preorder.n:
@@ -54,6 +54,7 @@ class Premonoid:
         object.__setattr__(self, "_units", None)
         object.__setattr__(self, "_heights", None)
         object.__setattr__(self, "_flags", None)
+        object.__setattr__(self, "_irrcache", {})  # irreducibles.is_irreducible/is_atom
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Premonoid is immutable")

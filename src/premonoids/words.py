@@ -12,11 +12,6 @@ from __future__ import annotations
 from collections import Counter
 
 
-def pi(monoid, word) -> int:
-    """Left-to-right product of a word; the empty word maps to the identity."""
-    return monoid.product(word)
-
-
 # -- class vectors -------------------------------------------------------------
 
 

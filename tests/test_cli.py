@@ -259,3 +259,44 @@ def test_factorize_numerical_seven(capsys):
     assert code == 0
     assert data["lengths"] == {"finite": [3]}
     assert sorted(map(tuple, data["words"])) == [(2, 2, 3), (2, 3, 2), (3, 2, 2)]
+
+
+def test_describe_bad_degree_is_a_labeled_error(capsys):
+    code, out, err = run_cli(capsys, "describe", "zn:4", "--degree", "x")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --degree") and "Traceback" not in err
+
+
+def test_verify_matrix_reports_failing_snf_probe(tmp_path, capsys, monkeypatch):
+    import premonoids.matrices as mx
+
+    mpath = tmp_path / "a.json"
+    mpath.write_text(json.dumps([[2, 0], [0, 3]]))
+    real_snf = mx.snf
+
+    def snf_failing_on_probes(m):
+        if mx.mat(m) != mx.mat([[2, 0], [0, 3]]):
+            raise AssertionError("probe self-check failed")
+        return real_snf(m)
+
+    monkeypatch.setattr(mx, "snf", snf_failing_on_probes)
+    code, out, _ = run_cli(capsys, "verify", f"matrix:{mpath}")
+    assert code == 4
+    checks = {c["name"]: c for c in json.loads(out)["reports"][0]["checks"]}
+    assert checks["snf-invariants"]["passed"] is True
+    probe = checks["snf-random-probes"]
+    assert probe["passed"] is False
+    assert probe["details"]["error"] == "probe self-check failed"
+    assert len(probe["details"]["matrix"]) == 2
+
+
+def test_verify_matrix_passing_probes_keep_empty_details(tmp_path, capsys):
+    mpath = tmp_path / "a.json"
+    mpath.write_text(json.dumps([[2, 0], [0, 3]]))
+    code, out, _ = run_cli(capsys, "verify", f"matrix:{mpath}")
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["reports"][0]["checks"]}
+    assert checks["snf-random-probes"] == {
+        "name": "snf-random-probes", "applicable": True, "passed": True, "details": {}
+    }

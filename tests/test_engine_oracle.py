@@ -1,0 +1,200 @@
+"""The divisor-automaton engine against its predecessor.
+
+The oracle below is the engine as it was before the automaton: layers as
+frozensets of elements, class vectors built level by level out to the
+distinct-prefix bound (twice that for the census) with no pruning beyond
+divisors of x, and minimal classes picked from all realized vectors by
+pairwise comparison. It shares only the alphabets and ``class_reps`` with
+the engine.
+"""
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from premonoids import (
+    FiniteMonoid,
+    LengthSet,
+    Premonoid,
+    divisibility_preorder,
+    element_profile,
+    is_atom,
+    realizable_vectors,
+)
+from premonoids.factorization import ElementProfile, _map_classes, factorization_alphabet
+from premonoids.families import powerset_premonoid, zn_premonoid
+from premonoids.randgen import monoid_pool, random_premonoid
+from premonoids.words import class_reps, vector_lt, vector_total
+
+
+def oracle_length_set(P, x, alphabet) -> LengthSet:
+    allowed = frozenset(P.divisors(x))
+    alphabet = tuple(a for a in alphabet if a in allowed)
+    if not alphabet:
+        return LengthSet.empty()
+    seen: dict = {}
+    layers: list = [frozenset()]  # 1-indexed
+    state = frozenset(alphabet)
+    k = 1
+    while state not in seen:
+        seen[state] = k
+        layers.append(state)
+        state = frozenset(P.op(p, a) for p in state for a in alphabet) & allowed
+        k += 1
+    first = seen[state]
+    period = k - first
+    finite = [j for j in range(1, first) if x in layers[j]]
+    residues = [r for r in range(period) if x in layers[first + r]]
+    return LengthSet.make(finite, offset=first, period=period, residues=residues)
+
+
+def _vector_add(vec: tuple, cls) -> tuple:
+    d = dict(vec)
+    d[cls] = d.get(cls, 0) + 1
+    return tuple(sorted(d.items()))
+
+
+def _vector_levels(P, x, alphabet, max_level: int, rep=None):
+    """levels[k] maps each class vector of total k to the products of its
+    words, pruned to divisors of x."""
+    if rep is None:
+        rep = class_reps(P.leq, alphabet, sort_key=P.element_sort_key)
+    allowed = frozenset(P.divisors(x))
+    levels = [{(): frozenset({P.identity})}]
+    for _ in range(max_level):
+        nxt: dict = {}
+        for vec, prods in levels[-1].items():
+            for a in alphabet:
+                extended = frozenset(P.op(p, a) for p in prods) & allowed
+                if not extended:
+                    continue
+                key = _vector_add(vec, rep[a])
+                got = nxt.get(key)
+                nxt[key] = extended if got is None else got | extended
+        levels.append(nxt)
+    return levels
+
+
+def _realized(levels, x) -> set:
+    return {vec for level in levels[1:] for vec, prods in level.items() if x in prods}
+
+
+def oracle_realizable_vectors(P, x, alphabet):
+    """(vectors of total at most the bound, infinite)."""
+    alphabet = tuple(a for a in alphabet if a in set(P.divisors(x)))
+    if not alphabet:
+        return (), False
+    bound = P.prefix_bound(x)
+    levels = _vector_levels(P, x, alphabet, 2 * bound + 1)
+    infinite = any(x in prods for level in levels[bound + 1:] for prods in level.values())
+    return tuple(sorted(_realized(levels[: bound + 1], x))), infinite
+
+
+def _witness_word(P, x, alphabet, rep, vec) -> tuple:
+    dead: set = set()
+
+    def dfs(p, rem_key, rem):
+        if not rem:
+            return () if p == x else None
+        if (p, rem_key) in dead:
+            return None
+        for a in alphabet:
+            c = rep[a]
+            if rem.get(c, 0) > 0:
+                rem[c] -= 1
+                if rem[c] == 0:
+                    del rem[c]
+                tail = dfs(P.op(p, a), tuple(sorted(rem.items())), rem)
+                rem[c] = rem.get(c, 0) + 1
+                if tail is not None:
+                    return (a,) + tail
+        dead.add((p, rem_key))
+        return None
+
+    word = dfs(P.identity, vec, dict(vec))
+    assert word is not None, "vector realized but no witness found"
+    return word
+
+
+def oracle_minimal_classes(P, x, alphabet):
+    alphabet = tuple(sorted((a for a in alphabet if a in set(P.divisors(x))), key=P.element_sort_key))
+    if not alphabet:
+        return ()
+    rep = class_reps(P.leq, alphabet, sort_key=P.element_sort_key)
+    realized = _realized(_vector_levels(P, x, alphabet, P.prefix_bound(x), rep=rep), x)
+    minima = sorted(
+        (vec for vec in realized if not any(vector_lt(w, vec) for w in realized)),
+        key=lambda v: (vector_total(v), v),
+    )
+    return tuple((vec, _witness_word(P, x, alphabet, rep, vec)) for vec in minima)
+
+
+def oracle_profile(P, x) -> ElementProfile:
+    irr_alpha = factorization_alphabet(P, x, "irreducibles")
+    atom_alpha = tuple(a for a in irr_alpha if is_atom(P, a))
+    vectors, infinite = oracle_realizable_vectors(P, x, irr_alpha)
+    avectors, ainfinite = oracle_realizable_vectors(P, x, atom_alpha)
+    minimal = oracle_minimal_classes(P, x, irr_alpha)
+    literal = []
+    if minimal and atom_alpha:
+        rep = class_reps(P.leq, irr_alpha, sort_key=P.element_sort_key)
+        atom_levels = _vector_levels(P, x, atom_alpha, P.prefix_bound(x), rep=rep)
+        atom_realizable = _realized(atom_levels, x)
+        sorted_atoms = tuple(sorted(atom_alpha, key=P.element_sort_key))
+        literal = [
+            (vec, _witness_word(P, x, sorted_atoms, rep, vec))
+            for vec, _ in minimal
+            if vec in atom_realizable
+        ]
+    return ElementProfile(
+        element=P.label(x),
+        irreducible_divisors=tuple(P.label(a) for a in irr_alpha),
+        atom_divisors=tuple(P.label(a) for a in atom_alpha),
+        lengths=oracle_length_set(P, x, irr_alpha),
+        atomic_lengths=oracle_length_set(P, x, atom_alpha),
+        class_count=None if infinite else len(vectors),
+        atomic_class_count=None if ainfinite else len(avectors),
+        minimal=_map_classes(P, minimal),
+        minimal_atomic_within=_map_classes(P, oracle_minimal_classes(P, x, atom_alpha)),
+        minimal_atomic_literal=_map_classes(P, literal),
+    )
+
+
+def assert_matches_oracle(P):
+    for x in P.nonunits():
+        assert element_profile(P, x).to_json() == oracle_profile(P, x).to_json(), x
+        for letters in ("irreducibles", "atoms"):
+            alphabet = factorization_alphabet(P, x, letters)
+            vectors, infinite = realizable_vectors(P, x, alphabet=alphabet)
+            old_vectors, old_infinite = oracle_realizable_vectors(P, x, alphabet)
+            assert infinite == old_infinite, (x, letters)
+            # an infinite census lists no vectors; a finite one lists them all
+            assert vectors == (() if infinite else old_vectors), (x, letters)
+
+
+def _divisibility_premonoid(table, identity) -> Premonoid:
+    monoid = FiniteMonoid(table, identity)
+    return Premonoid(monoid, divisibility_preorder(monoid))
+
+
+@pytest.mark.parametrize("index", range(len(monoid_pool())))
+def test_monoid_pool_matches_oracle(index):
+    assert_matches_oracle(_divisibility_premonoid(*monoid_pool()[index]))
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_zn_matches_oracle(n):
+    assert_matches_oracle(zn_premonoid(n))
+
+
+@pytest.mark.parametrize("points", [3, 4])
+def test_union_power_set_matches_oracle(points):
+    P, _ = powerset_premonoid(points)
+    assert_matches_oracle(P)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_random_premonoids_match_oracle(seed):
+    assert_matches_oracle(random_premonoid(random.Random(seed), 6))

@@ -96,3 +96,19 @@ def test_suite_results_serialize():
     for r in results:
         data = r.to_json()
         assert set(data) == {"name", "applicable", "passed", "details"}
+
+
+def test_bf_iff_ff_does_not_trust_the_engine_length_sets(monkeypatch):
+    """The FF side is swept independently, so a wrong length set in the
+    engine makes the check fail instead of agreeing with itself."""
+    import premonoids.factorization as fz
+    from premonoids import LengthSet
+    from premonoids.verify import check_bf_iff_ff
+
+    P = zn_premonoid(8)
+    assert check_bf_iff_ff(P).passed
+    # the powers of 2 in Z_8 have unboundedly long factorizations; claim otherwise
+    monkeypatch.setattr(fz, "length_set", lambda P, x, **kw: LengthSet.of(1))
+    result = check_bf_iff_ff(P)
+    assert not result.passed
+    assert result.details["side"] == "factorable"

@@ -12,20 +12,20 @@ from premonoids import (
     shuffle_leq_matching,
 )
 from premonoids.families import make_zn, zn_premonoid
-from premonoids.words import embed_increasing, longest_bad_sequence, pi
+from premonoids.words import embed_increasing, longest_bad_sequence
 
 
 def test_pi_examples():
     m = make_zn(4)
-    assert pi(m, ()) == 1
-    assert pi(m, (2, 2)) == 0
+    assert m.product(()) == 1
+    assert m.product((2, 2)) == 0
     rng = random.Random(0)
     for _ in range(50):
         word = tuple(rng.randrange(4) for _ in range(rng.randint(0, 6)))
         expect = 1
         for a in word:
             expect = (expect * a) % 4
-        assert pi(m, word) == expect
+        assert m.product(word) == expect
 
 
 def test_shuffle_examples():
