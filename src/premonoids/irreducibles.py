@@ -38,14 +38,21 @@ def _layered_product_hit(P, a, factors, s: int) -> bool:
     Layers are pruned to divisors of a: every prefix of a product equal to a
     divides a, so pruning is lossless for the membership question.
     """
-    allowed = set(P.divisors(a))
-    layer = set(factors)
+    allowed = frozenset(P.divisors(a))
+    op = P.op
+    layer = factors
     for _ in range(2, s + 1):
-        layer = {P.op(p, d) for p in layer for d in factors} & allowed
-        if a in layer:
-            return True
-        if not layer:
+        nxt = set()
+        for p in layer:
+            for d in factors:
+                q = op(p, d)
+                if q == a:
+                    return True
+                if q in allowed:
+                    nxt.add(q)
+        if not nxt:
             return False
+        layer = nxt
     return False
 
 

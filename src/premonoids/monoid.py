@@ -8,13 +8,52 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import reduce
+from operator import itemgetter, or_
 
+from .bitrows import indices
 from .errors import BadIdentityError, NonAssociativeError, ShapeError
 
 # Above this carrier size the O(n^3) associativity sweep is skipped unless
 # explicitly forced; tables that big come from generators already known to be
 # associative.
 ASSOCIATIVITY_CHECK_LIMIT = 256
+
+
+def _first_nonassociative(rows) -> tuple[int, int, int] | None:
+    """The lexicographically first (x, y, z) with (xy)z != x(yz), or None.
+
+    Whole rows are compared at once: over all z, (xy)z is the row of xy and
+    x(yz) is row y mapped through row x. Only an x with a mismatching row is
+    rescanned for its first (y, z).
+    """
+    n = len(rows)
+    if n <= 256:
+        # indices fit in a byte: translate maps row y through row x in one C call
+        packed = [bytes(row) for row in rows]
+        pad = bytes(256 - n)
+
+        def agrees(x: int) -> bool:
+            rx = packed[x]
+            through = rx + pad
+            return [packed[p] for p in rx] == [ry.translate(through) for ry in packed]
+    else:
+        # n > 256, so each itemgetter takes many indices and returns a tuple
+        through = [itemgetter(*row) for row in rows]
+
+        def agrees(x: int) -> bool:
+            rx = rows[x]
+            return [rows[p] for p in rx] == [g(rx) for g in through]
+
+    for x, rx in enumerate(rows):
+        if agrees(x):
+            continue
+        for y, ry in enumerate(rows):
+            rxy = rows[rx[y]]
+            for z in range(n):
+                if rxy[z] != rx[ry[z]]:
+                    return (x, y, z)
+    return None
 
 
 @dataclass(frozen=True)
@@ -35,7 +74,7 @@ class StructureFlags:
 
 
 class FiniteMonoid:
-    __slots__ = ("n", "identity", "table", "_ideals", "_units", "_divisors", "_flags")
+    __slots__ = ("n", "identity", "table", "_ideal_masks", "_ideals", "_units", "_divisors", "_flags")
 
     def __init__(self, table, identity: int, *, check_associativity: bool | None = None):
         rows = tuple(tuple(row) for row in table)
@@ -56,17 +95,13 @@ class FiniteMonoid:
         if check_associativity is None:
             check_associativity = n <= ASSOCIATIVITY_CHECK_LIMIT
         if check_associativity:
-            for x in range(n):
-                rx = rows[x]
-                for y in range(n):
-                    rxy = rows[rx[y]]
-                    ry = rows[y]
-                    for z in range(n):
-                        if rxy[z] != rx[ry[z]]:
-                            raise NonAssociativeError((x, y, z))
+            witness = _first_nonassociative(rows)
+            if witness is not None:
+                raise NonAssociativeError(witness)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "table", rows)
+        object.__setattr__(self, "_ideal_masks", None)
         object.__setattr__(self, "_ideals", {})
         object.__setattr__(self, "_units", None)
         object.__setattr__(self, "_divisors", {})
@@ -115,25 +150,38 @@ class FiniteMonoid:
             object.__setattr__(self, "_units", found)
         return self._units
 
+    def ideal_masks(self) -> tuple[int, ...]:
+        """Bit masks of the principal ideals: bit y of entry x is set iff x | y.
+
+        The ideal {u*x*v} is the union of the images {p*v : v} of the rows p
+        in column x, so each row's image is masked once and OR-ed per column.
+        """
+        if self._ideal_masks is None:
+            bit = [1 << i for i in range(self.n)]
+            images = [reduce(or_, map(bit.__getitem__, set(row)), 0) for row in self.table]
+            masks = tuple(
+                reduce(or_, map(images.__getitem__, set(column)), 0)
+                for column in zip(*self.table)
+            )
+            object.__setattr__(self, "_ideal_masks", masks)
+        return self._ideal_masks
+
     def principal_ideal(self, x: int) -> frozenset:
         """The two-sided ideal {u*x*v : u, v in the carrier}."""
         cached = self._ideals.get(x)
         if cached is None:
-            t = self.table
-            ux = {row[x] for row in t}
-            cached = frozenset(t[p][v] for p in ux for v in range(self.n))
-            self._ideals[x] = cached
+            cached = self._ideals[x] = frozenset(indices(self.ideal_masks()[x]))
         return cached
 
     def divides(self, x: int, y: int) -> bool:
         """Two-sided divisibility: x | y iff y lies in the ideal generated by x."""
-        return y in self.principal_ideal(x)
+        return bool(self.ideal_masks()[x] >> y & 1)
 
     def divisors(self, x: int) -> tuple:
-        """All d with d | x, sorted."""
+        """All d with d | x, sorted: column x of the ideal masks."""
         cached = self._divisors.get(x)
         if cached is None:
-            cached = tuple(d for d in range(self.n) if x in self.principal_ideal(d))
+            cached = tuple(d for d, mask in enumerate(self.ideal_masks()) if mask >> x & 1)
             self._divisors[x] = cached
         return cached
 

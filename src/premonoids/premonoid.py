@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
+from .bitrows import indices
 from .errors import ShapeError
 from .monoid import FiniteMonoid
 from .preorder import PreorderRel
@@ -126,60 +127,59 @@ class Premonoid:
         """Longest strict chain of non-units starting at each element.
 
         Units get 0 (no chain can start there); any non-unit gets at least 1,
-        the chain consisting of the element alone.
+        the chain consisting of the element alone. y < x makes the up-set of
+        y a proper superset of that of x, so visiting non-units by decreasing
+        up-set size settles y before any x above it, with no recursion.
         """
         if self._heights is not None:
             return self._heights
-        n = self.monoid.n
+        rows = self.preorder.rows
         units = self.units()
-        memo: dict[int, int] = {}
-
-        def ht(x: int) -> int:
-            if x in units:
-                return 0
-            got = memo.get(x)
-            if got is None:
-                # strict part is acyclic, so the recursion terminates
-                memo[x] = got = 1 + max(
-                    (ht(y) for y in range(n) if y not in units and self.lt(y, x)),
-                    default=0,
-                )
-            return got
-
-        result = tuple(ht(x) for x in range(n))
+        nonunits = [x for x in self.carrier() if x not in units]
+        nonunit_mask = sum(1 << x for x in nonunits)
+        heights = [0] * self.monoid.n
+        for x in nonunits:
+            heights[x] = 1
+        for y in sorted(nonunits, key=lambda y: -rows[y].bit_count()):
+            up = heights[y] + 1
+            for x in indices(rows[y] & nonunit_mask):
+                if up > heights[x] and not rows[x] >> y & 1:  # y < x
+                    heights[x] = up
+        result = tuple(heights)
         object.__setattr__(self, "_heights", result)
         return result
 
     def flags(self) -> PremonoidFlags:
+        """Compatibility flags by exhaustive scan, one side at a time.
+
+        Two-sided compatibility (x <= y implies uxv <= uyv for all u, v) holds
+        iff both one-sided laws do (ux <= uy and xu <= yu): u = 1 or v = 1
+        gives each side, and ux <= uy gives (ux)v <= (uy)v by the right-hand
+        law. The strict laws and the unit part of weak positivity
+        ((ux)v <= ux <= x) chain the same way.
+        """
         if self._flags is not None:
             return self._flags
         n = self.monoid.n
         t = self.monoid.table
-        leq = self.preorder.leq
-        lt = self.preorder.lt
+        rows = self.preorder.rows
         e = self.identity
-
-        leq_pairs = [(x, y) for x in range(n) for y in range(n) if leq(x, y) and x != y]
-        preordered = all(
-            leq(t[t[u][x]][v], t[t[u][y]][v])
-            for x, y in leq_pairs
-            for u in range(n)
-            for v in range(n)
+        # every left and every right multiplication, as a map x -> m[x]
+        maps = t + tuple(zip(*t))
+        above = [(x, [y for y in indices(rows[x]) if y != x]) for x in range(n)]
+        preordered = all(rows[m[x]] >> m[y] & 1 for m in maps for x, ys in above for y in ys)
+        strictly_above = [(x, [y for y in ys if not rows[y] >> x & 1]) for x, ys in above]
+        strongly_preordered = preordered and not any(
+            rows[m[y]] >> m[x] & 1 for m in maps for x, ys in strictly_above for y in ys
         )
-        strongly_preordered = preordered and all(
-            lt(t[t[u][x]][v], t[t[u][y]][v])
-            for x, y in leq_pairs
-            if lt(x, y)
-            for u in range(n)
-            for v in range(n)
-        )
-        identity_below_all = all(leq(e, y) for y in range(n))
+        identity_below_all = rows[e] == (1 << n) - 1
         positive = preordered and identity_below_all
         strongly_positive = strongly_preordered and identity_below_all
-        units = self.units()
+        unit_maps = [maps[i] for u in self.units() for i in (u, n + u)]
+        ideals = self.monoid.ideal_masks()
         weakly_positive = all(
-            leq(t[t[u][x]][v], x) for x in range(n) for u in units for v in units
-        ) and all(leq(x, t[t[a][x]][b]) for x in range(n) for a in range(n) for b in range(n))
+            rows[m[x]] >> x & 1 for m in unit_maps for x in range(n)
+        ) and all(ideal & ~row == 0 for ideal, row in zip(ideals, rows))
         flags = PremonoidFlags(
             preordered=preordered,
             strongly_preordered=strongly_preordered,

@@ -6,6 +6,7 @@ after construction are O(1) bit tests.
 """
 from __future__ import annotations
 
+from .bitrows import indices
 from .errors import ShapeError
 from .monoid import FiniteMonoid
 
@@ -125,20 +126,32 @@ class PreorderRel:
 
     def strict_is_acyclic(self) -> bool:
         """The strict part of a preorder is transitive and irreflexive, hence
-        acyclic; this re-derives it by DFS as a self-check."""
-        n = self.n
-        color = [0] * n
-        def dfs(u: int) -> bool:
-            color[u] = 1
-            for v in range(n):
-                if self.lt(u, v):
+        acyclic; this re-derives it by DFS as a self-check. The DFS keeps its
+        own stack, so deep chains cannot hit the recursion limit."""
+        rows = self.rows
+
+        def above(u: int):  # the v with u < v
+            return (v for v in indices(rows[u]) if not rows[v] >> u & 1)
+
+        color = [0] * self.n  # 0 unseen, 1 on the DFS path, 2 finished
+        for root in range(self.n):
+            if color[root]:
+                continue
+            color[root] = 1
+            stack = [(root, above(root))]
+            while stack:
+                u, todo = stack[-1]
+                for v in todo:
                     if color[v] == 1:
                         return False
-                    if color[v] == 0 and not dfs(v):
-                        return False
-            color[u] = 2
-            return True
-        return all(color[u] == 2 or dfs(u) for u in range(n))
+                    if color[v] == 0:
+                        color[v] = 1
+                        stack.append((v, above(v)))
+                        break
+                else:
+                    color[u] = 2
+                    stack.pop()
+        return True
 
     # -- serialization ---------------------------------------------------------
 
@@ -176,17 +189,10 @@ class PreorderRel:
 
 
 def divisibility_preorder(monoid: FiniteMonoid) -> PreorderRel:
-    """x below y iff y lies in the two-sided ideal generated by x."""
-    n = monoid.n
-    rows = []
-    for x in range(n):
-        ideal = monoid.principal_ideal(x)
-        bits = 0
-        for y in ideal:
-            bits |= 1 << y
-        rows.append(bits)
+    """x below y iff y lies in the two-sided ideal generated by x: the rows
+    are the monoid's ideal masks."""
     # divisibility is reflexive and transitive by construction
-    return PreorderRel(n, tuple(rows), kind="divisibility")
+    return PreorderRel(monoid.n, monoid.ideal_masks(), kind="divisibility")
 
 
 def pullback_preorder(phi, codomain: PreorderRel, kind: str = "pullback") -> PreorderRel:

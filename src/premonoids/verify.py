@@ -101,6 +101,18 @@ def check_flag_implications(P: Premonoid) -> CheckResult:
     return _ok(name) if not bad else _fail(name, violated=bad)
 
 
+def _scan_weakly_positive(m, rel) -> bool:
+    """Weak positivity by its defining two-sided scan over the table:
+    (ux)v <= x for preorder units u, v, and x <= (ax)b for all a, b. Shares
+    no code with ``Premonoid.flags``, which reads the monoid's ideal masks,
+    the very rows of the divisibility preorder."""
+    t, leq, n = m.table, rel.leq, m.n
+    units = [u for u in range(n) if rel.equiv(u, m.identity)]
+    return all(
+        leq(t[t[u][x]][v], x) for x in range(n) for u in units for v in units
+    ) and all(leq(x, t[t[a][x]][b]) for x in range(n) for a in range(n) for b in range(n))
+
+
 def check_divisibility_premonoid_laws(P: Premonoid) -> CheckResult:
     """Laws tying the monoid structure to its divisibility premonoid: on a
     finite carrier the monoid is Dedekind-finite, so divisibility units are
@@ -112,9 +124,9 @@ def check_divisibility_premonoid_laws(P: Premonoid) -> CheckResult:
     dp = Premonoid(m, divisibility_preorder(m))
     if dp.units() != m.units():
         return _fail(name, div_units=sorted(dp.units()), units=sorted(m.units()))
-    flags = dp.flags()
-    if not flags.weakly_positive:
+    if not _scan_weakly_positive(m, dp.preorder):
         return _fail(name, weakly_positive=False)
+    flags = dp.flags()
     s = m.structure_flags()
     if (s.left_duo or s.right_duo) and not (flags.preordered and flags.positive):
         return _fail(name, duo_but_not_positive=flags.to_json())

@@ -1,0 +1,260 @@
+"""The bitset kernel of finite carriers against the set-based code it replaced.
+
+The oracles below are the kernel as it was before ideal masks: principal
+ideals as Python sets, divisors by scanning every ideal, the divisibility
+preorder built bit by bit from those sets, the two-sided |pairs| x n^2 flags
+scan, the triple-loop associativity check, and the recursive heights and
+strict-order DFS. They share nothing with the kernel but the table and the
+preorder's ``leq``/``lt``.
+"""
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from premonoids import (
+    FiniteMonoid,
+    NonAssociativeError,
+    Premonoid,
+    PremonoidFlags,
+    PreorderRel,
+    divisibility_preorder,
+)
+from premonoids.families import powerset_premonoid, zn_premonoid
+from premonoids.randgen import monoid_pool, random_premonoid
+
+
+def oracle_principal_ideal(m, x) -> frozenset:
+    t = m.table
+    ux = {row[x] for row in t}
+    return frozenset(t[p][v] for p in ux for v in range(m.n))
+
+
+def oracle_divisibility_rows(m) -> tuple:
+    rows = []
+    for x in range(m.n):
+        bits = 0
+        for y in oracle_principal_ideal(m, x):
+            bits |= 1 << y
+        rows.append(bits)
+    return tuple(rows)
+
+
+def oracle_flags(P) -> PremonoidFlags:
+    n = P.monoid.n
+    t = P.monoid.table
+    leq, lt, e = P.preorder.leq, P.preorder.lt, P.identity
+    leq_pairs = [(x, y) for x in range(n) for y in range(n) if leq(x, y) and x != y]
+    preordered = all(
+        leq(t[t[u][x]][v], t[t[u][y]][v]) for x, y in leq_pairs for u in range(n) for v in range(n)
+    )
+    strongly_preordered = preordered and all(
+        lt(t[t[u][x]][v], t[t[u][y]][v])
+        for x, y in leq_pairs
+        if lt(x, y)
+        for u in range(n)
+        for v in range(n)
+    )
+    identity_below_all = all(leq(e, y) for y in range(n))
+    units = [u for u in range(n) if P.preorder.equiv(u, e)]
+    weakly_positive = all(
+        leq(t[t[u][x]][v], x) for x in range(n) for u in units for v in units
+    ) and all(leq(x, t[t[a][x]][b]) for x in range(n) for a in range(n) for b in range(n))
+    return PremonoidFlags(
+        preordered=preordered,
+        strongly_preordered=strongly_preordered,
+        positive=preordered and identity_below_all,
+        strongly_positive=strongly_preordered and identity_below_all,
+        weakly_positive=weakly_positive,
+        artinian=True,
+        strongly_artinian=True,
+        method="exhaustive (finite carrier)",
+    )
+
+
+def oracle_heights(P) -> tuple:
+    n = P.monoid.n
+    units = P.units()
+    memo: dict = {}
+
+    def ht(x):
+        if x in units:
+            return 0
+        if x not in memo:
+            memo[x] = 1 + max(
+                (ht(y) for y in range(n) if y not in units and P.lt(y, x)), default=0
+            )
+        return memo[x]
+
+    return tuple(ht(x) for x in range(n))
+
+
+def oracle_strict_is_acyclic(rel) -> bool:
+    n = rel.n
+    color = [0] * n
+
+    def dfs(u):
+        color[u] = 1
+        for v in range(n):
+            if rel.lt(u, v):
+                if color[v] == 1:
+                    return False
+                if color[v] == 0 and not dfs(v):
+                    return False
+        color[u] = 2
+        return True
+
+    return all(color[u] == 2 or dfs(u) for u in range(n))
+
+
+def oracle_first_nonassociative(table):
+    n = len(table)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if table[table[x][y]][z] != table[x][table[y][z]]:
+                    return (x, y, z)
+    return None
+
+
+def assert_premonoid_matches(P):
+    """Flags, heights and the strict-order check of any finite premonoid."""
+    assert P.flags() == oracle_flags(P)
+    assert P.heights() == oracle_heights(P)
+    assert P.preorder.strict_is_acyclic() == oracle_strict_is_acyclic(P.preorder)
+
+
+def assert_kernel_matches(m):
+    """Ideals, divisors and the divisibility preorder of a monoid, then the
+    premonoid checks on its divisibility premonoid."""
+    ideals = [oracle_principal_ideal(m, x) for x in range(m.n)]
+    for x in range(m.n):
+        assert m.principal_ideal(x) == ideals[x], x
+        assert m.divisors(x) == tuple(d for d in range(m.n) if x in ideals[d]), x
+        assert [m.divides(x, y) for y in range(m.n)] == [y in ideals[x] for y in range(m.n)], x
+    rel = divisibility_preorder(m)
+    assert rel.rows == oracle_divisibility_rows(m)
+    assert_premonoid_matches(Premonoid(m, rel))
+
+
+@pytest.mark.parametrize("index", range(len(monoid_pool())))
+def test_monoid_pool_kernel_matches_oracle(index):
+    table, identity = monoid_pool()[index]
+    assert_kernel_matches(FiniteMonoid(table, identity))
+
+
+@pytest.mark.parametrize("n", range(1, 49))
+def test_zn_kernel_matches_oracle(n):
+    assert_kernel_matches(zn_premonoid(n).monoid)
+
+
+@pytest.mark.parametrize("points", [3, 4])
+def test_union_power_set_kernel_matches_oracle(points):
+    P, _ = powerset_premonoid(points)
+    assert_kernel_matches(P.monoid)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_random_premonoids_match_oracle(seed):
+    P = random_premonoid(random.Random(seed), 6)
+    assert_premonoid_matches(P)
+    assert_kernel_matches(P.monoid)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_associativity_witness_matches_triple_loop(seed, n):
+    rng = random.Random(seed)
+    identity = rng.randrange(n)
+    table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    for x in range(n):
+        table[identity][x] = table[x][identity] = x
+    expected = oracle_first_nonassociative(table)
+    if expected is None:
+        FiniteMonoid(table, identity)
+    else:
+        with pytest.raises(NonAssociativeError) as info:
+            FiniteMonoid(table, identity)
+        assert info.value.witness == expected
+
+
+def test_associativity_witness_is_the_first_of_several():
+    # Z_4 under addition with 1 + 2 = 2 + 1 = 0: (1, 1, 2) is the
+    # lexicographically first failing triple, (1, 2, 2) and (2, 1, 1) fail too
+    table = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+    table[1][2] = table[2][1] = 0
+    assert oracle_first_nonassociative(table) == (1, 1, 2)
+    with pytest.raises(NonAssociativeError) as info:
+        FiniteMonoid(table, 0)
+    assert info.value.witness == (1, 1, 2)
+
+
+def test_one_element_table_is_associative():
+    m = FiniteMonoid([[0]], 0)
+    assert m.principal_ideal(0) == frozenset({0})
+    assert m.divisors(0) == (0,)
+
+
+CHAIN = 1100
+
+
+@pytest.fixture(scope="module")
+def reversed_chain():
+    """The chain under max whose order runs against the index order: element
+    i stands for position CHAIN-1-i, so i * j = min(i, j) and the identity is
+    CHAIN-1. The heights recursion used to go CHAIN-1 frames deep here."""
+    table = [[min(i, j) for j in range(CHAIN)] for i in range(CHAIN)]
+    monoid = FiniteMonoid(table, CHAIN - 1)
+    return Premonoid(monoid, divisibility_preorder(monoid))
+
+
+def test_reversed_chain_needs_no_recursion(reversed_chain):
+    P = reversed_chain
+    # x <= y iff y is an index of at most x; only the identity is a unit
+    assert P.preorder.rows == tuple((1 << (x + 1)) - 1 for x in range(CHAIN))
+    assert P.units() == frozenset({CHAIN - 1})
+    assert P.heights() == tuple(CHAIN - 1 - x for x in range(CHAIN - 1)) + (0,)
+    assert P.preorder.strict_is_acyclic()
+
+
+def test_strict_cycle_is_found_without_recursion():
+    """A relation whose rows are not transitively closed can have a strict
+    cycle; the iterative DFS must still report it."""
+    n = 5
+    # 0 < 1 < 2 < 0 strictly, as raw rows that from_pairs would close
+    rows = [1 << 0 | 1 << 1, 1 << 1 | 1 << 2, 1 << 2 | 1 << 0, 1 << 3, 1 << 4]
+    rel = PreorderRel(n, rows)
+    assert oracle_strict_is_acyclic(rel) is False
+    assert rel.strict_is_acyclic() is False
+
+
+def test_right_units_count_for_weak_positivity():
+    """e = 0 and the idempotent v = 1 form the unit class of the chain
+    {e, v} < x = 2 < y = 3. v fixes everything from the left but x * v = y,
+    so (ux)v <= x fails on the right only."""
+    table = [
+        [0, 1, 2, 3],
+        [1, 1, 2, 3],
+        [2, 3, 3, 3],
+        [3, 3, 3, 3],
+    ]
+    rel = PreorderRel.from_pairs(4, [(0, 1), (1, 0), (1, 2), (2, 3)])
+    P = Premonoid(FiniteMonoid(table, 0), rel)
+    assert P.units() == frozenset({0, 1})
+    assert not oracle_flags(P).weakly_positive
+    assert_premonoid_matches(P)
+
+
+@pytest.mark.parametrize("n", [5, 256, 257])
+def test_associativity_witness_on_both_row_encodings(n):
+    """Tables of up to 256 elements are compared as bytes, larger ones (checked
+    only when asked) through itemgetter; both report the triple-loop witness."""
+    table = [[a * b % n for b in range(n)] for a in range(n)]
+    FiniteMonoid(table, 1, check_associativity=True)
+    table[2][3] = (table[2][3] + 1) % n
+    expected = oracle_first_nonassociative(table)
+    with pytest.raises(NonAssociativeError) as info:
+        FiniteMonoid(table, 1, check_associativity=True)
+    assert info.value.witness == expected

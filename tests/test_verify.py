@@ -112,3 +112,22 @@ def test_bf_iff_ff_does_not_trust_the_engine_length_sets(monkeypatch):
     result = check_bf_iff_ff(P)
     assert not result.passed
     assert result.details["side"] == "factorable"
+
+
+def test_divisibility_laws_do_not_trust_the_kernel_ideal_masks(monkeypatch):
+    """Weak positivity is scanned over the table, so wrong ideal masks in the
+    kernel make the check fail, although Premonoid.flags, which reads the same
+    masks as the preorder's rows, still reports weak positivity."""
+    from premonoids import Premonoid, divisibility_preorder
+    from premonoids.monoid import FiniteMonoid
+    from premonoids.verify import check_divisibility_premonoid_laws
+
+    P = zn_premonoid(8)
+    assert check_divisibility_premonoid_laws(P).passed
+    # drop 0 = 0 * 2 * 1 from the ideal of 2; the units stay as they are
+    wrong = tuple(m & ~1 if x == 2 else m for x, m in enumerate(P.monoid.ideal_masks()))
+    monkeypatch.setattr(FiniteMonoid, "ideal_masks", lambda self: wrong)
+    assert Premonoid(P.monoid, divisibility_preorder(P.monoid)).flags().weakly_positive
+    result = check_divisibility_premonoid_laws(P)
+    assert not result.passed
+    assert result.details == {"weakly_positive": False}
