@@ -15,7 +15,6 @@ import argparse
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import families as fam
 from . import matrices as mx
@@ -44,7 +43,7 @@ from .premonoid import Premonoid
 from .preorder import divisibility_preorder, preorder_from_json
 from .presentations import presentation_explore
 from .randgen import random_premonoid
-from .verify import verify_suite
+from .verify import CheckResult, verify_suite
 
 
 class CliError(Exception):
@@ -206,6 +205,14 @@ def _fmt_labels(instance: Instance, values) -> list:
     return [_fmt_label(instance, v) for v in values]
 
 
+def _fmt_classes(instance: Instance, classes) -> list:
+    return [
+        {"vector": [[_fmt_label(instance, c), m] for c, m in vec],
+         "representative": _fmt_labels(instance, word)}
+        for vec, word in classes
+    ]
+
+
 def describe_payload(instance: Instance, degrees) -> dict:
     if instance.kind == "matrix":
         a = instance.payload
@@ -297,11 +304,7 @@ def factorize_payload(
         "minimal": {
             "certified_complete": True,
             "search_bound": P.prefix_bound(x),
-            "classes": [
-                {"vector": [[_fmt_label(instance, c), m] for c, m in vec],
-                 "representative": _fmt_labels(instance, word)}
-                for vec, word in prof.minimal
-            ],
+            "classes": _fmt_classes(instance, prof.minimal),
         },
     }
     if not minimal_only:
@@ -309,17 +312,9 @@ def factorize_payload(
             _fmt_labels(instance, w) for w in enumerate_factorizations(P, x, max_len)
         ]
     if atomic_mode in ("within", "both"):
-        payload["minimal_atomic_within"] = [
-            {"vector": [[_fmt_label(instance, c), m] for c, m in vec],
-             "representative": _fmt_labels(instance, word)}
-            for vec, word in prof.minimal_atomic_within
-        ]
+        payload["minimal_atomic_within"] = _fmt_classes(instance, prof.minimal_atomic_within)
     if atomic_mode in ("paper", "both"):
-        payload["minimal_atomic_literal"] = [
-            {"vector": [[_fmt_label(instance, c), m] for c, m in vec],
-             "representative": _fmt_labels(instance, word)}
-            for vec, word in prof.minimal_atomic_literal
-        ]
+        payload["minimal_atomic_literal"] = _fmt_classes(instance, prof.minimal_atomic_literal)
     return payload
 
 
@@ -345,122 +340,98 @@ def classify_payload(instance: Instance, element_text: str | None, with_profiles
     return out
 
 
-def _verify_local(instance: Instance) -> list[dict]:
+def _verify_local(instance: Instance) -> list[CheckResult]:
     P = instance.payload
-    checks = []
     sample = P.monoid.sample_elements()
     try:
         for x in sample[: min(len(sample), 8)]:
             P.monoid.check_divisor_laws(x)
-        checks.append({"name": "divisor-certificates", "applicable": True, "passed": True, "details": {}})
+        certificates = CheckResult("divisor-certificates", True, True)
     except AssertionError as exc:
-        checks.append(
-            {"name": "divisor-certificates", "applicable": True, "passed": False, "details": {"error": str(exc)}}
-        )
+        certificates = CheckResult("divisor-certificates", True, False, {"error": str(exc)})
     nonunits = P.nonunit_sample()
-    report = classify(P, elements=nonunits, scope="sample")
-    violations = report.diagram_violations()
-    checks.append(
-        {
-            "name": "classification-diagram",
-            "applicable": True,
-            "passed": not violations,
-            "details": {"violations": [list(v) for v in violations]},
-        }
-    )
-    return checks
+    violations = classify(P, elements=nonunits, scope="sample").diagram_violations()
+    return [
+        certificates,
+        CheckResult(
+            "classification-diagram",
+            True,
+            not violations,
+            {"violations": [list(v) for v in violations]},
+        ),
+    ]
 
 
-def _snf_self_check(a) -> tuple[bool, dict]:
+def _snf_self_check(name: str, a) -> CheckResult:
     try:
         mx.snf(a)  # self-checking
     except (AssertionError, PremonoidsError) as exc:
-        return False, {"error": str(exc)}
-    return True, {}
+        return CheckResult(name, True, False, {"error": str(exc)})
+    return CheckResult(name, True, True)
 
 
-def _verify_matrix(instance: Instance, seed: int) -> list[dict]:
+def _verify_matrix(instance: Instance, seed: int) -> list[CheckResult]:
     rng = random.Random(seed)
     a = instance.payload
-    checks = []
-    ok, detail = _snf_self_check(a)
-    checks.append({"name": "snf-invariants", "applicable": True, "passed": ok, "details": detail})
+    checks = [_snf_self_check("snf-invariants", a)]
     ls = mx.matrix_length_set(a)
     omega = len(mx.factor_multiset(mx.mat_det(a)))
     expected = {omega} if omega else set()
     got = set(ls.members_upto(omega + 2))
     checks.append(
-        {
-            "name": "length-set-vs-prime-count",
-            "applicable": True,
-            "passed": got == expected,
-            "details": {"lengths": sorted(got), "prime_count": omega},
-        }
+        CheckResult(
+            "length-set-vs-prime-count",
+            True,
+            got == expected,
+            {"lengths": sorted(got), "prime_count": omega},
+        )
     )
-    ok, detail = True, {}
+    probes = CheckResult("snf-random-probes", True, True)
     for _ in range(10):
         n = len(a)
         b = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
         if mx.mat_det(b) == 0:
             continue
-        ok, detail = _snf_self_check(b)
-        if not ok:
-            detail["matrix"] = [list(row) for row in b]
+        probes = _snf_self_check("snf-random-probes", b)
+        if not probes.passed:
+            probes.details["matrix"] = [list(row) for row in b]
             break
-    checks.append({"name": "snf-random-probes", "applicable": True, "passed": ok, "details": detail})
+    checks.append(probes)
     return checks
 
 
-def _verify_presentation(instance: Instance) -> list[dict]:
+def _verify_presentation(instance: Instance) -> list[CheckResult]:
     alphabet, relations, bound = instance.payload
     report = presentation_explore(alphabet, relations, bound)
-    return [
-        {
-            "name": "bounded-exploration",
-            "applicable": True,
-            "passed": True,
-            "details": report.to_json(),
-        }
-    ]
+    return [CheckResult("bounded-exploration", True, True, report.to_json())]
 
 
-def verify_payload(instances, random_count: int, seed: int, threads: int) -> tuple[dict, bool]:
-    jobs = []
+def verify_payload(instances, random_count: int, seed: int) -> tuple[dict, bool]:
+    reports = []
     for spec in instances:
-        jobs.append(("instance", spec))
-    rng = random.Random(seed)
-    randoms = [random_premonoid(rng) for _ in range(random_count)]
-
-    def run_named(spec: str) -> dict:
         instance = load_instance(spec)
         if instance.kind == "finite":
-            results = [r.to_json() for r in verify_suite(instance.payload, seed=seed)]
+            results = verify_suite(instance.payload, seed=seed)
         elif instance.kind == "local":
             results = _verify_local(instance)
         elif instance.kind == "matrix":
             results = _verify_matrix(instance, seed)
         else:
             results = _verify_presentation(instance)
-        return {"instance": spec, "checks": results}
-
-    def run_random(idx: int) -> dict:
-        results = [r.to_json() for r in verify_suite(randoms[idx], seed=seed + idx)]
-        return {"instance": f"random[{idx}]", "checks": results}
-
-    reports = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            named = list(pool.map(run_named, [s for _, s in jobs]))
-            randoms_out = list(pool.map(run_random, range(random_count)))
-    else:
-        named = [run_named(s) for _, s in jobs]
-        randoms_out = [run_random(i) for i in range(random_count)]
-    reports.extend(named)
-    reports.extend(randoms_out)
-    all_passed = all(
-        c["passed"] or not c["applicable"] for rep in reports for c in rep["checks"]
-    )
-    return {"seed": seed, "reports": reports, "all_passed": all_passed}, all_passed
+        reports.append((spec, results))
+    rng = random.Random(seed)
+    for idx in range(random_count):
+        reports.append((f"random[{idx}]", verify_suite(random_premonoid(rng), seed=seed + idx)))
+    all_passed = all(r.passed or not r.applicable for _, results in reports for r in results)
+    payload = {
+        "seed": seed,
+        "reports": [
+            {"instance": name, "checks": [r.to_json() for r in results]}
+            for name, results in reports
+        ],
+        "all_passed": all_passed,
+    }
+    return payload, all_passed
 
 
 # -- rendering ---------------------------------------------------------------------
@@ -540,7 +511,6 @@ def main(argv=None) -> int:
     p_ver.add_argument("instances", nargs="*")
     p_ver.add_argument("--random", type=int, default=0, dest="random_count")
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--threads", type=int, default=1)
     common(p_ver)
 
     args = parser.parse_args(argv)
@@ -578,9 +548,7 @@ def main(argv=None) -> int:
             _emit(classify_payload(instance, args.element, args.profiles), args)
             return 0
         if args.command == "verify":
-            payload, ok = verify_payload(
-                args.instances, args.random_count, args.seed, args.threads
-            )
+            payload, ok = verify_payload(args.instances, args.random_count, args.seed)
             _emit(payload, args)
             return 0 if ok else 4
     except CliError as exc:

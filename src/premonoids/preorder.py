@@ -77,10 +77,6 @@ class PreorderRel:
         full = (1 << n) - 1
         return cls(n, (full,) * n, kind="explicit")
 
-    @classmethod
-    def discrete(cls, n: int) -> "PreorderRel":
-        return cls(n, tuple(1 << i for i in range(n)), kind="explicit")
-
     # -- queries --------------------------------------------------------------
 
     def leq(self, a: int, b: int) -> bool:
@@ -107,10 +103,6 @@ class PreorderRel:
             seen.update(cls_)
             classes.append(cls_)
         return classes
-
-    def class_representative(self, a: int, pool) -> int:
-        """Smallest member of a's equivalence class within pool."""
-        return min(b for b in pool if self.equiv(a, b))
 
     def restrict(self, elements) -> "PreorderRel":
         """Relation restricted to a sorted subset, reindexed densely."""

@@ -56,10 +56,6 @@ def shuffle_leq(P, u, v) -> bool:
     return vector_leq(word_vector(u, rep), word_vector(v, rep))
 
 
-def shuffle_equiv(P, u, v) -> bool:
-    return shuffle_leq(P, u, v) and shuffle_leq(P, v, u)
-
-
 def shuffle_leq_matching(leq, u, v) -> bool:
     """Literal oracle: injective assignment with mutual comparability per letter.
 

@@ -125,9 +125,7 @@ def test_verify_instances_and_random(capsys):
     code, out, _ = run_cli(capsys, "verify", "zn:4", "zn:8", "zn:9", "--seed", "3")
     data = json.loads(out)
     assert code == 0 and data["all_passed"] is True
-    code, out, _ = run_cli(
-        capsys, "verify", "--random", "5", "--seed", "7", "--threads", "2"
-    )
+    code, out, _ = run_cli(capsys, "verify", "--random", "5", "--seed", "7")
     data = json.loads(out)
     assert code == 0 and data["all_passed"] is True
     assert len(data["reports"]) == 5
@@ -178,12 +176,11 @@ def test_determinism_byte_identical(capsys):
     assert outs[0] == outs[1]
 
 
-def test_thread_count_does_not_change_output(capsys):
-    _, sequential, _ = run_cli(capsys, "verify", "zn:4", "--random", "4", "--seed", "2")
-    _, threaded, _ = run_cli(
-        capsys, "verify", "zn:4", "--random", "4", "--seed", "2", "--threads", "3"
-    )
-    assert sequential == threaded
+def test_threads_option_is_an_input_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_verify_failure_exits_4(capsys, monkeypatch):
@@ -299,4 +296,27 @@ def test_verify_matrix_passing_probes_keep_empty_details(tmp_path, capsys):
     checks = {c["name"]: c for c in json.loads(out)["reports"][0]["checks"]}
     assert checks["snf-random-probes"] == {
         "name": "snf-random-probes", "applicable": True, "passed": True, "details": {}
+    }
+
+
+def test_verify_local_reports_failing_divisor_certificates(capsys, monkeypatch):
+    from premonoids.families import NumericalMonoid
+
+    code, out, _ = run_cli(capsys, "verify", "numerical:2,3")
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["reports"][0]["checks"]}
+    assert checks["divisor-certificates"]["details"] == {}
+
+    def forced(self, x):
+        raise AssertionError("forced")
+
+    monkeypatch.setattr(NumericalMonoid, "check_divisor_laws", forced)
+    code, out, _ = run_cli(capsys, "verify", "numerical:2,3")
+    assert code == 4
+    checks = {c["name"]: c for c in json.loads(out)["reports"][0]["checks"]}
+    assert checks["divisor-certificates"] == {
+        "name": "divisor-certificates",
+        "applicable": True,
+        "passed": False,
+        "details": {"error": "forced"},
     }
