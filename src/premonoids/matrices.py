@@ -15,11 +15,18 @@ Matrix = tuple
 
 
 def mat(rows) -> Matrix:
-    out = tuple(tuple(int(v) for v in row) for row in rows)
-    n = len(out)
-    if n == 0 or any(len(r) != n for r in out):
+    """A square, non-empty matrix of ints (not bools) as a tuple of tuples;
+    anything else is a ``ShapeError`` rather than a silent conversion."""
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+        raise ShapeError("matrix must be a list of rows")
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows):
         raise ShapeError("matrix must be square and non-empty")
-    return out
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if type(v) is not int:
+                raise ShapeError(f"matrix entry at row {i}, column {j} is not an integer: {v!r}")
+    return tuple(tuple(row) for row in rows)
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -328,38 +335,60 @@ def matrix_divisor_classes(a: Matrix, det_bound: int = 10**12) -> MatrixDivisorC
 # -- factorization lengths ------------------------------------------------------------------
 
 
+def _positive_divisors(value: int) -> tuple:
+    """Divisors of |value| in ascending order, built from its prime factors;
+    past the default ``det_bound`` this raises ``DetTooLargeError``."""
+    divisors = [1]
+    primes = factor_multiset(value)
+    for p in sorted(set(primes)):
+        divisors = [d * p**e for d in divisors for e in range(primes.count(p) + 1)]
+    return tuple(sorted(divisors))
+
+
 def _ordered_factorizations(value: int, slots: int):
     """All tuples of positive ints of the given length with the given product."""
     if slots == 1:
         yield (value,)
         return
-    for d in range(1, value + 1):
-        if value % d == 0:
-            for rest in _ordered_factorizations(value // d, slots - 1):
-                yield (d,) + rest
+    for d in _positive_divisors(value):
+        for rest in _ordered_factorizations(value // d, slots - 1):
+            yield (d,) + rest
 
 
-def _lower_triangular_forms(n: int, det: int):
-    """Lower-triangular matrices with positive diagonal of the given product
-    and below-diagonal entries reduced modulo the row's diagonal entry.
+def _left_divisors(m: Matrix, det: int):
+    """Pairs (T, X) with T*X = M, for every lower-triangular T with positive
+    diagonal of product ``det`` and below-diagonal entries reduced modulo the
+    row's diagonal entry.
 
     Every right-associate class of a nonsingular integer matrix contains
-    exactly one such form, so scanning them scans all left divisors up to
-    right association."""
+    exactly one such form, so these are all left divisors of M of that
+    determinant up to right association.  T is built row by row and X with
+    it, by forward substitution: X_i = (M_i - sum_{k<i} T_ik X_k) / T_ii.
+    The rational solution is unique, so a nonzero remainder rules out the
+    rows of T chosen so far and every form that extends them."""
+    n = len(m)
+
+    def extend(diagonal: tuple, t: tuple, x: tuple):
+        i = len(t)
+        if i == n:
+            yield t, x
+            return
+        d = diagonal[i]
+        tail = (d,) + (0,) * (n - i - 1)
+        for below in itertools.product(range(d), repeat=i):
+            row = []
+            for j, v in enumerate(m[i]):
+                for k, c in enumerate(below):
+                    v -= c * x[k][j]
+                q, r = divmod(v, d)
+                if r:
+                    break
+                row.append(q)
+            else:
+                yield from extend(diagonal, t + (below + tail,), x + (tuple(row),))
+
     for diagonal in _ordered_factorizations(det, n):
-        below_positions = [(i, j) for i in range(n) for j in range(i)]
-        ranges = [range(diagonal[i]) for i, _ in below_positions]
-        for values in itertools.product(*ranges):
-            rows = [[0] * n for _ in range(n)]
-            for i in range(n):
-                rows[i][i] = diagonal[i]
-            for (i, j), val in zip(below_positions, values):
-                rows[i][j] = val
-            yield tuple(tuple(r) for r in rows)
-
-
-def _positive_divisors(value: int) -> tuple:
-    return tuple(d for d in range(1, value + 1) if value % d == 0)
+        yield from extend(diagonal, (), ())
 
 
 def matrix_is_irreducible(b: Matrix) -> bool:
@@ -368,12 +397,9 @@ def matrix_is_irreducible(b: Matrix) -> bool:
     det = abs(mat_det(b))
     if det <= 1:
         return False
-    n = len(b)
     for d in _positive_divisors(det):
-        if d < 2 or d > det // 2:
-            continue
-        for t in _lower_triangular_forms(n, d):
-            if solve_left(t, b) is not None:
+        if 2 <= d <= det // 2:
+            for _ in _left_divisors(b, d):
                 return False
     return True
 
@@ -383,14 +409,15 @@ def matrix_length_set(a: Matrix, det_bound: int = 10**12) -> LengthSet:
 
     Peels irreducible left divisors in canonical lower-triangular form and
     recurses on the exact quotient; any factorization can be rotated into
-    this shape step by step without changing its length."""
+    this shape step by step without changing its length.  A left divisor is
+    tested for irreducibility only once it is found, at most once per call."""
     a = mat(a)
     det = mat_det(a)
     if det == 0:
         raise SingularMatrixError("matrix must have nonzero determinant")
     factor_multiset(det, det_bound)  # enforce the bound before recursing
-    n = len(a)
     memo: dict = {}
+    irreducible: dict = {}
 
     def rec(m: Matrix) -> frozenset:
         got = memo.get(m)
@@ -404,11 +431,11 @@ def matrix_length_set(a: Matrix, det_bound: int = 10**12) -> LengthSet:
         for d in _positive_divisors(dm):
             if d < 2:
                 continue
-            for t in _lower_triangular_forms(n, d):
-                if not matrix_is_irreducible(t):
-                    continue
-                q = solve_left(t, m)
-                if q is not None:
+            for t, q in _left_divisors(m, d):
+                verdict = irreducible.get(t)
+                if verdict is None:
+                    verdict = irreducible[t] = matrix_is_irreducible(t)
+                if verdict:
                     out |= {1 + l for l in rec(q)}
         memo[m] = frozenset(out)
         return memo[m]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .bitrows import indices
 from .errors import BoundTooSmallError, ShapeError
 
 
@@ -130,6 +131,19 @@ class ExplorationReport:
         }
 
 
+def _strict_children(reach: list) -> list:
+    """For each class v, the classes strictly below it in ascending order.
+
+    ``reach[c]`` has bit v when c divides v and must be transitively closed;
+    c is strictly below v when c divides v but v does not divide c."""
+    below = [0] * len(reach)  # the transposed rows: bit c when c divides v
+    for c, row in enumerate(reach):
+        bit = 1 << c
+        for v in indices(row):
+            below[v] |= bit
+    return [indices(below[v] & ~reach[v]) for v in range(len(reach))]
+
+
 def presentation_explore(alphabet: str, relations, bound: int) -> ExplorationReport:
     """Bounded congruence classes plus divisibility evidence for a monoid
     presentation; see the module docstring for what the evidence means."""
@@ -168,12 +182,7 @@ def presentation_explore(alphabet: str, relations, bound: int) -> ExplorationRep
             if reach[i] & bit:
                 reach[i] |= row
 
-    def strictly_below(i: int, j: int) -> bool:
-        return bool(reach[i] >> j & 1) and not (reach[j] >> i & 1)
-
-    children = [
-        [c for c in range(k) if strictly_below(c, v)] for v in range(k)
-    ]
+    children = _strict_children(reach)
 
     # longest strictly descending chains; a step "qualifies" when the minimal
     # representative fails to get shorter, which no free monoid step can do

@@ -1,6 +1,12 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from premonoids.cli import load_instance, main
 
@@ -158,6 +164,40 @@ def test_describe_matrix(tmp_path, capsys):
     assert code == 0
     assert data["invariant_factors"] == [1, 6]
     assert data["length_set"] == {"finite": [2]}
+
+
+def test_describe_matrix_rejects_non_integer_entries(tmp_path, capsys):
+    mpath = tmp_path / "a.json"
+    for rows, where in (([[1.5, 0], [0, 2]], "row 0, column 0"), ([[1, 0], [0, True]], "row 1, column 1")):
+        mpath.write_text(json.dumps(rows))
+        code, out, err = run_cli(capsys, "describe", f"matrix:{mpath}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and where in err and "Traceback" not in err
+
+
+_JSON_JUNK = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers(-6, 6) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=12,
+)
+_RAGGED = st.lists(st.lists(st.integers(-6, 6), max_size=4), max_size=4)
+_SQUARE = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(_SQUARE, _RAGGED, _JSON_JUNK))
+def test_matrix_files_never_produce_a_traceback(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        path.write_text(json.dumps(payload))
+        for command in ("describe", "verify"):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command, f"matrix:{path}"])
+            assert code in (0, 2, 4), (payload, command, err.getvalue())
+            assert "Traceback" not in err.getvalue()
 
 
 def test_describe_product_one(capsys):

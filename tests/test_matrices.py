@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from premonoids import LengthSet, SingularMatrixError
+from premonoids import LengthSet, ShapeError, SingularMatrixError
 from premonoids.matrices import (
     associate_equivalent,
     associate_equivalent_search,
@@ -145,6 +145,9 @@ def test_matrix_irreducibility_matches_prime_determinant():
         is_prime = d >= 2 and all(d % k for k in range(2, d))
         assert matrix_is_irreducible(a) == is_prime, (a, d)
         checked += 1
+    assert matrix_is_irreducible(diag(1, 10007))  # a prime far past the samples
+    with pytest.raises(DetTooLargeError):
+        matrix_is_irreducible(diag(1, 10**12 + 1))
 
 
 def test_matrix_length_sets():
@@ -154,6 +157,9 @@ def test_matrix_length_sets():
     assert matrix_length_set(diag(2, 3, 5)) == LengthSet.of(3)
     assert matrix_length_set(((4,),)) == LengthSet.of(2)
     assert matrix_length_set(diag(2, 2)) == LengthSet.of(2)
+    assert matrix_length_set(diag(1, 10007)) == LengthSet.of(1)
+    with pytest.raises(DetTooLargeError):
+        matrix_length_set(diag(1, 10007), det_bound=10000)
 
 
 def test_matrix_length_set_matches_prime_count():
@@ -168,3 +174,18 @@ def test_matrix_length_set_matches_prime_count():
         expect = LengthSet.of(omega) if omega else LengthSet.of(0)
         assert matrix_length_set(a) == expect, (a, d)
         checked += 1
+
+
+def test_mat_accepts_only_int_entries():
+    assert mat([[1, 0], [0, 2]]) == ((1, 0), (0, 2))
+    for rows, where in (
+        ([[1.5, 0], [0, 2]], "row 0, column 0"),
+        ([[1, 0], [0, True]], "row 1, column 1"),
+        ([[1, "2"], [0, 2]], "row 0, column 1"),
+        ([[1, 0], [None, 2]], "row 1, column 0"),
+    ):
+        with pytest.raises(ShapeError, match=where):
+            mat(rows)
+    for rows in (5, "ab", [], [[]], [1, 2], [[1, 2], [3]], {"a": [1]}):
+        with pytest.raises(ShapeError):
+            mat(rows)

@@ -1,0 +1,174 @@
+"""The exact matrix divisor search against the adjugate-based code it replaced.
+
+The oracles below are the search as it was before forward substitution: every
+canonical lower-triangular form of every divisor determinant is enumerated,
+its irreducibility is decided before it is known to divide, and division goes
+through ``solve_left`` (the adjugate, then exact division by the determinant).
+Divisors come from a scan of ``range(1, value + 1)``. They share nothing with
+the search but ``mat``, ``mat_det``, ``solve_left`` and ``factor_multiset``.
+"""
+import itertools
+import random
+import sys
+from pathlib import Path
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from premonoids import LengthSet, SingularMatrixError
+from premonoids.matrices import (
+    _left_divisors,
+    factor_multiset,
+    mat,
+    mat_det,
+    matrix_is_irreducible,
+    matrix_length_set,
+    solve_left,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import MATRIX_BASES  # noqa: E402
+
+
+def oracle_ordered_factorizations(value: int, slots: int):
+    """All tuples of positive ints of the given length with the given product."""
+    if slots == 1:
+        yield (value,)
+        return
+    for d in range(1, value + 1):
+        if value % d == 0:
+            for rest in oracle_ordered_factorizations(value // d, slots - 1):
+                yield (d,) + rest
+
+
+def oracle_lower_triangular_forms(n: int, det: int):
+    """Lower-triangular matrices with positive diagonal of the given product
+    and below-diagonal entries reduced modulo the row's diagonal entry.
+
+    Every right-associate class of a nonsingular integer matrix contains
+    exactly one such form, so scanning them scans all left divisors up to
+    right association."""
+    for diagonal in oracle_ordered_factorizations(det, n):
+        below_positions = [(i, j) for i in range(n) for j in range(i)]
+        ranges = [range(diagonal[i]) for i, _ in below_positions]
+        for values in itertools.product(*ranges):
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = diagonal[i]
+            for (i, j), val in zip(below_positions, values):
+                rows[i][j] = val
+            yield tuple(tuple(r) for r in rows)
+
+
+def oracle_positive_divisors(value: int) -> tuple:
+    return tuple(d for d in range(1, value + 1) if value % d == 0)
+
+
+def oracle_matrix_is_irreducible(b) -> bool:
+    """No splitting B = C*D with both determinants of absolute value >= 2."""
+    b = mat(b)
+    det = abs(mat_det(b))
+    if det <= 1:
+        return False
+    n = len(b)
+    for d in oracle_positive_divisors(det):
+        if d < 2 or d > det // 2:
+            continue
+        for t in oracle_lower_triangular_forms(n, d):
+            if solve_left(t, b) is not None:
+                return False
+    return True
+
+
+def oracle_matrix_length_set(a, det_bound: int = 10**12) -> LengthSet:
+    """Exact set of lengths of factorizations of A into irreducible matrices.
+
+    Peels irreducible left divisors in canonical lower-triangular form and
+    recurses on the exact quotient; any factorization can be rotated into
+    this shape step by step without changing its length."""
+    a = mat(a)
+    det = mat_det(a)
+    if det == 0:
+        raise SingularMatrixError("matrix must have nonzero determinant")
+    factor_multiset(det, det_bound)  # enforce the bound before recursing
+    n = len(a)
+    memo: dict = {}
+
+    def rec(m) -> frozenset:
+        got = memo.get(m)
+        if got is not None:
+            return got
+        dm = abs(mat_det(m))
+        if dm == 1:
+            memo[m] = frozenset({0})
+            return memo[m]
+        out = set()
+        for d in oracle_positive_divisors(dm):
+            if d < 2:
+                continue
+            for t in oracle_lower_triangular_forms(n, d):
+                if not oracle_matrix_is_irreducible(t):
+                    continue
+                q = solve_left(t, m)
+                if q is not None:
+                    out |= {1 + l for l in rec(q)}
+        memo[m] = frozenset(out)
+        return memo[m]
+
+    return LengthSet.make(rec(a))
+
+
+def square_matrices(n: int, low: int, high: int):
+    row = st.tuples(*[st.integers(low, high)] * n)
+    return st.tuples(*[row] * n)
+
+
+def assert_search_matches_oracle(a) -> None:
+    assert matrix_is_irreducible(a) == oracle_matrix_is_irreducible(a), a
+    assert matrix_length_set(a) == oracle_matrix_length_set(a), a
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda n: square_matrices(n, -9, 9)))
+def test_search_matches_oracle_up_to_2x2(a):
+    assume(0 < abs(mat_det(a)) <= 60)
+    assert_search_matches_oracle(a)
+
+
+@settings(max_examples=15, deadline=None)
+@given(square_matrices(3, -3, 3))
+def test_search_matches_oracle_on_3x3(a):
+    assume(0 < abs(mat_det(a)) <= 30)
+    assert_search_matches_oracle(a)
+
+
+def test_search_matches_oracle_on_benchmark_matrices():
+    for base in MATRIX_BASES.values():
+        assert_search_matches_oracle(base)
+
+
+def test_left_divisors_are_the_forms_solve_left_divides_by():
+    rng = random.Random(12)
+    found = 0
+    for n in (1, 2, 3):
+        for _ in range(6):
+            # half of the targets are multiples of a random form, so that the
+            # larger determinants have left divisors to find
+            m = tuple(tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(n))
+            if mat_det(m) == 0:
+                continue
+            if rng.random() < 0.5:
+                t = rng.choice(list(oracle_lower_triangular_forms(n, rng.randint(2, 12))))
+                m = tuple(
+                    tuple(sum(t[i][k] * m[k][j] for k in range(n)) for j in range(n))
+                    for i in range(n)
+                )
+            for d in range(1, 13):
+                expected = [
+                    (t, q)
+                    for t in oracle_lower_triangular_forms(n, d)
+                    if (q := solve_left(t, m)) is not None
+                ]
+                assert list(_left_divisors(m, d)) == expected, (m, d)
+                found += len(expected)
+    assert found > 50

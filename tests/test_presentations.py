@@ -1,6 +1,6 @@
 import pytest
 
-from premonoids import BoundTooSmallError, ShapeError
+from premonoids import BoundTooSmallError, ShapeError, presentations
 from premonoids.presentations import (
     BoundedCongruence,
     parse_relation_word,
@@ -74,3 +74,23 @@ def test_report_json_shape():
     assert data["class_count"] > 0
     assert isinstance(data["cycles"], list)
     assert data["note"] == "bounded evidence, not a certificate"
+
+
+def test_strict_children_match_the_pairwise_definition(monkeypatch):
+    def pairwise_children(reach):
+        k = len(reach)
+
+        def strictly_below(i, j):
+            return bool(reach[i] >> j & 1) and not (reach[j] >> i & 1)
+
+        return [[c for c in range(k) if strictly_below(c, v)] for v in range(k)]
+
+    cases = [
+        ("xy", [("x2", "yx2y")], 8),
+        ("xy", [], 4),
+        ("xyz", [("xy", "yx"), ("xz", "zx")], 5),
+        ("ab", [("aa", "b"), ("ab", "ba")], 5),
+    ]
+    fast = [presentation_explore(*case).to_json() for case in cases]
+    monkeypatch.setattr(presentations, "_strict_children", pairwise_children)
+    assert [presentation_explore(*case).to_json() for case in cases] == fast
