@@ -80,9 +80,11 @@ class Instance:
                 if isinstance(monoid, (fam.PowerMonoid, fam.ReducedPowerN)):
                     return monoid.element(_parse_set_text(text))
                 if isinstance(monoid, fam.ProductOneMonoid):
-                    return monoid.element(_parse_multiset_text(text, monoid))
+                    if monoid.mul is fam.dihedral_mul:
+                        return monoid.element(_parse_multiset_text(text))
+                    return monoid.element(_parse_set_text(text))
                 if isinstance(monoid, fam.PlaneSubmonoid):
-                    a, b = _parse_set_text(text)
+                    a, b = _parse_ints(text)
                     if not monoid.contains((a, b)):
                         raise ValueError(f"({a}, {b}) is not in the carrier")
                     return (a, b)
@@ -97,26 +99,28 @@ class Instance:
         raise CliError(f"instances of kind {self.kind} take no elements", 3)
 
 
+def _parse_parts(text: str) -> list:
+    cleaned = text.strip().strip("{}()[]")
+    return cleaned.split(",") if cleaned else []
+
+
+def _parse_ints(text: str) -> tuple:
+    """Comma-separated integers in the order given."""
+    return tuple(int(part) for part in _parse_parts(text))
+
+
 def _parse_set_text(text: str) -> tuple:
-    cleaned = text.strip().strip("{}()[]")
-    if not cleaned:
-        return ()
-    return tuple(sorted(int(part) for part in cleaned.split(",")))
+    return tuple(sorted(_parse_ints(text)))
 
 
-def _parse_multiset_text(text: str, monoid) -> tuple:
-    cleaned = text.strip().strip("{}()[]")
-    if not cleaned:
-        return ()
-    parts = cleaned.split(",")
+def _parse_multiset_text(text: str) -> tuple:
+    """Dihedral elements r^k s^e written k.e, sorted."""
     out = []
-    for part in parts:
-        part = part.strip()
-        if "." in part:
-            k, e = part.split(".")
-            out.append((int(k), int(e)))
-        else:
-            out.append(int(part))
+    for part in _parse_parts(text):
+        k, dot, e = part.partition(".")
+        if not dot:
+            raise ShapeError(f"dihedral elements are written k.e, got {part.strip()!r}")
+        out.append((int(k), int(e)))
     return tuple(sorted(out))
 
 
@@ -155,7 +159,7 @@ def _load_instance(spec: str, preorder_spec: str | None) -> Instance:
     if head == "b":
         group_spec, _, support_text = rest.partition(":")
         if group_spec == "dinf":
-            support = _parse_multiset_text(support_text, None) or ((0, 1), (1, 0))
+            support = _parse_multiset_text(support_text) or ((0, 1), (1, 0))
             monoid = fam.make_product_one_dihedral(support)
         elif group_spec.startswith("c"):
             order = int(group_spec[1:])

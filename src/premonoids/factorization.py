@@ -1,8 +1,8 @@
 """Factorization enumeration, exact length sets, minimal classes, classification.
 
-Everything here is written against the small premonoid query protocol
-(``op``/``divisors``/``leq``/``is_unit``/``prefix_bound``) and is exact thanks
-to two pruning facts about a factorization of x:
+Everything here is written against the
+:class:`premonoids.premonoid.Carrier` protocol and is exact thanks to two
+pruning facts about a factorization of x:
 
 * every letter and every prefix product divides x, so searches may be confined
   to the divisor set of x;
@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 from .errors import ShapeError
 from .irreducibles import is_atom, is_irreducible
 from .lengthset import LengthSet
+from .premonoid import Carrier
 from .words import class_reps, vector_total
 
 
-def factorization_alphabet(P, x, letters: str = "irreducibles", degree: int = 2) -> tuple:
+def factorization_alphabet(P: Carrier, x, letters: str = "irreducibles", degree: int = 2) -> tuple:
     """The letters that can appear in a factorization of x: irreducible (or
     atom) divisors of x, sorted."""
     if letters == "irreducibles":
@@ -64,19 +65,19 @@ class DivisorAutomaton:
 
     ``table[i][j]`` numbers ``states[i] * alphabet[j]``, or is -1 when that
     product does not divide x, and then no extension of it is x either. Sets
-    of divisors are int bitmasks over the numbering. The alphabet is sorted by
-    ``element_sort_key``, so a search that tries letters in table order meets
-    the lexicographically least word first.
+    of divisors are int bitmasks over the numbering. The alphabet is sorted,
+    so a search that tries letters in table order meets the lexicographically
+    least word first.
     """
 
     __slots__ = ("states", "alphabet", "table", "succ", "start", "goal", "_lengths")
 
-    def __init__(self, P, x, alphabet):
+    def __init__(self, P: Carrier, x, alphabet):
         states = P.divisors(x)
         index = {p: i for i, p in enumerate(states)}
         op = P.op
         self.states = states
-        self.alphabet = tuple(sorted((a for a in alphabet if a in index), key=P.element_sort_key))
+        self.alphabet = tuple(sorted(a for a in alphabet if a in index))
         self.table = [[index.get(op(p, a), -1) for a in self.alphabet] for p in states]
         self.succ = [_bitset(row) for row in self.table]
         self.start = index[P.identity]
@@ -123,18 +124,16 @@ class DivisorAutomaton:
         return self._lengths
 
 
-def _automaton(P, x, letters, alphabet, automaton=None) -> DivisorAutomaton:
+def _automaton(P: Carrier, x, letters, automaton=None) -> DivisorAutomaton:
     if automaton is None:
-        if alphabet is None:
-            alphabet = factorization_alphabet(P, x, letters)
-        automaton = DivisorAutomaton(P, x, alphabet)
+        automaton = DivisorAutomaton(P, x, factorization_alphabet(P, x, letters))
     return automaton
 
 
 # -- streaming enumeration -------------------------------------------------------
 
 
-def enumerate_factorizations(P, x, max_len: int, letters: str = "irreducibles", alphabet=None):
+def enumerate_factorizations(P: Carrier, x, max_len: int, letters: str = "irreducibles"):
     """All alphabet-words of length 1..max_len with product x, in (length,
     lexicographic) order.
 
@@ -142,7 +141,7 @@ def enumerate_factorizations(P, x, max_len: int, letters: str = "irreducibles", 
     product of irreducibles cannot be a preorder unit when non-units form an
     ideal, and the empty word is excluded by contract.
     """
-    auto = _automaton(P, x, letters, alphabet)
+    auto = _automaton(P, x, letters)
     if not auto.alphabet or max_len < 1:
         return
     # finish[j] = states that reach x in exactly j more letters
@@ -170,20 +169,20 @@ def enumerate_factorizations(P, x, max_len: int, letters: str = "irreducibles", 
 # -- exact length sets -------------------------------------------------------------
 
 
-def length_set(P, x, letters: str = "irreducibles", alphabet=None, automaton=None) -> LengthSet:
+def length_set(P: Carrier, x, letters: str = "irreducibles", automaton=None) -> LengthSet:
     """Exact set of word lengths over the alphabet with product x.
 
     Iterates the layer map S_{k+1} = (S_k * alphabet) restricted to divisors
     of x; the layer sequence over a finite domain is eventually periodic, so
     hashing layers gives the exact preperiod and period.
     """
-    return _automaton(P, x, letters, alphabet, automaton).length_set()
+    return _automaton(P, x, letters, automaton).length_set()
 
 
-def layer_automaton(P, x, letters: str = "irreducibles", alphabet=None):
+def layer_automaton(P: Carrier, x, letters: str = "irreducibles"):
     """The layer-subset sequence with its (preperiod, period); for DOT export
     and diagnostics."""
-    auto = _automaton(P, x, letters, alphabet)
+    auto = _automaton(P, x, letters)
     if not auto.alphabet:
         return [], 0, 1
     layers, first = auto.layers()
@@ -191,7 +190,7 @@ def layer_automaton(P, x, letters: str = "irreducibles", alphabet=None):
     return members, first, len(layers) - first
 
 
-def layer_automaton_dot(P, x, letters: str = "irreducibles") -> str:
+def layer_automaton_dot(P: Carrier, x, letters: str = "irreducibles") -> str:
     layers, first, period = layer_automaton(P, x, letters)
     lines = ["digraph layers {", "  rankdir=LR;"]
     fmt = lambda s: "{" + ",".join(str(P.label(e)) for e in sorted(s)) + "}"
@@ -213,12 +212,12 @@ def layer_automaton_dot(P, x, letters: str = "irreducibles") -> str:
 # form, sorted (representative, count) pairs, is read off in order.
 
 
-def _numbering(P, auto: DivisorAutomaton, rep=None) -> tuple[list, list]:
+def _numbering(P: Carrier, auto: DivisorAutomaton, rep=None) -> tuple[list, list]:
     """The class number of each letter and the representatives in number
     order; the classes are those of the automaton's alphabet unless ``rep``
     (letter to class representative) is given."""
     if rep is None:
-        rep = class_reps(P.leq, auto.alphabet, sort_key=P.element_sort_key)
+        rep = class_reps(P.leq, auto.alphabet)
     reps = sorted(set(rep.values()))
     number = {r: c for c, r in enumerate(reps)}
     return [number[rep[a]] for a in auto.alphabet], reps
@@ -308,7 +307,7 @@ def _witness(auto: DivisorAutomaton, cls_of, counts: tuple):
     return dfs(auto.start, counts, sum(counts))
 
 
-def realizable_vectors(P, x, letters: str = "irreducibles", alphabet=None, automaton=None):
+def realizable_vectors(P: Carrier, x, letters: str = "irreducibles", automaton=None):
     """Exact census of the class vectors realized by factorizations of x.
 
     Returns (vectors, infinite). A finite alphabet has finitely many vectors
@@ -317,7 +316,7 @@ def realizable_vectors(P, x, letters: str = "irreducibles", alphabet=None, autom
     any. Otherwise no factorization is longer than the largest length, and
     every realized vector is listed.
     """
-    auto = _automaton(P, x, letters, alphabet, automaton)
+    auto = _automaton(P, x, letters, automaton)
     lengths = auto.length_set()
     if not lengths.is_finite:
         return (), True
@@ -328,7 +327,7 @@ def realizable_vectors(P, x, letters: str = "irreducibles", alphabet=None, autom
     return tuple(sorted(_pairs(v, reps) for v in found)), False
 
 
-def minimal_factorization_classes(P, x, letters: str = "irreducibles", alphabet=None, automaton=None):
+def minimal_factorization_classes(P: Carrier, x, letters: str = "irreducibles", automaton=None):
     """All minimal factorization classes of x: class vectors minimal under
     sub-multiset order among realizable ones, each with its lexicographically
     least representative word.
@@ -337,7 +336,7 @@ def minimal_factorization_classes(P, x, letters: str = "irreducibles", alphabet=
     a strictly smaller one, so every minimal vector has total within the
     bound (and within the largest length when the length set is finite).
     """
-    auto = _automaton(P, x, letters, alphabet, automaton)
+    auto = _automaton(P, x, letters, automaton)
     lengths = auto.length_set()
     if lengths.is_empty:
         return ()
@@ -350,7 +349,7 @@ def minimal_factorization_classes(P, x, letters: str = "irreducibles", alphabet=
     return tuple(sorted(classes, key=lambda vw: (vector_total(vw[0]), vw[0])))
 
 
-def _literal_classes(P, atom: DivisorAutomaton, rep, minimal) -> tuple:
+def _literal_classes(P: Carrier, atom: DivisorAutomaton, rep, minimal) -> tuple:
     """The minimal irreducible classes that atom words realize, each with its
     least atom word; the witness search visits only sub-vectors of them."""
     cls_of, reps = _numbering(P, atom, rep)
@@ -409,7 +408,7 @@ class ElementProfile:
         }
 
 
-def element_profile(P, x) -> ElementProfile:
+def element_profile(P: Carrier, x) -> ElementProfile:
     irr_alpha = factorization_alphabet(P, x, "irreducibles")
     atom_alpha = tuple(a for a in irr_alpha if is_atom(P, a))
     irr = DivisorAutomaton(P, x, irr_alpha)
@@ -429,7 +428,7 @@ def element_profile(P, x) -> ElementProfile:
         minimal_within = minimal_factorization_classes(P, x, automaton=atom)
         # literal reading of minimal atomic classes: minimal among all
         # irreducible factorizations, then intersect with atom words
-        rep = class_reps(P.leq, irr_alpha, sort_key=P.element_sort_key)
+        rep = class_reps(P.leq, irr_alpha)
         literal = _literal_classes(P, atom, rep, minimal)
     return ElementProfile(
         element=P.label(x),
@@ -445,7 +444,7 @@ def element_profile(P, x) -> ElementProfile:
     )
 
 
-def _map_classes(P, classes) -> tuple:
+def _map_classes(P: Carrier, classes) -> tuple:
     """Rewrite vectors and witness words into stable cross-view labels."""
     out = []
     for vec, word in classes:
@@ -573,7 +572,7 @@ def _element_flags(p: ElementProfile) -> dict:
     }
 
 
-def classify(P, elements=None, scope: str | None = None) -> Classification:
+def classify(P: Carrier, elements=None, scope: str | None = None) -> Classification:
     """Classification over the given non-units (default: every non-unit of a
     finite carrier).  Vacuously all-true when there are none."""
     if elements is None:

@@ -7,6 +7,7 @@ class.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 
 from .errors import CapExceededError, NotProductOneError, ShapeError
@@ -125,7 +126,7 @@ def make_power_monoid(base: FiniteMonoid) -> PowerMonoid:
 
 
 def power_premonoid(base: FiniteMonoid) -> LocalPremonoid:
-    return LocalPremonoid(PowerMonoid(base), name=f"power({base.n})")
+    return LocalPremonoid(PowerMonoid(base))
 
 
 def power_premonoid_finite(base: FiniteMonoid) -> tuple[Premonoid, tuple]:
@@ -214,7 +215,7 @@ def make_reduced_power_N(cap: int, sample_max: int | None = None) -> ReducedPowe
 
 
 def reduced_power_N_premonoid(cap: int, sample_max: int | None = None) -> LocalPremonoid:
-    return LocalPremonoid(ReducedPowerN(cap, sample_max), name=f"powerN:{cap}")
+    return LocalPremonoid(ReducedPowerN(cap, sample_max))
 
 
 # -- product-one sequences over a group -------------------------------------------------
@@ -232,11 +233,10 @@ class ProductOneMonoid(LocallyFiniteMonoid):
     intended for small supports.
     """
 
-    def __init__(self, mul, group_identity, support, group_name: str):
+    def __init__(self, mul, group_identity, support):
         self.mul = mul
         self.group_identity = group_identity
         self.support = tuple(sorted(support))
-        self.group_name = group_name
         self.identity = ()
         self._p1cache: dict = {}
 
@@ -325,7 +325,6 @@ def make_product_one(group: FiniteMonoid, support) -> ProductOneMonoid:
         mul=lambda a, b: group.table[a][b],
         group_identity=group.identity,
         support=support,
-        group_name=f"table({group.n})",
     )
 
 
@@ -343,12 +342,11 @@ def make_product_one_dihedral(support=((0, 1), (1, 0))) -> ProductOneMonoid:
         mul=dihedral_mul,
         group_identity=(0, 0),
         support=tuple(sorted(set(support))),
-        group_name="dihedral_infinity",
     )
 
 
 def product_one_premonoid(monoid: ProductOneMonoid) -> LocalPremonoid:
-    return LocalPremonoid(monoid, name=f"b:{monoid.group_name}")
+    return LocalPremonoid(monoid)
 
 
 # -- the naturals with the zero-versus-positive preorder ----------------------------------
@@ -388,7 +386,6 @@ def make_remark_premonoid(cap: int) -> LocalPremonoid:
         monoid,
         order=lambda a, b: a == 0 or (a > 0 and b > 0),
         strict_lower=lambda a: (0,),
-        name=f"remarkN:{cap}",
     )
 
 
@@ -414,21 +411,20 @@ class PlaneSubmonoid(LocallyFiniteMonoid):
             )
         )
         self.identity = (0, 0)
-        self._member: dict = {(0, 0): True}
 
     def contains(self, v) -> bool:
-        got = self._member.get(v)
-        if got is None:
-            a, b = v
-            got = False
-            if a >= 0 and b >= 0:
-                got = any(
-                    self.contains((a - g, b - h))
-                    for g, h in self.generators
-                    if g <= a and h <= b
-                )
-            self._member[v] = got
-        return got
+        """Membership in closed form. With B the generator bound, a sum of p
+        generators (1, k) and q generators (k, 1) is (n + s, n + t) with
+        n = p + q, and every 0 <= s <= q(B - 1), 0 <= t <= p(B - 1) occurs.
+        So (a, b) is a member iff some n <= min(a, b) has
+        ceil((a - n)/(B - 1)) + ceil((b - n)/(B - 1)) <= n; the left side
+        minus n falls as n grows, so n = min(a, b) decides."""
+        a, b = v
+        n = min(a, b)
+        if n < 0:
+            return False
+        k = self.gen_bound - 1
+        return -((n - a) // k) - ((n - b) // k) <= n
 
     def op(self, x, y) -> tuple:
         return (x[0] + y[0], x[1] + y[1])
@@ -454,7 +450,7 @@ def make_n2_submonoid(gen_bound: int) -> PlaneSubmonoid:
 
 
 def n2_premonoid(gen_bound: int) -> LocalPremonoid:
-    return LocalPremonoid(PlaneSubmonoid(gen_bound), name=f"n2sub:{gen_bound}")
+    return LocalPremonoid(PlaneSubmonoid(gen_bound))
 
 
 class NumericalMonoid(LocallyFiniteMonoid):
@@ -471,14 +467,26 @@ class NumericalMonoid(LocallyFiniteMonoid):
         self.generators = tuple(gens)
         self.cap = cap
         self.identity = 0
-        self._member: dict = {0: True}
+        self._step = math.gcd(*gens)
+        self._scaled = tuple(g // self._step for g in gens)
+        self._member = [True]  # _member[k]: k * step is a member
+        self._run = 1  # members in a row at the end of _member
 
     def contains(self, x) -> bool:
-        got = self._member.get(x)
-        if got is None:
-            got = x > 0 and any(g <= x and self.contains(x - g) for g in self.generators)
-            self._member[x] = got
-        return got
+        """Membership, filled bottom-up over the multiples k * d of the gcd d
+        of the generators. Once g/d multiples in a row are members, g the
+        least generator, so is every larger multiple (add g), and the fill
+        stops there."""
+        if x < 0 or x % self._step:
+            return False
+        k = x // self._step
+        member, scaled = self._member, self._scaled
+        while k >= len(member) and self._run < scaled[0]:
+            j = len(member)
+            got = any(member[j - h] for h in scaled if h <= j)
+            member.append(got)
+            self._run = self._run + 1 if got else 0
+        return k >= len(member) or member[k]
 
     def op(self, x: int, y: int) -> int:
         return x + y
@@ -496,5 +504,4 @@ def make_numerical(generators, cap: int = 60) -> NumericalMonoid:
 
 
 def numerical_premonoid(generators, cap: int = 60) -> LocalPremonoid:
-    gens = ",".join(str(g) for g in sorted(set(generators)))
-    return LocalPremonoid(NumericalMonoid(generators, cap), name=f"numerical:{gens}")
+    return LocalPremonoid(NumericalMonoid(generators, cap))

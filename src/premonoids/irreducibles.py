@@ -16,6 +16,7 @@ from .errors import (
     NotFactorableError,
     NotWeaklyPositiveError,
 )
+from .premonoid import Carrier, Premonoid
 
 
 def _check_degree(s: int) -> None:
@@ -23,16 +24,12 @@ def _check_degree(s: int) -> None:
         raise DegreeTooSmallError(f"degree must be >= 2, got {s}")
 
 
-def is_quark(P, a) -> bool:
+def is_quark(P: Carrier, a) -> bool:
     """Non-unit with no non-unit strictly below it."""
-    if P.is_unit(a):
-        return False
-    return not any(
-        (not P.is_unit(b)) and P.lt(b, a) for b in P.strict_lower_candidates(a)
-    )
+    return not P.is_unit(a) and not P.strictly_below(a)
 
 
-def _layered_product_hit(P, a, factors, s: int) -> bool:
+def _layered_product_hit(P: Carrier, a, factors, s: int) -> bool:
     """True iff a is a product of k elements of ``factors`` for some 2 <= k <= s.
 
     Layers are pruned to divisors of a: every prefix of a product equal to a
@@ -75,7 +72,7 @@ def _per_premonoid(decide):
 
 
 @_per_premonoid
-def is_irreducible(P, a, s: int = 2) -> bool:
+def is_irreducible(P: Carrier, a, s: int = 2) -> bool:
     """Non-unit not equal to any product of 2..s strictly smaller non-units."""
     _check_degree(s)
     if P.is_unit(a):
@@ -87,7 +84,7 @@ def is_irreducible(P, a, s: int = 2) -> bool:
 
 
 @_per_premonoid
-def is_atom(P, a, s: int = 2) -> bool:
+def is_atom(P: Carrier, a, s: int = 2) -> bool:
     """Non-unit not equal to any product of 2..s non-units.
 
     Strictly smaller non-units are non-units, so every atom is irreducible
@@ -101,21 +98,21 @@ def is_atom(P, a, s: int = 2) -> bool:
     return not _layered_product_hit(P, a, factors, s)
 
 
-def quarks(P) -> tuple:
+def quarks(P: Premonoid) -> tuple:
     return tuple(a for a in P.nonunits() if is_quark(P, a))
 
 
-def irreducibles(P, s: int = 2) -> tuple:
+def irreducibles(P: Premonoid, s: int = 2) -> tuple:
     _check_degree(s)
     return tuple(a for a in P.nonunits() if is_irreducible(P, a, s))
 
 
-def atoms(P, s: int = 2) -> tuple:
+def atoms(P: Premonoid, s: int = 2) -> tuple:
     _check_degree(s)
     return tuple(a for a in P.nonunits() if is_atom(P, a, s))
 
 
-def irreducible_divisors(P, x) -> tuple[tuple, tuple]:
+def irreducible_divisors(P: Carrier, x) -> tuple[tuple, tuple]:
     """Irreducible divisors and atom divisors of x (degree 2)."""
     divs = P.divisors(x)
     irr = tuple(a for a in divs if is_irreducible(P, a))
@@ -123,7 +120,7 @@ def irreducible_divisors(P, x) -> tuple[tuple, tuple]:
     return irr, atm
 
 
-def unit_orbits(P, members) -> tuple[tuple, ...]:
+def unit_orbits(P: Premonoid, members) -> tuple[tuple, ...]:
     """Partition of ``members`` by the equivalence generated by a ~ u*a*v over
     preorder units u, v; blocks sorted and listed by smallest member."""
     members = sorted(members)
@@ -171,7 +168,7 @@ class IrreducibleReport:
         }
 
 
-def irreducible_report(P, degrees=(2,)) -> IrreducibleReport:
+def irreducible_report(P: Premonoid, degrees=(2,)) -> IrreducibleReport:
     degrees = sorted(set(degrees))
     for s in degrees:
         _check_degree(s)
@@ -202,7 +199,7 @@ class GeneratingSetCertificate:
         }
 
 
-def _orbit_alphabet(P, reps, irr_set) -> tuple:
+def _orbit_alphabet(P: Premonoid, reps, irr_set) -> tuple:
     units = sorted(P.units())
     letters = set()
     for a in reps:
@@ -215,7 +212,7 @@ def _orbit_alphabet(P, reps, irr_set) -> tuple:
     return tuple(sorted(letters))
 
 
-def _coverage_witnesses(P, alphabet, targets):
+def _coverage_witnesses(P: Premonoid, alphabet, targets):
     """BFS factorization witnesses over the alphabet.
 
     Returns (witnesses, None) covering every target, or (None, missing) with
@@ -238,7 +235,7 @@ def _coverage_witnesses(P, alphabet, targets):
     return {x: words[x] for x in targets}, None
 
 
-def irreducible_generating_set(P) -> GeneratingSetCertificate:
+def irreducible_generating_set(P: Premonoid) -> GeneratingSetCertificate:
     """One representative per needed unit-orbit of irreducibles such that every
     non-unit factors over the irreducibles lying in the chosen orbits.
 

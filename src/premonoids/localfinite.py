@@ -3,9 +3,10 @@
 A locally finite monoid exposes opaque, hashable, naturally ordered element
 labels, a binary operation, and ``divisors(x)``: the full, finite set of
 two-sided divisors of x, certified by the family author (each subclass
-documents the argument in its docstring).  Everything the factorization
-engine needs is local to divisor sets, so these instances run through the
-same code paths as finite carriers.
+documents the argument in its docstring).  Everything the engines ask of a
+:class:`premonoids.premonoid.Carrier` is local to one element, so
+:class:`LocalPremonoid` runs these instances through the same code paths as
+finite carriers.
 """
 from __future__ import annotations
 
@@ -22,12 +23,6 @@ class LocallyFiniteMonoid:
 
     def divisors(self, x) -> tuple:  # pragma: no cover - interface
         raise NotImplementedError
-
-    def product(self, word):
-        p = self.identity
-        for a in word:
-            p = self.op(p, a)
-        return p
 
     def sample_elements(self, limit: int | None = None) -> tuple:
         """Deterministic finite sample of the carrier for bounded, clearly
@@ -61,8 +56,8 @@ class LocallyFiniteMonoid:
 
 
 class LocalPremonoid:
-    """A locally finite monoid with a preorder, matching the finite-carrier
-    query protocol.
+    """A locally finite monoid with a preorder, as a
+    :class:`premonoids.premonoid.Carrier`.
 
     ``order="divisibility"`` compares by two-sided divisibility through the
     certified divisor sets.  Otherwise pass a binary rule together with a
@@ -75,12 +70,10 @@ class LocalPremonoid:
         monoid: LocallyFiniteMonoid,
         order="divisibility",
         strict_lower=None,
-        name: str | None = None,
     ):
         self.monoid = monoid
         self.order = order
         self._strict_lower = strict_lower
-        self.name = name or type(monoid).__name__
         self._divcache: dict = {}
         self._irrcache: dict = {}  # irreducibles.is_irreducible/is_atom
         if order != "divisibility" and strict_lower is None:
@@ -88,7 +81,7 @@ class LocalPremonoid:
                 "rule preorders need a certified strict-lower hook"
             )
 
-    # -- query protocol -----------------------------------------------------
+    # -- Carrier protocol ---------------------------------------------------
 
     @property
     def identity(self):
@@ -104,58 +97,60 @@ class LocalPremonoid:
             self._divcache[x] = got
         return got
 
-    def _divset(self, x) -> frozenset:
-        return frozenset(self.divisors(x))
-
     def leq(self, a, b) -> bool:
         if self.order == "divisibility":
-            return a in self._divset(b)
+            return a in self.divisors(b)
         return self.order(a, b)
 
     def lt(self, a, b) -> bool:
         return self.leq(a, b) and not self.leq(b, a)
 
-    def equiv(self, a, b) -> bool:
-        return self.leq(a, b) and self.leq(b, a)
-
     def is_unit(self, a) -> bool:
         e = self.identity
         return self.leq(a, e) and self.leq(e, a)
 
-    def strict_lower_candidates(self, a):
-        if self.order == "divisibility":
-            return self.divisors(a)
-        return self._strict_lower(a)
+    def strictly_below(self, x) -> tuple:
+        """The non-units y < x, found among the divisors of x or the
+        certified candidates of the strict-lower hook."""
+        pool = self.divisors(x) if self.order == "divisibility" else self._strict_lower(x)
+        return tuple(y for y in pool if not self.is_unit(y) and self.lt(y, x))
 
     def prefix_bound(self, x) -> int:
         return len(self.divisors(x)) - 1
-
-    def element_sort_key(self, a):
-        return a
 
     def label(self, a):
         return a
 
     def heights_of(self, elements) -> dict:
-        """Longest strict non-unit chains, computed through the certified
-        strict-lower domains."""
+        """Longest strict non-unit chains descending from each element.
+
+        A depth-first walk of ``strictly_below`` on an explicit stack of
+        (element, strictly-below list, iterator) frames, so deep chains
+        cannot hit the recursion limit; each element's list is computed once.
+        An element is ``None`` in the memo while it is on the stack; units
+        never enter it and get 0.
+        """
         memo: dict = {}
-
-        def ht(x):
-            if self.is_unit(x):
-                return 0
-            if x not in memo:
-                memo[x] = 1 + max(
-                    (
-                        ht(y)
-                        for y in self.strict_lower_candidates(x)
-                        if not self.is_unit(y) and self.lt(y, x)
-                    ),
-                    default=0,
-                )
-            return memo[x]
-
-        return {x: ht(x) for x in elements}
+        for root in elements:
+            if root in memo or self.is_unit(root):
+                continue
+            memo[root] = None
+            below = self.strictly_below(root)
+            stack = [(root, below, iter(below))]
+            while stack:
+                x, below, todo = stack[-1]
+                for y in todo:
+                    if y not in memo:
+                        memo[y] = None
+                        lower = self.strictly_below(y)
+                        stack.append((y, lower, iter(lower)))
+                        break
+                    if memo[y] is None:
+                        raise NotComputableError(f"the strict order has a cycle through {y!r}")
+                else:
+                    stack.pop()
+                    memo[x] = 1 + max((memo[y] for y in below), default=0)
+        return {x: memo.get(x, 0) for x in elements}
 
     def nonunit_sample(self, limit: int | None = None) -> tuple:
         return tuple(

@@ -4,19 +4,50 @@ No compatibility between the operation and the preorder is assumed; the
 compatibility predicates live in :class:`PremonoidFlags` and are decided by
 exhaustive scan on finite carriers.
 
-The class exposes the small query protocol (``op``, ``divisors``, ``leq``,
-``is_unit``, ``strict_lower_candidates``, ``prefix_bound``) that the
-irreducibility and factorization engines are written against, so lazily
-presented carriers can plug in the same machinery.
+:class:`Carrier` is the query protocol that the irreducibility and
+factorization engines are written against; :class:`Premonoid` implements it
+for finite carriers, and lazily presented carriers plug into the same
+machinery through :class:`premonoids.localfinite.LocalPremonoid`.
 """
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Protocol, runtime_checkable
 
 from .bitrows import indices
 from .errors import ShapeError
 from .monoid import FiniteMonoid
 from .preorder import PreorderRel
+
+
+@runtime_checkable
+class Carrier(Protocol):
+    """What the engines ask of a premonoid. The divisors of x and the
+    non-units strictly below x are finite sets, and the quarks, irreducibles,
+    heights and factorizations of x are decided from them alone."""
+
+    identity: object
+
+    def op(self, a, b): ...
+
+    def divisors(self, x) -> tuple:
+        """All two-sided divisors of x, sorted."""
+
+    def leq(self, a, b) -> bool: ...
+
+    def lt(self, a, b) -> bool: ...
+
+    def is_unit(self, a) -> bool: ...
+
+    def strictly_below(self, x) -> tuple:
+        """Exactly the non-units y with y < x."""
+
+    def prefix_bound(self, x) -> int:
+        """Max length of a factorization of x with pairwise distinct prefix
+        products."""
+
+    def label(self, a):
+        """Stable cross-view label of an element."""
 
 
 @dataclass(frozen=True)
@@ -63,14 +94,11 @@ class Premonoid:
     def __repr__(self) -> str:
         return f"Premonoid(n={self.monoid.n}, preorder={self.preorder.kind!r})"
 
-    # -- query protocol ------------------------------------------------------
+    # -- Carrier protocol ----------------------------------------------------
 
     @property
     def identity(self) -> int:
         return self.monoid.identity
-
-    def carrier(self):
-        return range(self.monoid.n)
 
     def op(self, a: int, b: int) -> int:
         return self.monoid.table[a][b]
@@ -84,9 +112,6 @@ class Premonoid:
     def lt(self, a: int, b: int) -> bool:
         return self.preorder.lt(a, b)
 
-    def equiv(self, a: int, b: int) -> bool:
-        return self.preorder.equiv(a, b)
-
     def units(self) -> frozenset:
         """Elements mutually below/above the identity under the preorder."""
         if self._units is None:
@@ -94,7 +119,7 @@ class Premonoid:
             object.__setattr__(
                 self,
                 "_units",
-                frozenset(u for u in self.carrier() if self.preorder.equiv(u, e)),
+                frozenset(u for u in range(self.monoid.n) if self.preorder.equiv(u, e)),
             )
         return self._units
 
@@ -102,20 +127,19 @@ class Premonoid:
         return a in self.units()
 
     def nonunits(self) -> tuple:
-        return tuple(a for a in self.carrier() if a not in self.units())
+        return tuple(a for a in range(self.monoid.n) if a not in self.units())
 
-    def strict_lower_candidates(self, a: int):
-        """Finite superset of the strictly-below non-units of a (here: all)."""
-        return self.carrier()
+    def strictly_below(self, x: int) -> tuple:
+        """The non-units y < x: bit x of y's up-set row, and not bit y of x's."""
+        rows = self.preorder.rows
+        up = rows[x]
+        return tuple(y for y in self.nonunits() if rows[y] >> x & 1 and not up >> y & 1)
 
     def prefix_bound(self, x: int) -> int:
         """Max length of a factorization of x with pairwise distinct prefix
         products: excising a repeated-prefix segment yields a strictly smaller
         factorization, and every prefix product divides x."""
         return len(self.divisors(x)) - 1
-
-    def element_sort_key(self, a: int) -> int:
-        return a
 
     def label(self, a: int):
         """Stable cross-view label of an element (index in the root carrier)."""
@@ -135,7 +159,7 @@ class Premonoid:
             return self._heights
         rows = self.preorder.rows
         units = self.units()
-        nonunits = [x for x in self.carrier() if x not in units]
+        nonunits = [x for x in range(self.monoid.n) if x not in units]
         nonunit_mask = sum(1 << x for x in nonunits)
         heights = [0] * self.monoid.n
         for x in nonunits:

@@ -204,7 +204,7 @@ def _sweep_class_count(P, x, alphabet) -> int | None:
     repeated-prefix segment (of length at most bound + 1) from any long
     factorization must at some point step from above the bound to at most it.
     """
-    rep = wd.class_reps(P.leq, alphabet, sort_key=P.element_sort_key)
+    rep = wd.class_reps(P.leq, alphabet)
     allowed = frozenset(P.divisors(x))
     bound = P.prefix_bound(x)
     level = {(): frozenset({P.identity})}
@@ -562,9 +562,9 @@ def check_minimal_brute_force(P: Premonoid, max_carrier: int = 6) -> CheckResult
         ]
         if any(len(w) > bound for w in minimal_words):
             return _fail(name, element=x, overlong=[w for w in minimal_words if len(w) > bound])
-        rep = wd.class_reps(P.leq, alphabet, sort_key=P.element_sort_key)
+        rep = wd.class_reps(P.leq, alphabet)
         brute_classes = {wd.word_vector(w, rep) for w in minimal_words}
-        engine = {vec for vec, _ in minimal_factorization_classes(P, x, alphabet=alphabet)}
+        engine = {vec for vec, _ in minimal_factorization_classes(P, x)}
         if brute_classes != engine:
             return _fail(
                 name,

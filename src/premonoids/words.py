@@ -15,12 +15,12 @@ from collections import Counter
 # -- class vectors -------------------------------------------------------------
 
 
-def class_reps(leq, letters, sort_key=None):
+def class_reps(leq, letters):
     """Map each letter to the least member of its mutual-comparability class.
 
     ``letters`` is any iterable of labels; ``leq`` compares two labels.
     """
-    pool = sorted(set(letters), key=sort_key)
+    pool = sorted(set(letters))
     rep: dict = {}
     for a in pool:
         for b in pool:
@@ -42,17 +42,13 @@ def vector_leq(u: tuple, v: tuple) -> bool:
     return all(other.get(c, 0) >= k for c, k in u)
 
 
-def vector_lt(u: tuple, v: tuple) -> bool:
-    return vector_leq(u, v) and u != v
-
-
 def vector_total(u: tuple) -> int:
     return sum(k for _, k in u)
 
 
 def shuffle_leq(P, u, v) -> bool:
     """Word comparison via class-multiset inclusion (the fast path)."""
-    rep = class_reps(P.leq, tuple(u) + tuple(v), sort_key=P.element_sort_key)
+    rep = class_reps(P.leq, tuple(u) + tuple(v))
     return vector_leq(word_vector(u, rep), word_vector(v, rep))
 
 

@@ -128,11 +128,6 @@ def test_acceptance_02_shuffle_oracle_equivalence():
     while checked < 10_000:
         matrix = [[rng.random() < 0.4 for _ in range(carrier)] for _ in range(carrier)]
         rel = PreorderRel.from_matrix(matrix)
-
-        class View:
-            leq = rel.leq
-            element_sort_key = staticmethod(lambda a: a)
-
         for _ in range(50):
             u = tuple(rng.randrange(carrier) for _ in range(rng.randint(0, 7)))
             v = tuple(rng.randrange(carrier) for _ in range(rng.randint(0, 7)))
@@ -240,7 +235,7 @@ def test_acceptance_06_minimal_length_certification():
                 )
             ]
             assert all(len(w) <= n - 1 for w in minimal_words), (x, minimal_words)
-            rep = class_reps(P.leq, alphabet, sort_key=P.element_sort_key)
+            rep = class_reps(P.leq, alphabet)
             brute = {word_vector(w, rep) for w in minimal_words}
             engine = {vec for vec, _ in minimal_factorization_classes(P, x)}
             assert brute == engine, (x, brute, engine)

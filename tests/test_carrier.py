@@ -1,0 +1,130 @@
+"""The carrier protocol: who implements it, exact ``strictly_below``, and
+heights of lazily presented carriers without recursion.
+
+The oracles are the literal definitions: the non-units y with y < x, filtered
+out of a pool known to contain them all, and heights by plain recursion over
+that filter.
+"""
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from premonoids import FiniteMonoid, NotComputableError, divisibility_preorder
+from premonoids.cli import load_instance
+from premonoids.families import AdditiveNaturals, cyclic_group, power_premonoid, zn_premonoid
+from premonoids.localfinite import LocalPremonoid
+from premonoids.premonoid import Carrier, Premonoid, SubPremonoid
+from premonoids.randgen import monoid_pool, random_premonoid
+
+# one instance of each local builder the CLI loads (power:FILE loads
+# power_premonoid when the base has more than four elements)
+LOCAL_SPECS = ("powerN:9", "b:c3:1,2", "b:dinf:", "numerical:3,5,7", "n2sub:4", "remarkN:20")
+
+
+def local_builders():
+    out = [(spec, load_instance(spec).payload) for spec in LOCAL_SPECS]
+    out.append(("power(C5)", power_premonoid(cyclic_group(5))))
+    return out
+
+
+LOCAL = local_builders()
+
+
+def finite_strictly_below(P, x) -> tuple:
+    return tuple(y for y in range(P.monoid.n) if not P.is_unit(y) and P.lt(y, x))
+
+
+def assert_finite_exact(P):
+    for x in range(P.monoid.n):
+        assert P.strictly_below(x) == finite_strictly_below(P, x), x
+
+
+def local_strictly_below(P, x) -> set:
+    """Every y < x divides x under divisibility; under the remark order no
+    non-unit is strictly below anything. The sample widens the pool so that
+    a hook that missed an element would show."""
+    pool = set(P.divisors(x)) | set(P.monoid.sample_elements())
+    return {y for y in pool if not P.is_unit(y) and P.lt(y, x)}
+
+
+def recursive_heights(P, elements) -> dict:
+    memo: dict = {}
+
+    def height(x) -> int:
+        if P.is_unit(x):
+            return 0
+        if x not in memo:
+            memo[x] = 1 + max((height(y) for y in local_strictly_below(P, x)), default=0)
+        return memo[x]
+
+    return {x: height(x) for x in elements}
+
+
+def test_finite_and_restricted_carriers_are_carriers():
+    P = zn_premonoid(8)
+    sub = P.divisor_closed_localization(2)
+    assert isinstance(sub, SubPremonoid)
+    for carrier in (P, sub):
+        assert isinstance(carrier, Carrier)
+    assert_finite_exact(sub)
+
+
+@pytest.mark.parametrize("spec, P", LOCAL, ids=[s for s, _ in LOCAL])
+def test_local_builders_are_carriers(spec, P):
+    assert isinstance(P, LocalPremonoid) and isinstance(P, Carrier)
+
+
+def test_strictly_below_is_exact_on_the_monoid_pool():
+    for table, identity in monoid_pool():
+        monoid = FiniteMonoid(table, identity)
+        assert_finite_exact(Premonoid(monoid, divisibility_preorder(monoid)))
+
+
+@pytest.mark.parametrize("n", range(1, 49))
+def test_strictly_below_is_exact_on_zn(n):
+    assert_finite_exact(zn_premonoid(n))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_strictly_below_is_exact_on_random_premonoids(seed):
+    assert_finite_exact(random_premonoid(random.Random(seed), 6))
+
+
+@pytest.mark.parametrize("spec, P", LOCAL, ids=[s for s, _ in LOCAL])
+def test_strictly_below_is_exact_on_local_samples(spec, P):
+    for x in P.monoid.sample_elements():
+        below = P.strictly_below(x)
+        assert len(set(below)) == len(below), x
+        assert set(below) == local_strictly_below(P, x), x
+
+
+@pytest.mark.parametrize("spec, P", LOCAL, ids=[s for s, _ in LOCAL])
+def test_heights_of_matches_the_recursive_definition(spec, P):
+    sample = P.nonunit_sample()
+    assert P.heights_of(sample) == recursive_heights(P, sample)
+
+
+def test_heights_of_walks_a_long_chain_without_recursing():
+    # the hook lists candidates in descending order, so a recursive walk
+    # would go 800 frames deep before the first height is known
+    P = LocalPremonoid(
+        AdditiveNaturals(900),
+        order=lambda a, b: a <= b,
+        strict_lower=lambda a: range(a - 1, 0, -1),
+    )
+    assert P.heights_of([800]) == {800: 800}
+
+
+def test_heights_of_reports_a_strict_cycle():
+    # not a preorder: 1 < 2 < 3 < 1 with nothing else related but 0 below all
+    cycle = {(1, 2), (2, 3), (3, 1)}
+    P = LocalPremonoid(
+        AdditiveNaturals(5),
+        order=lambda a, b: a == b or a == 0 or (a, b) in cycle,
+        strict_lower=lambda a: (1, 2, 3),
+    )
+    with pytest.raises(NotComputableError):
+        P.heights_of([1])

@@ -290,6 +290,47 @@ def test_n2sub_element_through_cli(capsys):
     assert code == 3  # not a member
 
 
+def test_plane_elements_keep_their_order(capsys):
+    code, out, _ = run_cli(capsys, "factorize", "n2sub:3", "(5,2)", "--minimal")
+    data = json.loads(out)
+    assert code == 0
+    assert data["element"] == [5, 2]
+    assert all(sum(p[0] for p in c["representative"]) == 5 for c in data["minimal"]["classes"])
+
+
+def test_dihedral_text_rejects_bare_integers(capsys):
+    code, out, err = run_cli(capsys, "factorize", "b:dinf:", "0.1,1")
+    assert code == 3 and out == "" and "k.e" in err
+    code, out, err = run_cli(capsys, "describe", "b:dinf:0.1,1")
+    assert code == 2 and out == "" and "k.e" in err
+
+
+# ints, dihedral k.e pairs, or a mix, as a bare list, a tuple or a set
+_ITEM = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.tuples(st.integers(-2, 12), st.integers(0, 2)).map(lambda t: f"{t[0]}.{t[1]}"),
+)
+_ELEMENT_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.tuples(st.sampled_from(["", "()", "{}"]), st.lists(_ITEM, max_size=3)).map(
+        lambda t: t[0][:1] + ",".join(t[1]) + t[0][1:]
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["numerical:3,5,7", "n2sub:5", "b:c3:1,2", "b:dinf:", "powerN:8", "remarkN:20"]),
+    _ELEMENT_TEXT,
+)
+def test_element_text_never_produces_a_traceback(spec, text):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["classify", spec, f"--element={text}"])
+    assert code in (0, 2, 3), (spec, text, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
 def test_factorize_numerical_seven(capsys):
     code, out, _ = run_cli(capsys, "factorize", "numerical:2,3", "7", "--max-len", "4")
     data = json.loads(out)

@@ -25,7 +25,11 @@ from premonoids import (
 from premonoids.factorization import ElementProfile, _map_classes, factorization_alphabet
 from premonoids.families import powerset_premonoid, zn_premonoid
 from premonoids.randgen import monoid_pool, random_premonoid
-from premonoids.words import class_reps, vector_lt, vector_total
+from premonoids.words import class_reps, vector_leq, vector_total
+
+
+def vector_lt(u: tuple, v: tuple) -> bool:
+    return vector_leq(u, v) and u != v
 
 
 def oracle_length_set(P, x, alphabet) -> LengthSet:
@@ -59,7 +63,7 @@ def _vector_levels(P, x, alphabet, max_level: int, rep=None):
     """levels[k] maps each class vector of total k to the products of its
     words, pruned to divisors of x."""
     if rep is None:
-        rep = class_reps(P.leq, alphabet, sort_key=P.element_sort_key)
+        rep = class_reps(P.leq, alphabet)
     allowed = frozenset(P.divisors(x))
     levels = [{(): frozenset({P.identity})}]
     for _ in range(max_level):
@@ -118,10 +122,10 @@ def _witness_word(P, x, alphabet, rep, vec) -> tuple:
 
 
 def oracle_minimal_classes(P, x, alphabet):
-    alphabet = tuple(sorted((a for a in alphabet if a in set(P.divisors(x))), key=P.element_sort_key))
+    alphabet = tuple(sorted(a for a in alphabet if a in set(P.divisors(x))))
     if not alphabet:
         return ()
-    rep = class_reps(P.leq, alphabet, sort_key=P.element_sort_key)
+    rep = class_reps(P.leq, alphabet)
     realized = _realized(_vector_levels(P, x, alphabet, P.prefix_bound(x), rep=rep), x)
     minima = sorted(
         (vec for vec in realized if not any(vector_lt(w, vec) for w in realized)),
@@ -138,10 +142,10 @@ def oracle_profile(P, x) -> ElementProfile:
     minimal = oracle_minimal_classes(P, x, irr_alpha)
     literal = []
     if minimal and atom_alpha:
-        rep = class_reps(P.leq, irr_alpha, sort_key=P.element_sort_key)
+        rep = class_reps(P.leq, irr_alpha)
         atom_levels = _vector_levels(P, x, atom_alpha, P.prefix_bound(x), rep=rep)
         atom_realizable = _realized(atom_levels, x)
-        sorted_atoms = tuple(sorted(atom_alpha, key=P.element_sort_key))
+        sorted_atoms = tuple(sorted(atom_alpha))
         literal = [
             (vec, _witness_word(P, x, sorted_atoms, rep, vec))
             for vec, _ in minimal
@@ -166,7 +170,7 @@ def assert_matches_oracle(P):
         assert element_profile(P, x).to_json() == oracle_profile(P, x).to_json(), x
         for letters in ("irreducibles", "atoms"):
             alphabet = factorization_alphabet(P, x, letters)
-            vectors, infinite = realizable_vectors(P, x, alphabet=alphabet)
+            vectors, infinite = realizable_vectors(P, x, letters)
             old_vectors, old_infinite = oracle_realizable_vectors(P, x, alphabet)
             assert infinite == old_infinite, (x, letters)
             # an infinite census lists no vectors; a finite one lists them all

@@ -334,3 +334,53 @@ def test_numerical_structure_is_acyclic_like():
     for x in lp.monoid.sample_elements(20):
         if x:
             assert is_atom(lp, x) == is_irreducible(lp, x) == is_quark(lp, x)
+
+
+# -- membership against the literal recursive definition --------------------------------
+
+
+def recursive_member(generators, x, memo) -> bool:
+    """x is the identity, or x minus some generator is a member; points are
+    ints or pairs, compared coordinatewise."""
+    if x not in memo:
+        coords = x if isinstance(x, tuple) else (x,)
+        memo[x] = not any(coords) or any(
+            recursive_member(generators, _minus(x, g), memo)
+            for g in generators
+            if all(c >= d for c, d in zip(coords, g if isinstance(g, tuple) else (g,)))
+        )
+    return memo[x]
+
+
+def _minus(x, g):
+    return tuple(c - d for c, d in zip(x, g)) if isinstance(x, tuple) else x - g
+
+
+@pytest.mark.parametrize("gens", [(2, 3), (3, 5, 7), (4, 6), (1,), (6, 10, 15), (5, 8), (7,)])
+def test_numerical_membership_matches_the_recursive_definition(gens):
+    memo: dict = {}
+    fresh = make_numerical(gens)
+    for x in range(-3, 90):
+        expected = x >= 0 and recursive_member(gens, x, memo)
+        assert fresh.contains(x) == expected, x
+    # the memo is filled bottom-up, so asking the largest first agrees too
+    descending = make_numerical(gens)
+    assert [descending.contains(x) for x in range(89, -4, -1)] == [
+        fresh.contains(x) for x in range(89, -4, -1)
+    ]
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4, 5])
+def test_n2_membership_matches_the_recursive_definition(bound):
+    n2 = make_n2_submonoid(bound)
+    memo: dict = {}
+    for a, b in itertools.product(range(-2, 22), repeat=2):
+        expected = a >= 0 and b >= 0 and recursive_member(n2.generators, (a, b), memo)
+        assert n2.contains((a, b)) == expected, (a, b)
+
+
+def test_membership_of_far_elements_does_not_recurse():
+    assert make_numerical((2, 3)).contains(100000)
+    assert not make_numerical((4, 6)).contains(100001)
+    assert make_n2_submonoid(3).contains((400, 400))
+    assert not make_n2_submonoid(3).contains((400, 1300))

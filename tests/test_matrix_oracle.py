@@ -3,9 +3,10 @@
 The oracles below are the search as it was before forward substitution: every
 canonical lower-triangular form of every divisor determinant is enumerated,
 its irreducibility is decided before it is known to divide, and division goes
-through ``solve_left`` (the adjugate, then exact division by the determinant).
-Divisors come from a scan of ``range(1, value + 1)``. They share nothing with
-the search but ``mat``, ``mat_det``, ``solve_left`` and ``factor_multiset``.
+through ``matrix_oracles.solve_left`` (the adjugate, then exact division by
+the determinant). Divisors come from a scan of ``range(1, value + 1)``. They
+share nothing with the search but ``mat``, ``mat_det``, ``solve_left`` and
+``factor_multiset``.
 """
 import itertools
 import random
@@ -23,8 +24,9 @@ from premonoids.matrices import (
     mat_det,
     matrix_is_irreducible,
     matrix_length_set,
-    solve_left,
 )
+
+from matrix_oracles import solve_left
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from workloads import MATRIX_BASES  # noqa: E402

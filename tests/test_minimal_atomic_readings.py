@@ -27,7 +27,7 @@ def brute_minimal_vectors(P, x, words, all_words):
         )
     ]
     alphabet = factorization_alphabet(P, x)
-    rep = class_reps(P.leq, alphabet, sort_key=P.element_sort_key)
+    rep = class_reps(P.leq, alphabet)
     return {word_vector(w, rep) for w in minimal}
 
 
