@@ -148,22 +148,38 @@ def enumerate_factorizations(P: Carrier, x, max_len: int, letters: str = "irredu
     finish = [1 << auto.goal]
     for _ in range(max_len):
         finish.append(auto.preimage(finish[-1]))
-    table, alpha = auto.table, auto.alphabet
 
-    def dfs(p, word, remaining):
-        if remaining == 0:
-            yield tuple(word)
-            return
-        need = finish[remaining - 1]
-        for j, q in enumerate(table[p]):
-            if q >= 0 and need >> q & 1:
-                word.append(alpha[j])
-                yield from dfs(q, word, remaining - 1)
-                word.pop()
+    def moves(p, left):
+        need = finish[left - 1]
+        return ((j, q) for j, q in enumerate(auto.table[p]) if q >= 0 and need >> q & 1)
 
     for length in range(1, max_len + 1):
         if finish[length] >> auto.start & 1:
-            yield from dfs(auto.start, [], length)
+            for path in _paths(auto.start, moves, length):
+                yield tuple(auto.alphabet[j] for j in path)
+
+
+def _paths(root, moves, length: int):
+    """Depth first, the paths of ``length`` >= 1 steps from ``root`` as tuples
+    of letter indices. ``moves(node, left)`` gives the (letter index, next
+    node) steps out of a node with ``left`` steps to go, in the order to try
+    them; with one step left, every step it gives ends a path. The stack of
+    move iterators stands in for recursion, so long words cannot reach the
+    recursion limit.
+    """
+    word: list = []
+    stack = [moves(root, length)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if word:
+                word.pop()
+        elif len(word) + 1 == length:
+            yield (*word, step[0])
+        else:
+            word.append(step[0])
+            stack.append(moves(step[1], length - len(word)))
 
 
 # -- exact length sets -------------------------------------------------------------
@@ -290,21 +306,18 @@ def _witness(auto: DivisorAutomaton, cls_of, counts: tuple):
     table, goal = auto.table, auto.goal
     dead: set = set()
 
-    def dfs(p, rem, left):
-        if not left:
-            return () if p == goal else None
-        if (p, rem) in dead:
-            return None
+    def moves(node, left):
+        p, rem = node
         for j, q in enumerate(table[p]):
             c = cls_of[j]
-            if q >= 0 and rem[c]:
-                tail = dfs(q, rem[:c] + (rem[c] - 1,) + rem[c + 1:], left - 1)
-                if tail is not None:
-                    return (auto.alphabet[j],) + tail
-        dead.add((p, rem))
-        return None
+            if q >= 0 and rem[c] and (left > 1 or q == goal):
+                after = (q, rem[:c] + (rem[c] - 1,) + rem[c + 1:])
+                if after not in dead:
+                    yield j, after
+        dead.add(node)  # reached only when no move led to a witness
 
-    return dfs(auto.start, counts, sum(counts))
+    path = next(_paths((auto.start, counts), moves, sum(counts)), None)
+    return None if path is None else tuple(auto.alphabet[j] for j in path)
 
 
 def realizable_vectors(P: Carrier, x, letters: str = "irreducibles", automaton=None):
@@ -362,7 +375,7 @@ def _literal_classes(P: Carrier, atom: DivisorAutomaton, rep, minimal) -> tuple:
     return tuple(out)
 
 
-# -- per-element profile and whole-instance classification ----------------------------
+# -- per-element profile ---------------------------------------------------------------
 
 
 @dataclass
@@ -380,15 +393,6 @@ class ElementProfile:
     minimal_atomic_within: tuple
     minimal_atomic_literal: tuple
 
-    def minimal_lengths(self) -> tuple:
-        return tuple(sorted({vector_total(v) for v, _ in self.minimal}))
-
-    def minimal_atomic_within_lengths(self) -> tuple:
-        return tuple(sorted({vector_total(v) for v, _ in self.minimal_atomic_within}))
-
-    def minimal_atomic_literal_lengths(self) -> tuple:
-        return tuple(sorted({vector_total(v) for v, _ in self.minimal_atomic_literal}))
-
     def to_json(self) -> dict:
         return {
             "element": self.element,
@@ -398,38 +402,38 @@ class ElementProfile:
             "atomic_lengths": self.atomic_lengths.to_json(),
             "class_count": self.class_count,
             "atomic_class_count": self.atomic_class_count,
-            "minimal": [[list(map(list, v)), list(w)] for v, w in self.minimal],
-            "minimal_atomic_within": [
-                [list(map(list, v)), list(w)] for v, w in self.minimal_atomic_within
-            ],
-            "minimal_atomic_literal": [
-                [list(map(list, v)), list(w)] for v, w in self.minimal_atomic_literal
-            ],
+            "minimal": _class_list(self.minimal),
+            "minimal_atomic_within": _class_list(self.minimal_atomic_within),
+            "minimal_atomic_literal": _class_list(self.minimal_atomic_literal),
         }
+
+
+def _class_list(classes) -> list:
+    return [[list(map(list, v)), list(w)] for v, w in classes]
+
+
+def _column_data(P: Carrier, x, alphabet) -> tuple:
+    """The automaton of x over ``alphabet``, its length set, its class count
+    (None = infinitely many) and its minimal classes."""
+    auto = DivisorAutomaton(P, x, alphabet)
+    lengths = length_set(P, x, automaton=auto)
+    vectors, infinite = realizable_vectors(P, x, automaton=auto)
+    minimal = minimal_factorization_classes(P, x, automaton=auto)
+    return auto, lengths, None if infinite else len(vectors), minimal
 
 
 def element_profile(P: Carrier, x) -> ElementProfile:
     irr_alpha = factorization_alphabet(P, x, "irreducibles")
     atom_alpha = tuple(a for a in irr_alpha if is_atom(P, a))
-    irr = DivisorAutomaton(P, x, irr_alpha)
-    lengths = length_set(P, x, automaton=irr)
-    vectors, infinite = realizable_vectors(P, x, automaton=irr)
-    class_count = None if infinite else len(vectors)
-    minimal = minimal_factorization_classes(P, x, automaton=irr)
+    _, lengths, class_count, minimal = _column_data(P, x, irr_alpha)
     if atom_alpha == irr_alpha:
         # every irreducible divisor is an atom, so the atomic data coincide
-        atomic_lengths, atomic_class_count = lengths, class_count
-        minimal_within = literal = minimal
+        atomic_lengths, atomic_class_count, within, literal = lengths, class_count, minimal, minimal
     else:
-        atom = DivisorAutomaton(P, x, atom_alpha)
-        atomic_lengths = length_set(P, x, automaton=atom)
-        avectors, ainfinite = realizable_vectors(P, x, automaton=atom)
-        atomic_class_count = None if ainfinite else len(avectors)
-        minimal_within = minimal_factorization_classes(P, x, automaton=atom)
+        atom, atomic_lengths, atomic_class_count, within = _column_data(P, x, atom_alpha)
         # literal reading of minimal atomic classes: minimal among all
         # irreducible factorizations, then intersect with atom words
-        rep = class_reps(P.leq, irr_alpha)
-        literal = _literal_classes(P, atom, rep, minimal)
+        literal = _literal_classes(P, atom, class_reps(P.leq, irr_alpha), minimal)
     return ElementProfile(
         element=P.label(x),
         irreducible_divisors=tuple(P.label(a) for a in irr_alpha),
@@ -439,7 +443,7 @@ def element_profile(P: Carrier, x) -> ElementProfile:
         class_count=class_count,
         atomic_class_count=atomic_class_count,
         minimal=_map_classes(P, minimal),
-        minimal_atomic_within=_map_classes(P, minimal_within),
+        minimal_atomic_within=_map_classes(P, within),
         minimal_atomic_literal=_map_classes(P, literal),
     )
 
@@ -453,61 +457,81 @@ def _map_classes(P: Carrier, classes) -> tuple:
     return tuple(out)
 
 
-FLAG_NAMES = (
-    "factorable",
-    "atomic",
-    "BF-factorable",
-    "FF-factorable",
-    "HF-factorable",
-    "UF-factorable",
-    "BmF-factorable",
-    "FmF-factorable",
-    "HmF-factorable",
-    "UmF-factorable",
-    "BF-atomic",
-    "FF-atomic",
-    "HF-atomic",
-    "UF-atomic",
-    "BmF-atomic-within",
-    "FmF-atomic-within",
-    "HmF-atomic-within",
-    "UmF-atomic-within",
-    "BmF-atomic-literal",
-    "FmF-atomic-literal",
-    "HmF-atomic-literal",
-    "UmF-atomic-literal",
+# -- the classification lattice ---------------------------------------------------------
+#
+# One column per kind of factorization. A column's length set and class count
+# give its own flag and BF/FF/HF/UF; each of its minimal-class readings gives
+# BmF/FmF/HmF/UmF. The flag names, each element's flags, the witness payloads
+# and the diagram arrows are all read off this table.
+
+
+@dataclass(frozen=True)
+class _Column:
+    name: str
+    lengths: str  # the profile fields the column reads
+    class_count: str
+    minimal: tuple  # ((flag suffix, profile field), ...); the diagram uses the first
+
+
+_COLUMNS = (
+    _Column("factorable", "lengths", "class_count", (("factorable", "minimal"),)),
+    _Column("atomic", "atomic_lengths", "atomic_class_count",
+            (("atomic-within", "minimal_atomic_within"), ("atomic-literal", "minimal_atomic_literal"))),
 )
 
-# implication arrows; the minimal-atomic column uses the within-Z(x;A) reading
-DIAGRAM_EDGES = (
-    ("UF-factorable", "FF-factorable"),
-    ("UF-factorable", "HF-factorable"),
-    ("UF-factorable", "UmF-factorable"),
-    ("FF-factorable", "FmF-factorable"),
-    ("FF-factorable", "BF-factorable"),
-    ("HF-factorable", "HmF-factorable"),
-    ("HF-factorable", "BF-factorable"),
-    ("BF-factorable", "BmF-factorable"),
-    ("UmF-factorable", "FmF-factorable"),
-    ("UmF-factorable", "HmF-factorable"),
-    ("FmF-factorable", "BmF-factorable"),
-    ("HmF-factorable", "BmF-factorable"),
-    ("BmF-factorable", "factorable"),
-    ("atomic", "factorable"),
-    ("UF-atomic", "FF-atomic"),
-    ("UF-atomic", "HF-atomic"),
-    ("UF-atomic", "UmF-atomic-within"),
-    ("FF-atomic", "FmF-atomic-within"),
-    ("FF-atomic", "BF-atomic"),
-    ("HF-atomic", "HmF-atomic-within"),
-    ("HF-atomic", "BF-atomic"),
-    ("BF-atomic", "BmF-atomic-within"),
-    ("UmF-atomic-within", "FmF-atomic-within"),
-    ("UmF-atomic-within", "HmF-atomic-within"),
-    ("FmF-atomic-within", "BmF-atomic-within"),
-    ("HmF-atomic-within", "BmF-atomic-within"),
-    ("BmF-atomic-within", "atomic"),
+# conditions on a column's length set and class count; None is the column's
+# own flag, "x has such a factorization"
+_PLAIN = {
+    None: lambda lengths, count: not lengths.is_empty,
+    "BF": lambda lengths, count: not lengths.is_empty and lengths.is_finite,
+    "FF": lambda lengths, count: count is not None and count > 0,
+    "HF": lambda lengths, count: lengths.singleton(),
+    "UF": lambda lengths, count: count == 1,
+}
+# conditions on a minimal-class reading ((vector, word), ...)
+_MINIMAL = {
+    "BmF": lambda classes: len({vector_total(v) for v, _ in classes}) > 0,
+    "FmF": lambda classes: len(classes) > 0,
+    "HmF": lambda classes: len({vector_total(v) for v, _ in classes}) == 1,
+    "UmF": lambda classes: len(classes) == 1,
+}
+
+
+def _flag_name(k, suffix: str) -> str:
+    return suffix if k is None else f"{k}-{suffix}"
+
+
+def _flag_table() -> dict:
+    """Flag name -> (column, minimal-class field or None, condition)."""
+    table = {}
+    for col in _COLUMNS:
+        for k, test in _PLAIN.items():
+            table[_flag_name(k, col.name)] = (col, None, test)
+        for suffix, attr in col.minimal:
+            for k, test in _MINIMAL.items():
+                table[_flag_name(k, suffix)] = (col, attr, test)
+    return table
+
+
+_FLAGS = _flag_table()
+FLAG_NAMES = tuple(_FLAGS)
+
+# implication arrows within one column, its minimal flags on its first reading
+_LADDER = (
+    ("UF", "FF"), ("UF", "HF"), ("UF", "UmF"), ("FF", "FmF"), ("FF", "BF"),
+    ("HF", "HmF"), ("HF", "BF"), ("BF", "BmF"), ("UmF", "FmF"), ("UmF", "HmF"),
+    ("FmF", "BmF"), ("HmF", "BmF"), ("BmF", None),
 )
+
+
+def _ladder(col: _Column) -> tuple:
+    suffix = {k: col.minimal[0][0] for k in _MINIMAL}
+    return tuple(tuple(_flag_name(k, suffix.get(k, col.name)) for k in arrow) for arrow in _LADDER)
+
+
+# the two ladders joined by atomic -> factorable; the minimal-atomic column
+# uses the within-Z(x;A) reading
+DIAGRAM_EDGES = _ladder(_COLUMNS[0]) + ((_COLUMNS[1].name, _COLUMNS[0].name),) + _ladder(_COLUMNS[1])
 
 
 @dataclass
@@ -541,34 +565,9 @@ class Classification:
 
 
 def _element_flags(p: ElementProfile) -> dict:
-    lengths_nonempty = not p.lengths.is_empty
-    atomic_nonempty = not p.atomic_lengths.is_empty
-    min_lengths = p.minimal_lengths()
-    min_within = p.minimal_atomic_within_lengths()
-    min_literal = p.minimal_atomic_literal_lengths()
     return {
-        "factorable": lengths_nonempty,
-        "atomic": atomic_nonempty,
-        "BF-factorable": lengths_nonempty and p.lengths.is_finite,
-        "FF-factorable": p.class_count is not None and p.class_count > 0,
-        "HF-factorable": p.lengths.singleton(),
-        "UF-factorable": p.class_count == 1,
-        "BmF-factorable": len(min_lengths) > 0,
-        "FmF-factorable": len(p.minimal) > 0,
-        "HmF-factorable": len(min_lengths) == 1,
-        "UmF-factorable": len(p.minimal) == 1,
-        "BF-atomic": atomic_nonempty and p.atomic_lengths.is_finite,
-        "FF-atomic": p.atomic_class_count is not None and p.atomic_class_count > 0,
-        "HF-atomic": p.atomic_lengths.singleton(),
-        "UF-atomic": p.atomic_class_count == 1,
-        "BmF-atomic-within": len(min_within) > 0,
-        "FmF-atomic-within": len(p.minimal_atomic_within) > 0,
-        "HmF-atomic-within": len(min_within) == 1,
-        "UmF-atomic-within": len(p.minimal_atomic_within) == 1,
-        "BmF-atomic-literal": len(min_literal) > 0,
-        "FmF-atomic-literal": len(p.minimal_atomic_literal) > 0,
-        "HmF-atomic-literal": len(min_literal) == 1,
-        "UmF-atomic-literal": len(p.minimal_atomic_literal) == 1,
+        name: test(getattr(p, attr)) if attr else test(getattr(p, col.lengths), getattr(p, col.class_count))
+        for name, (col, attr, test) in _FLAGS.items()
     }
 
 
@@ -601,18 +600,13 @@ def classify(P: Carrier, elements=None, scope: str | None = None) -> Classificat
 
 
 def _witness_payload(name: str, p: ElementProfile) -> dict:
-    payload = {"element": p.element}
-    if "atomic" in name:
-        payload["atomic_lengths"] = p.atomic_lengths.to_json()
-        payload["atomic_class_count"] = p.atomic_class_count
-    else:
-        payload["lengths"] = p.lengths.to_json()
-        payload["class_count"] = p.class_count
-    if name.startswith(("BmF", "FmF", "HmF", "UmF")):
-        if name.endswith("literal"):
-            payload["minimal_classes"] = [list(map(list, v)) for v, _ in p.minimal_atomic_literal]
-        elif name.endswith("within"):
-            payload["minimal_classes"] = [list(map(list, v)) for v, _ in p.minimal_atomic_within]
-        else:
-            payload["minimal_classes"] = [list(map(list, v)) for v, _ in p.minimal]
+    """The element with the fields the flag reads."""
+    col, attr, _ = _FLAGS[name]
+    payload = {
+        "element": p.element,
+        col.lengths: getattr(p, col.lengths).to_json(),
+        col.class_count: getattr(p, col.class_count),
+    }
+    if attr:
+        payload["minimal_classes"] = [list(map(list, v)) for v, _ in getattr(p, attr)]
     return payload

@@ -146,6 +146,10 @@ def power_premonoid_finite(base: FiniteMonoid) -> tuple[Premonoid, tuple]:
 class ReducedPowerN(LocallyFiniteMonoid):
     """Finite 0-containing sets of naturals under setwise addition, capped.
 
+    The cap bounds the elements the family accepts (``element``, ``contains``
+    and the sample), not products: a sum past the cap exceeds max X, so it
+    never divides an accepted X and the divisor search may form it freely.
+
     Divisor certificate: X = Y + W forces Y and W inside [0, max X] and both
     0-containing; for a candidate Y contained in X, the largest possible
     cofactor is W* = {z <= max X : z + Y is contained in X}, and Y divides X
@@ -158,8 +162,8 @@ class ReducedPowerN(LocallyFiniteMonoid):
             raise CapExceededError("cap must be >= 1")
         self.cap = cap
         self.identity = (0,)
-        # bounded flag scans take triple products of sample elements, so the
-        # default sample stays below a third of the cap
+        # bounded flag scans take triple products of sample elements; a default
+        # sample below a third of the cap keeps those products within it
         self.sample_max = min(cap, sample_max if sample_max is not None else min(3, cap // 3))
 
     def element(self, members) -> tuple:
@@ -171,12 +175,7 @@ class ReducedPowerN(LocallyFiniteMonoid):
         return out
 
     def op(self, x, y) -> tuple:
-        out = tuple(sorted({a + b for a in x for b in y}))
-        if out[-1] > self.cap:
-            raise CapExceededError(
-                f"setwise sum reaches {out[-1]}, above cap {self.cap}"
-            )
-        return out
+        return tuple(sorted({a + b for a in x for b in y}))
 
     def divisors(self, x) -> tuple:
         xs = set(x)

@@ -6,6 +6,7 @@ tolerable outcome) and carries a counterexample payload.
 """
 from __future__ import annotations
 
+import itertools as it
 import random
 from dataclasses import dataclass, field
 
@@ -24,8 +25,9 @@ from .factorization import (
     length_set,
     minimal_factorization_classes,
 )
+from .monoid import FiniteMonoid
 from .premonoid import Premonoid
-from .preorder import divisibility_preorder, phi_preorder
+from .preorder import PreorderRel, divisibility_preorder, phi_preorder
 
 
 @dataclass
@@ -355,8 +357,6 @@ def check_duo_inclusion(P: Premonoid, rng: random.Random, rounds: int = 8) -> Ch
         for x in xs:
             product_of_ideals = m.set_product(product_of_ideals, m.principal_ideal(x))
         for r in range(1, k + 1):
-            import itertools as it
-
             for sigma in it.combinations(range(k), r):
                 sub = m.product(tuple(xs[i] for i in sigma))
                 left_ideal = frozenset(m.table[h][sub] for h in carrier)
@@ -394,15 +394,16 @@ def check_divisor_closed_restriction(P: Premonoid, rng: random.Random, rounds: i
     atom sets, and restricting a divisibility relation is again divisibility."""
     name = "divisor-closed-restriction"
     m = P.monoid
+    irr, atoms = set(irreducibles_of(P, 2)), set(atoms_of(P, 2))
     for _ in range(rounds):
         x = rng.randrange(m.n)
         mask = m.divisor_closed_closure(x)
         view = P.restrict(mask)
-        want_irr = {a for a in mask if a in set(irreducibles_of(P, 2))}
+        want_irr = {a for a in mask if a in irr}
         got_irr = {view.to_parent[a] for a in irreducibles_of(view, 2)}
         if got_irr != want_irr:
             return _fail(name, element=x, got=sorted(got_irr), expected=sorted(want_irr))
-        want_atoms = {a for a in mask if a in set(atoms_of(P, 2))}
+        want_atoms = {a for a in mask if a in atoms}
         got_atoms = {view.to_parent[a] for a in atoms_of(view, 2)}
         if got_atoms != want_atoms:
             return _fail(name, element=x, got_atoms=sorted(got_atoms), expected=sorted(want_atoms))
@@ -516,9 +517,6 @@ def check_pullback_isomorphism(P: Premonoid, rng: random.Random, rounds: int = 4
         for i in range(n):
             for j in range(n):
                 table[perm[i]][perm[j]] = perm[m.table[i][j]]
-        from .monoid import FiniteMonoid
-        from .preorder import PreorderRel
-
         m2 = FiniteMonoid(table, perm[m.identity])
         rows = [0] * n
         for a in range(n):
@@ -537,8 +535,6 @@ def check_pullback_isomorphism(P: Premonoid, rng: random.Random, rounds: int = 4
 def check_minimal_brute_force(P: Premonoid, max_carrier: int = 6) -> CheckResult:
     """Brute-force enumeration beyond the certified bound: same minimal
     classes, none longer than the bound."""
-    import itertools as it
-
     name = "minimal-brute-force"
     n = P.monoid.n
     if n > max_carrier:

@@ -100,6 +100,18 @@ def test_classify_powerN_element_subreport(capsys):
     assert data["profile"]["atom_divisors"] == [[0, 1]]
 
 
+def test_powerN_divisor_products_past_the_cap(capsys):
+    # (0,5) + (0,5,8) reaches 16 > 8 while building the divisor automaton;
+    # such a sum cannot divide (0,5,8), so the cap does not apply to it
+    code, out, err = run_cli(capsys, "factorize", "powerN:8", "(0,5,8)", "--minimal")
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["lengths"] == {"finite": [1]}
+    assert data["minimal"]["classes"] == [{"representative": [[0, 5, 8]], "vector": [[[0, 5, 8], 1]]}]
+    code, _, err = run_cli(capsys, "factorize", "powerN:8", "(0,9)")
+    assert code == 3 and "exceeds cap 8" in err  # not an element of the family
+
+
 def test_invalid_instance_exit_2(capsys):
     code, _, err = run_cli(capsys, "describe", "zn:notanumber")
     assert code == 2

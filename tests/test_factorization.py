@@ -193,3 +193,17 @@ def test_localization_invariance_of_profiles():
         P = random_premonoid(rng, max_size=6)
         res = check_localization_invariance(P)
         assert res.passed, res.details
+
+
+def test_searches_on_deep_words_do_not_recurse():
+    # capped addition min(i + j, n - 1): the only irreducible is 1, so the
+    # element 1098 has a single factorization, 1098 letters long
+    from premonoids import FiniteMonoid, Premonoid, divisibility_preorder
+
+    n = 1100
+    monoid = FiniteMonoid([[min(i + j, n - 1) for j in range(n)] for i in range(n)], 0)
+    P = Premonoid(monoid, divisibility_preorder(monoid))
+    prof = element_profile(P, 1098)
+    assert prof.lengths == LengthSet.of(1098)
+    assert prof.minimal == ((((1, 1098),), (1,) * 1098),)
+    assert list(enumerate_factorizations(P, 1098, 1098)) == [(1,) * 1098]

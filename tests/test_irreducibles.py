@@ -143,6 +143,22 @@ def test_unit_orbits_zn9():
     assert orbits == ((3, 6),)
 
 
+def test_unit_orbits_need_two_sided_products():
+    """3*0*3 = 1 joins the irreducibles 0 and 1, but 3*0 = 0*3 = 3 is not
+    irreducible, so the equivalence generated by one-sided unit products
+    a ~ u*a, a ~ a*v alone would keep them apart."""
+    from premonoids import FiniteMonoid
+
+    table = ((2, 1, 0, 3), (1, 1, 1, 1), (0, 1, 2, 3), (3, 1, 3, 1))
+    P = Premonoid(FiniteMonoid(table, 2), PreorderRel(4, (3, 3, 15, 15), kind="explicit"))
+    units, irr = sorted(P.units()), irreducibles(P, 2)
+    assert units == [2, 3] and irr == (0, 1)
+    assert P.op(P.op(3, 0), 3) == 1
+    one_sided = {P.op(u, 0) for u in units} | {P.op(0, u) for u in units}
+    assert one_sided & set(irr) == {0}
+    assert irreducible_report(P).to_json()["orbits"] == [[0, 1]]
+
+
 def test_irreducible_report_json():
     report = irreducible_report(zn_premonoid(9), degrees=(2, 3))
     data = report.to_json()
