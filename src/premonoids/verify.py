@@ -492,14 +492,15 @@ def check_shuffle_oracle(P: Premonoid, rng: random.Random, rounds: int = 300) ->
     """Class-multiset fast path against the literal injective-matching oracle."""
     name = "shuffle-oracle"
     n = P.monoid.n
+    rep = wd.class_reps(P.leq, range(n))
     for _ in range(rounds):
         u = tuple(rng.randrange(n) for _ in range(rng.randint(0, 5)))
         v = tuple(rng.randrange(n) for _ in range(rng.randint(0, 5)))
-        fast = wd.shuffle_leq(P, u, v)
+        fast = wd.shuffle_leq(rep, u, v)
         slow = wd.shuffle_leq_matching(P.leq, u, v)
         if fast != slow:
             return _fail(name, u=u, v=v, fast=fast, slow=slow)
-        if fast and wd.shuffle_leq(P, v, u) is False and not len(u) < len(v):
+        if fast and wd.shuffle_leq(rep, v, u) is False and not len(u) < len(v):
             return _fail(name, strict_length=(u, v))
     return _ok(name)
 
@@ -532,6 +533,30 @@ def check_pullback_isomorphism(P: Premonoid, rng: random.Random, rounds: int = 4
     return _ok(name)
 
 
+def minimal_words_by_multiset(leq, words) -> list:
+    """The words of ``words`` that no word of ``words`` lies strictly below
+    under the literal matching order, in their given order.
+
+    A matching between two words does not see the order of their letters, so
+    the words are grouped by letter multiset and the matching runs once per
+    ordered pair of distinct multisets; a multiset is never strictly below
+    itself.
+    """
+    keys = [tuple(sorted(w)) for w in words]
+    distinct = set(keys)
+    minimal = {
+        k
+        for k in distinct
+        if not any(
+            m != k
+            and wd.shuffle_leq_matching(leq, m, k)
+            and not wd.shuffle_leq_matching(leq, k, m)
+            for m in distinct
+        )
+    }
+    return [w for w, k in zip(words, keys) if k in minimal]
+
+
 def check_minimal_brute_force(P: Premonoid, max_carrier: int = 6) -> CheckResult:
     """Brute-force enumeration beyond the certified bound: same minimal
     classes, none longer than the bound."""
@@ -547,15 +572,7 @@ def check_minimal_brute_force(P: Premonoid, max_carrier: int = 6) -> CheckResult
             for w in it.product(alphabet, repeat=length):
                 if P.monoid.product(w) == x:
                     all_words.append(w)
-        minimal_words = [
-            w
-            for w in all_words
-            if not any(
-                wd.shuffle_leq_matching(P.leq, v, w)
-                and not wd.shuffle_leq_matching(P.leq, w, v)
-                for v in all_words
-            )
-        ]
+        minimal_words = minimal_words_by_multiset(P.leq, all_words)
         if any(len(w) > bound for w in minimal_words):
             return _fail(name, element=x, overlong=[w for w in minimal_words if len(w) > bound])
         rep = wd.class_reps(P.leq, alphabet)

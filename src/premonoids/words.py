@@ -2,10 +2,18 @@
 
 A word is a plain tuple of element labels.  The shuffling comparison between
 two words asks for an injective assignment of the left word's letters to
-letters of the right word that are mutually below/above them; because mutual
-comparability is an equivalence, the fast path reduces to multiset inclusion
-of equivalence classes.  The literal matching oracle is kept alongside as the
-definitional ground truth.
+letters of the right word that are mutually below/above them.  Mutual
+comparability is an equivalence, so the comparison depends only on the
+multisets of classes of the two words: the fast path ``shuffle_leq`` takes a
+letter -> class map ``rep``, built once per carrier by ``class_reps``, and
+tests multiset inclusion of the mapped letters.  The literal matching oracle
+``shuffle_leq_matching`` is kept alongside as the definitional ground truth
+and reads only the raw relation.
+
+``class_reps`` stays the one builder of such maps.  It represents each class
+by its least member, and the engine keys the class vectors it prints on those
+representatives, one map per alphabet; ``word_vector`` reads a word through
+the same map, so the verify checks compare vectors on the engine's keys.
 """
 from __future__ import annotations
 
@@ -36,20 +44,28 @@ def word_vector(word, rep) -> tuple:
     return tuple(sorted(counts.items()))
 
 
-def vector_leq(u: tuple, v: tuple) -> bool:
-    """Sub-multiset comparison of two class vectors."""
-    other = dict(v)
-    return all(other.get(c, 0) >= k for c, k in u)
-
-
 def vector_total(u: tuple) -> int:
     return sum(k for _, k in u)
 
 
-def shuffle_leq(P, u, v) -> bool:
-    """Word comparison via class-multiset inclusion (the fast path)."""
-    rep = class_reps(P.leq, tuple(u) + tuple(v))
-    return vector_leq(word_vector(u, rep), word_vector(v, rep))
+def shuffle_leq(rep, u, v) -> bool:
+    """Word comparison via class-multiset inclusion (the fast path).
+
+    ``rep`` maps every letter of ``u`` and ``v`` to its class representative;
+    any map that sends two letters to the same value exactly when they are
+    mutually comparable gives the same answer.  A longer word is never below
+    a shorter one; otherwise the classes of ``u`` are struck one by one from
+    the classes of ``v``.
+    """
+    if len(u) > len(v):
+        return False
+    pool = [rep[b] for b in v]
+    for a in u:
+        c = rep[a]
+        if c not in pool:
+            return False
+        pool.remove(c)
+    return True
 
 
 def shuffle_leq_matching(leq, u, v) -> bool:

@@ -1,0 +1,44 @@
+"""Pairwise brute-force oracles for minimal factorizations, shared by the tests.
+
+``pairwise_minimal_words`` compares every pair of words with the literal
+matching order, as ``verify.check_minimal_brute_force`` did before it grouped
+the words by letter multiset; ``vector_leq`` is the sub-multiset comparison
+of two class vectors. No code of the library calls these.
+"""
+import itertools
+
+from premonoids.words import shuffle_leq_matching
+
+
+def brute_words(P, x, max_len, alphabet):
+    """All words over ``alphabet`` of length 1..``max_len`` whose product is x."""
+    out = []
+    for length in range(1, max_len + 1):
+        for w in itertools.product(alphabet, repeat=length):
+            p = P.identity
+            for a in w:
+                p = P.op(p, a)
+            if p == x:
+                out.append(w)
+    return out
+
+
+def pairwise_minimal_words(leq, words, against=None):
+    """The words of ``words`` that no word of ``against`` (default: ``words``)
+    lies strictly below under the literal matching order."""
+    against = words if against is None else against
+    return [
+        w
+        for w in words
+        if not any(
+            shuffle_leq_matching(leq, v, w)
+            and not shuffle_leq_matching(leq, w, v)
+            for v in against
+        )
+    ]
+
+
+def vector_leq(u: tuple, v: tuple) -> bool:
+    """Sub-multiset comparison of two class vectors."""
+    other = dict(v)
+    return all(other.get(c, 0) >= k for c, k in u)

@@ -60,10 +60,12 @@ from premonoids.words import (
     class_reps,
     erdos_rado_scan,
     longest_bad_sequence,
+    shuffle_leq,
     shuffle_leq_matching,
-    vector_leq,
     word_vector,
 )
+
+from brute_force import brute_words, pairwise_minimal_words, vector_leq
 
 
 def _passline(k: int, message: str) -> None:
@@ -134,6 +136,7 @@ def test_acceptance_02_shuffle_oracle_equivalence():
             rep = class_reps(rel.leq, u + v)
             fast = vector_leq(word_vector(u, rep), word_vector(v, rep))
             assert fast == shuffle_leq_matching(rel.leq, u, v), (matrix, u, v)
+            assert shuffle_leq(rep, u, v) == fast, (matrix, u, v)
             checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, elapsed
@@ -220,20 +223,8 @@ def test_acceptance_06_minimal_length_certification():
         n = P.monoid.n
         for x in P.nonunits():
             alphabet = factorization_alphabet(P, x)
-            words = []
-            for length in range(1, n + 3):
-                for w in itertools.product(alphabet, repeat=length):
-                    if P.monoid.product(w) == x:
-                        words.append(w)
-            minimal_words = [
-                w
-                for w in words
-                if not any(
-                    shuffle_leq_matching(P.leq, v, w)
-                    and not shuffle_leq_matching(P.leq, w, v)
-                    for v in words
-                )
-            ]
+            words = brute_words(P, x, n + 2, alphabet)
+            minimal_words = pairwise_minimal_words(P.leq, words)
             assert all(len(w) <= n - 1 for w in minimal_words), (x, minimal_words)
             rep = class_reps(P.leq, alphabet)
             brute = {word_vector(w, rep) for w in minimal_words}

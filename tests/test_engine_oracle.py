@@ -25,7 +25,9 @@ from premonoids import (
 from premonoids.factorization import ElementProfile, _map_classes, factorization_alphabet
 from premonoids.families import powerset_premonoid, zn_premonoid
 from premonoids.randgen import monoid_pool, random_premonoid
-from premonoids.words import class_reps, vector_leq, vector_total
+from premonoids.words import class_reps, vector_total
+
+from brute_force import vector_leq
 
 
 def vector_lt(u: tuple, v: tuple) -> bool:

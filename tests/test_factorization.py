@@ -1,4 +1,3 @@
-import itertools
 import random
 
 from premonoids import (
@@ -16,19 +15,9 @@ from premonoids.families import (
     powerset_premonoid,
     zn_premonoid,
 )
-from premonoids.words import class_reps, shuffle_leq_matching, word_vector
+from premonoids.words import class_reps, word_vector
 
-
-def brute_words(P, x, max_len, alphabet):
-    out = []
-    for length in range(1, max_len + 1):
-        for w in itertools.product(alphabet, repeat=length):
-            p = P.identity
-            for a in w:
-                p = P.op(p, a)
-            if p == x:
-                out.append(w)
-    return out
+from brute_force import brute_words, pairwise_minimal_words
 
 
 def test_enumeration_matches_brute_force_and_order():
@@ -168,15 +157,7 @@ def test_minimal_certification_against_deep_brute_force():
             alphabet = factorization_alphabet(P, x)
             bound = P.prefix_bound(x)
             words = brute_words(P, x, bound + 2, alphabet)
-            minimal_words = [
-                w
-                for w in words
-                if not any(
-                    shuffle_leq_matching(P.leq, v, w)
-                    and not shuffle_leq_matching(P.leq, w, v)
-                    for v in words
-                )
-            ]
+            minimal_words = pairwise_minimal_words(P.leq, words)
             assert all(len(w) <= bound for w in minimal_words)
             rep = class_reps(P.leq, alphabet)
             brute = {word_vector(w, rep) for w in minimal_words}

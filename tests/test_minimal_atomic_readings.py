@@ -6,26 +6,20 @@ factorizations and keeps those that happen to use atoms only; the within
 reading takes minimality inside the atom-word factorizations.  They can
 disagree whenever some minimal class has no atom realization.
 """
-import itertools
 import random
 
 from premonoids import element_profile, is_atom
 from premonoids.factorization import factorization_alphabet
 from premonoids.randgen import random_premonoid
-from premonoids.words import class_reps, shuffle_leq_matching, word_vector
+from premonoids.words import class_reps, word_vector
+
+from brute_force import brute_words, pairwise_minimal_words
 
 
 def brute_minimal_vectors(P, x, words, all_words):
     """Vectors of the words of ``words`` that are minimal against ``all_words``
     under the literal matching order."""
-    minimal = [
-        w
-        for w in words
-        if not any(
-            shuffle_leq_matching(P.leq, v, w) and not shuffle_leq_matching(P.leq, w, v)
-            for v in all_words
-        )
-    ]
+    minimal = pairwise_minimal_words(P.leq, words, all_words)
     alphabet = factorization_alphabet(P, x)
     rep = class_reps(P.leq, alphabet)
     return {word_vector(w, rep) for w in minimal}
@@ -66,11 +60,7 @@ def test_both_readings_match_brute_force_on_random_instances():
             alphabet = factorization_alphabet(P, x)
             atom_letters = set(a for a in alphabet if is_atom(P, a))
             bound = P.prefix_bound(x)
-            all_words = []
-            for length in range(1, bound + 2):
-                for w in itertools.product(alphabet, repeat=length):
-                    if P.monoid.product(w) == x:
-                        all_words.append(w)
+            all_words = brute_words(P, x, bound + 1, alphabet)
             atom_words = [w for w in all_words if set(w) <= atom_letters]
 
             literal_brute = brute_minimal_vectors(P, x, atom_words, all_words)

@@ -1,6 +1,14 @@
+import hashlib
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from premonoids import Premonoid, divisibility_preorder
+from premonoids.factorization import factorization_alphabet
 from premonoids.families import powerset_premonoid, zn_premonoid
+from premonoids.monoid import FiniteMonoid
 from premonoids.randgen import (
     monoid_pool,
     random_left_duo_monoid,
@@ -8,7 +16,9 @@ from premonoids.randgen import (
     random_premonoid,
     tiny_monoid_tables,
 )
-from premonoids.verify import verify_suite
+from premonoids.verify import minimal_words_by_multiset, verify_suite
+
+from brute_force import brute_words, pairwise_minimal_words
 
 
 def test_tiny_monoid_enumeration_is_exhaustive():
@@ -131,3 +141,78 @@ def test_divisibility_laws_do_not_trust_the_kernel_ideal_masks(monkeypatch):
     result = check_divisibility_premonoid_laws(P)
     assert not result.passed
     assert result.details == {"weakly_positive": False}
+
+
+def _assert_grouping_matches_pairwise(P):
+    """Same minimal words, in the same order, on each word list that
+    ``check_minimal_brute_force`` searches."""
+    for x in P.nonunits():
+        alphabet = factorization_alphabet(P, x, "irreducibles")
+        words = brute_words(P, x, P.prefix_bound(x) + 2, alphabet)
+        assert minimal_words_by_multiset(P.leq, words) == pairwise_minimal_words(P.leq, words)
+
+
+def test_multiset_grouping_matches_pairwise_oracle_on_the_pool():
+    tables = [(t, i) for t, i in monoid_pool() if len(t) <= 6]
+    assert len(tables) > 10
+    for table, identity in tables:
+        m = FiniteMonoid(table, identity)
+        _assert_grouping_matches_pairwise(Premonoid(m, divisibility_preorder(m)))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_multiset_grouping_matches_pairwise_oracle_on_random_premonoids(seed):
+    _assert_grouping_matches_pairwise(random_premonoid(random.Random(seed), 6))
+
+
+def test_shuffle_oracle_does_not_trust_the_fast_path(monkeypatch):
+    """The matching oracle reads the raw relation, so a fast path that
+    compares letters instead of classes makes the check fail."""
+    from collections import Counter
+
+    import premonoids.words as wd
+    from premonoids.verify import check_shuffle_oracle
+
+    P = zn_premonoid(8)
+    assert check_shuffle_oracle(P, random.Random(0)).passed
+    # 2 and 6 are mutually divisible in Z_8, so the letters differ but the classes agree
+    monkeypatch.setattr(wd, "shuffle_leq", lambda rep, u, v: not Counter(u) - Counter(v))
+    result = check_shuffle_oracle(P, random.Random(0))
+    assert not result.passed
+    assert result.details["fast"] is False and result.details["slow"] is True
+
+
+def test_minimal_brute_force_does_not_trust_the_engine(monkeypatch):
+    """The minimal words are found by the literal matching over all words up
+    to two past the bound, so an engine that loses a class makes the check
+    fail."""
+    import premonoids.verify as vf
+
+    P = zn_premonoid(6)
+    assert vf.check_minimal_brute_force(P).passed
+    engine = vf.minimal_factorization_classes
+    monkeypatch.setattr(vf, "minimal_factorization_classes", lambda P, x: engine(P, x)[1:])
+    result = vf.check_minimal_brute_force(P)
+    assert not result.passed
+    assert len(result.details["brute"]) == len(result.details["engine"]) + 1
+
+
+# sha256 of the stdout of ``premonoids verify`` for these arguments; the
+# checks share one RNG per instance, so any change in the order or number of
+# draws of any check changes these bytes
+_VERIFY_DIGESTS = {
+    ("verify", "--random", "12", "--seed", "3"):
+        "e5432c50c42a45be72bfc02eb387e56f8aa37fdca059bf9b9f2b6a3fb427ee3d",
+    ("verify", "zn:8", "zn:9", "zn:12", "--seed", "1"):
+        "3ce6955f81b603549cd9d2145374e0321756b83c40272efa06c40247478e6abe",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_VERIFY_DIGESTS))
+def test_verify_stdout_is_pinned(argv, capsys):
+    from premonoids.cli import main
+
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_DIGESTS[argv]

@@ -12,7 +12,7 @@ from premonoids import (
     shuffle_leq_matching,
 )
 from premonoids.families import make_zn, zn_premonoid
-from premonoids.words import embed_increasing, longest_bad_sequence
+from premonoids.words import class_reps, embed_increasing, longest_bad_sequence
 
 
 def test_pi_examples():
@@ -30,9 +30,10 @@ def test_pi_examples():
 
 def test_shuffle_examples():
     P = zn_premonoid(8)
-    assert shuffle_leq(P, (), (5, 1))  # empty word below everything
-    assert shuffle_leq(P, (2,), (6, 2))  # 2 and 6 are mutually divisible
-    assert not shuffle_leq(P, (2, 2), (2,))
+    rep = class_reps(P.leq, range(8))
+    assert shuffle_leq(rep, (), (5, 1))  # empty word below everything
+    assert shuffle_leq(rep, (2,), (6, 2))  # 2 and 6 are mutually divisible
+    assert not shuffle_leq(rep, (2, 2), (2,))
 
 
 @given(st.data())
@@ -47,23 +48,24 @@ def test_shuffle_fast_path_matches_matching_oracle(data):
     u = tuple(data.draw(st.lists(letters, max_size=7)))
     v = tuple(data.draw(st.lists(letters, max_size=7)))
 
-    class View:
-        leq = rel.leq
-
-    fast = shuffle_leq(View(), u, v)
+    # a map over the whole carrier and one over the two words' letters only
+    # induce the same classes on those letters
+    fast = shuffle_leq(class_reps(rel.leq, range(n)), u, v)
+    assert shuffle_leq(class_reps(rel.leq, u + v), u, v) == fast
     assert fast == shuffle_leq_matching(rel.leq, u, v)
 
 
 def test_strict_shuffle_implies_shorter():
     P = zn_premonoid(8)
+    rep = class_reps(P.leq, range(8))
     rng = random.Random(3)
     for _ in range(400):
         u = tuple(rng.randrange(8) for _ in range(rng.randint(0, 5)))
         v = tuple(rng.randrange(8) for _ in range(rng.randint(0, 5)))
-        if shuffle_leq(P, u, v) and not shuffle_leq(P, v, u):
+        if shuffle_leq(rep, u, v) and not shuffle_leq(rep, v, u):
             assert len(u) < len(v)
-        if shuffle_leq(P, u, v) and len(u) == len(v):
-            assert shuffle_leq(P, v, u)
+        if shuffle_leq(rep, u, v) and len(u) == len(v):
+            assert shuffle_leq(rep, v, u)
 
 
 def test_scattered_subword():
