@@ -7,12 +7,13 @@ JSON file plus an optional preorder JSON.  Identical configuration and seed
 produce byte-identical JSON output.
 
 Exit codes: 0 success, 2 input error, 3 unknown element, 4 verification
-failure.
+failure, 5 stdout closed before the output was written.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -443,16 +444,90 @@ def verify_payload(instances, random_count: int, seed: int) -> tuple[dict, bool]
 
 def _emit(payload, args) -> None:
     if args.format == "dot":
-        text = payload if isinstance(payload, str) else json.dumps(payload, indent=2, sort_keys=True)
+        text = payload if isinstance(payload, str) else _dumps(payload)
     elif args.format == "text":
         text = _as_text(payload)
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = _dumps(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+        sys.stdout.flush()  # a closed pipe raises here, inside main, and not at exit
+
+
+_LEAF = json.JSONEncoder(sort_keys=True).encode
+_INT = {int}
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    With ``indent`` set, ``json`` falls back to its pure-Python generator
+    encoder. This writer walks the containers itself into one chunk list and
+    hands every leaf and every key to the C compact encoder, so escaping and
+    float text stay the stdlib's own; a list of plain ints is one join. The
+    open, separator and close strings are built once per depth and shared by
+    every container at that depth, and each str key is encoded once.
+    """
+    chunks: list = []
+    append = chunks.append
+    depths: list = []  # depths[d]: list open, dict open, separator, list close, dict close
+    keys: dict = {}
+
+    def strings(depth):
+        while len(depths) <= depth:
+            outer = "\n" + "  " * len(depths)
+            inner = outer + "  "
+            depths.append(("[" + inner, "{" + inner, "," + inner, outer + "]", outer + "}"))
+        return depths[depth]
+
+    def key_text(key):
+        if isinstance(key, str):
+            text = keys.get(key)
+            if text is None:
+                text = keys[key] = _LEAF(key) + ": "
+            return text
+        if isinstance(key, (int, float)) or key is None:
+            return _LEAF(_LEAF(key)) + ": "
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+    def write(o, depth):
+        # a nonempty container ends each item with the separator; the last
+        # one is then swapped for the close
+        if isinstance(o, (list, tuple)):
+            if not o:
+                append("[]")
+                return
+            open_list, _, sep, close_list, _ = strings(depth)
+            append(open_list)
+            if {*map(type, o)} == _INT:
+                append(sep.join(map(int.__repr__, o)))
+                append(close_list)
+                return
+            for v in o:
+                write(v, depth + 1)
+                append(sep)
+            chunks[-1] = close_list
+        elif isinstance(o, dict):
+            if not o:
+                append("{}")
+                return
+            _, open_dict, sep, _, close_dict = strings(depth)
+            append(open_dict)
+            for k, v in sorted(o.items()):
+                append(key_text(k))
+                write(v, depth + 1)
+                append(sep)
+            chunks[-1] = close_dict
+        elif type(o) is int:
+            append(int.__repr__(o))
+        else:
+            append(_LEAF(o))
+
+    write(obj, 0)
+    return "".join(chunks)
 
 
 def _as_text(payload, indent: int = 0) -> str:
@@ -561,6 +636,11 @@ def main(argv=None) -> int:
     except PremonoidsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``); point stdout at devnull
+        # so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 5
     return 0
 
 

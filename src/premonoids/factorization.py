@@ -67,10 +67,12 @@ class DivisorAutomaton:
     product does not divide x, and then no extension of it is x either. Sets
     of divisors are int bitmasks over the numbering. The alphabet is sorted,
     so a search that tries letters in table order meets the lexicographically
-    least word first.
+    least word first. The length set, the class numbering and the class-vector
+    census are computed once, on first use.
     """
 
-    __slots__ = ("states", "alphabet", "table", "succ", "start", "goal", "_lengths")
+    __slots__ = ("states", "alphabet", "table", "succ", "start", "goal", "leq",
+                 "_lengths", "_classes", "_census")
 
     def __init__(self, P: Carrier, x, alphabet):
         states = P.divisors(x)
@@ -82,7 +84,10 @@ class DivisorAutomaton:
         self.succ = [_bitset(row) for row in self.table]
         self.start = index[P.identity]
         self.goal = index[x]
+        self.leq = P.leq
         self._lengths = None
+        self._classes = None
+        self._census = None
 
     def preimage(self, mask: int) -> int:
         """States with a letter leading into ``mask``."""
@@ -122,6 +127,26 @@ class DivisorAutomaton:
                 residues=[r for r in range(period) if hit[first + r]],
             )
         return self._lengths
+
+    def numbering(self) -> tuple[list, list]:
+        """The class number of each letter and the class representatives in
+        number order, for the classes of the alphabet."""
+        if self._classes is None:
+            self._classes = _numbering(self, class_reps(self.leq, self.alphabet))
+        return self._classes
+
+    def census(self) -> list:
+        """Every class vector realized by a word with product x, as count
+        tuples in order of total; the length set must be finite, so no such
+        word is longer than its largest length."""
+        if self._census is None:
+            lengths = self.length_set()
+            assert lengths.is_finite, "an infinite length set has no finite census"
+            self._census = []
+            if not lengths.is_empty:
+                cls_of, reps = self.numbering()
+                self._census = _class_vectors(self, cls_of, len(reps), lengths.finite[-1])
+        return self._census
 
 
 def _automaton(P: Carrier, x, letters, automaton=None) -> DivisorAutomaton:
@@ -228,12 +253,10 @@ def layer_automaton_dot(P: Carrier, x, letters: str = "irreducibles") -> str:
 # form, sorted (representative, count) pairs, is read off in order.
 
 
-def _numbering(P: Carrier, auto: DivisorAutomaton, rep=None) -> tuple[list, list]:
-    """The class number of each letter and the representatives in number
-    order; the classes are those of the automaton's alphabet unless ``rep``
-    (letter to class representative) is given."""
-    if rep is None:
-        rep = class_reps(P.leq, auto.alphabet)
+def _numbering(auto: DivisorAutomaton, rep) -> tuple[list, list]:
+    """The class number of each letter of the automaton's alphabet and the
+    representatives in number order; ``rep`` maps each letter to its class
+    representative."""
     reps = sorted(set(rep.values()))
     number = {r: c for c, r in enumerate(reps)}
     return [number[rep[a]] for a in auto.alphabet], reps
@@ -251,15 +274,12 @@ def _class_vectors(auto: DivisorAutomaton, cls_of, classes: int, cap: int, minim
     all divisors of x. With ``minimal`` only the minimal vectors come out: a
     vector that dominates a realized one is dropped and a realized vector is
     not extended, so every realized survivor is minimal (by Dickson's lemma
-    only the minimal generators of a monoid ideal matter). ``below[c][k]`` is
-    the bitmask of the minima with count at most k in class c; a vector
-    dominates a minimum exactly when the AND of these masks over its counts
-    is nonzero.
+    only the minimal generators of a monoid ideal matter).
     """
     goal = 1 << auto.goal
     csucc = auto.class_succ(cls_of, classes)
     images: list[dict] = [{} for _ in range(classes)]
-    below = [[0] * (cap + 1) for _ in range(classes)]
+    below = _below(classes, cap) if minimal else None
     found: list = []
     level = {(0,) * classes: 1 << auto.start}
     for _ in range(cap):
@@ -279,11 +299,7 @@ def _class_vectors(auto: DivisorAutomaton, cls_of, classes: int, cap: int, minim
             if mask & goal:
                 found.append(v)
                 if minimal:
-                    bit = 1 << (len(found) - 1)
-                    for c, k in enumerate(v):
-                        row = below[c]
-                        for j in range(k, cap + 1):
-                            row[j] |= bit
+                    _mark(below, v, 1 << (len(found) - 1))
                     continue
             level[v] = mask
         if not level:
@@ -291,13 +307,42 @@ def _class_vectors(auto: DivisorAutomaton, cls_of, classes: int, cap: int, minim
     return found
 
 
+# Dominance against a growing list of minima: ``below[c][k]`` is the bitmask
+# of the minima with count at most k in class c, so a vector dominates a
+# minimum exactly when the AND of these masks over its counts is nonzero.
+
+
+def _below(classes: int, cap: int) -> list:
+    return [[0] * (cap + 1) for _ in range(classes)]
+
+
+def _mark(below, v: tuple, bit: int) -> None:
+    for row, k in zip(below, v):
+        for j in range(k, len(row)):
+            row[j] |= bit
+
+
 def _dominates(v: tuple, below) -> bool:
     acc = -1
-    for c, k in enumerate(v):
-        acc &= below[c][k]
+    for row, k in zip(below, v):
+        acc &= row[k]
         if not acc:
             return False
     return True
+
+
+def _census_minima(vectors, classes: int, cap: int) -> list:
+    """The minimal vectors of a census listed in order of total. A vector
+    below another has a smaller total, and two distinct vectors of equal
+    total are never ordered, so each vector is tested only against the
+    minima before it."""
+    below = _below(classes, cap)
+    out: list = []
+    for v in vectors:
+        if not _dominates(v, below):
+            _mark(below, v, 1 << len(out))
+            out.append(v)
+    return out
 
 
 def _witness(auto: DivisorAutomaton, cls_of, counts: tuple):
@@ -335,9 +380,8 @@ def realizable_vectors(P: Carrier, x, letters: str = "irreducibles", automaton=N
         return (), True
     if lengths.is_empty:
         return (), False
-    cls_of, reps = _numbering(P, auto)
-    found = _class_vectors(auto, cls_of, len(reps), lengths.finite[-1])
-    return tuple(sorted(_pairs(v, reps) for v in found)), False
+    reps = auto.numbering()[1]
+    return tuple(sorted(_pairs(v, reps) for v in auto.census())), False
 
 
 def minimal_factorization_classes(P: Carrier, x, letters: str = "irreducibles", automaton=None):
@@ -345,27 +389,28 @@ def minimal_factorization_classes(P: Carrier, x, letters: str = "irreducibles", 
     sub-multiset order among realizable ones, each with its lexicographically
     least representative word.
 
-    Complete by the distinct-prefix bound: any longer factorization excises to
-    a strictly smaller one, so every minimal vector has total within the
-    bound (and within the largest length when the length set is finite).
+    A finite length set has a complete census, and the minima are read off
+    it. Otherwise the search is complete by the distinct-prefix bound: any
+    longer factorization excises to a strictly smaller one, so every minimal
+    vector has total within the bound.
     """
     auto = _automaton(P, x, letters, automaton)
     lengths = auto.length_set()
     if lengths.is_empty:
         return ()
-    cap = lengths.finite[-1] if lengths.is_finite else P.prefix_bound(x)
-    cls_of, reps = _numbering(P, auto)
-    classes = [
-        (_pairs(v, reps), _witness(auto, cls_of, v))
-        for v in _class_vectors(auto, cls_of, len(reps), cap, minimal=True)
-    ]
+    cls_of, reps = auto.numbering()
+    if lengths.is_finite:
+        vectors = _census_minima(auto.census(), len(reps), lengths.finite[-1])
+    else:
+        vectors = _class_vectors(auto, cls_of, len(reps), P.prefix_bound(x), minimal=True)
+    classes = [(_pairs(v, reps), _witness(auto, cls_of, v)) for v in vectors]
     return tuple(sorted(classes, key=lambda vw: (vector_total(vw[0]), vw[0])))
 
 
-def _literal_classes(P: Carrier, atom: DivisorAutomaton, rep, minimal) -> tuple:
+def _literal_classes(atom: DivisorAutomaton, rep, minimal) -> tuple:
     """The minimal irreducible classes that atom words realize, each with its
     least atom word; the witness search visits only sub-vectors of them."""
-    cls_of, reps = _numbering(P, atom, rep)
+    cls_of, reps = _numbering(atom, rep)
     out = []
     for vec, _ in minimal:
         counts = dict(vec)
@@ -433,7 +478,7 @@ def element_profile(P: Carrier, x) -> ElementProfile:
         atom, atomic_lengths, atomic_class_count, within = _column_data(P, x, atom_alpha)
         # literal reading of minimal atomic classes: minimal among all
         # irreducible factorizations, then intersect with atom words
-        literal = _literal_classes(P, atom, class_reps(P.leq, irr_alpha), minimal)
+        literal = _literal_classes(atom, class_reps(P.leq, irr_alpha), minimal)
     return ElementProfile(
         element=P.label(x),
         irreducible_divisors=tuple(P.label(a) for a in irr_alpha),

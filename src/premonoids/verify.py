@@ -492,12 +492,13 @@ def check_shuffle_oracle(P: Premonoid, rng: random.Random, rounds: int = 300) ->
     """Class-multiset fast path against the literal injective-matching oracle."""
     name = "shuffle-oracle"
     n = P.monoid.n
-    rep = wd.class_reps(P.leq, range(n))
+    leq = P.preorder.leq
+    rep = wd.class_reps(leq, range(n))
     for _ in range(rounds):
         u = tuple(rng.randrange(n) for _ in range(rng.randint(0, 5)))
         v = tuple(rng.randrange(n) for _ in range(rng.randint(0, 5)))
         fast = wd.shuffle_leq(rep, u, v)
-        slow = wd.shuffle_leq_matching(P.leq, u, v)
+        slow = wd.shuffle_leq_matching(leq, u, v)
         if fast != slow:
             return _fail(name, u=u, v=v, fast=fast, slow=slow)
         if fast and wd.shuffle_leq(rep, v, u) is False and not len(u) < len(v):
@@ -538,21 +539,18 @@ def minimal_words_by_multiset(leq, words) -> list:
     under the literal matching order, in their given order.
 
     A matching between two words does not see the order of their letters, so
-    the words are grouped by letter multiset and the matching runs once per
-    ordered pair of distinct multisets; a multiset is never strictly below
-    itself.
+    the words are grouped by letter multiset. A longer word is never below a
+    shorter one, and a matching between two words of equal length is a
+    bijection, so it also runs backwards: one multiset lies strictly below
+    another exactly when it is shorter and the matching runs. The matching
+    therefore runs once per pair of multisets of different lengths.
     """
     keys = [tuple(sorted(w)) for w in words]
     distinct = set(keys)
     minimal = {
         k
         for k in distinct
-        if not any(
-            m != k
-            and wd.shuffle_leq_matching(leq, m, k)
-            and not wd.shuffle_leq_matching(leq, k, m)
-            for m in distinct
-        )
+        if not any(len(m) < len(k) and wd.shuffle_leq_matching(leq, m, k) for m in distinct)
     }
     return [w for w, k in zip(words, keys) if k in minimal]
 
@@ -572,7 +570,7 @@ def check_minimal_brute_force(P: Premonoid, max_carrier: int = 6) -> CheckResult
             for w in it.product(alphabet, repeat=length):
                 if P.monoid.product(w) == x:
                     all_words.append(w)
-        minimal_words = minimal_words_by_multiset(P.leq, all_words)
+        minimal_words = minimal_words_by_multiset(P.preorder.leq, all_words)
         if any(len(w) > bound for w in minimal_words):
             return _fail(name, element=x, overlong=[w for w in minimal_words if len(w) > bound])
         rep = wd.class_reps(P.leq, alphabet)

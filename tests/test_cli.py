@@ -1,5 +1,10 @@
+import hashlib
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -8,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from premonoids.cli import load_instance, main
+import premonoids
+from premonoids.cli import _dumps, load_instance, main
 
 
 def run_cli(capsys, *argv):
@@ -413,3 +419,99 @@ def test_verify_local_reports_failing_divisor_certificates(capsys, monkeypatch):
         "passed": False,
         "details": {"error": "forced"},
     }
+
+
+# -- the indented JSON writer ----------------------------------------------------------
+
+_LEAVES = st.one_of(
+    st.text(),
+    st.text(st.characters(max_codepoint=0x7F)),
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\u2028", "é", "😀"]),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324]),
+)
+# keys of one dict must be comparable for ``sort_keys``; a mixed dict is also
+# drawn, and then both writers must refuse it the same way
+_KEYS = st.sampled_from([
+    st.text(),
+    st.one_of(st.integers(), st.floats(), st.booleans()),
+    st.none(),
+    st.one_of(st.text(), st.integers(), st.none()),
+])
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(st.integers(), max_size=5),
+        _KEYS.flatmap(lambda keys: st.dictionaries(keys, inner, max_size=4)),
+    ),
+    max_leaves=25,
+)
+
+
+def _dumps_or_type_error(dump, obj):
+    try:
+        return dump(obj)
+    except TypeError:
+        return TypeError
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_DOCUMENTS)
+def test_writer_matches_json_dumps(obj):
+    want = _dumps_or_type_error(lambda o: json.dumps(o, indent=2, sort_keys=True), obj)
+    assert _dumps_or_type_error(_dumps, obj) == want
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{}, [], (), {"a": {}}, [[], {}, ()], {1: [{}]}, -0.0, math.nan, "\u00e9\"\n", {None: 1}, {True: 2, 0.5: 3}],
+)
+def test_writer_matches_json_dumps_on_edge_cases(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [{1, 2}, {"a": [frozenset()]}, {(1, 2): 3}, {"a": 1, 2: "b"}])
+def test_writer_refuses_what_json_refuses(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        _dumps(obj)
+
+
+# sha256 of the stdout of these commands, recorded with ``json.dumps(indent=2,
+# sort_keys=True)`` as the writer
+_CLI_DIGESTS = {
+    ("classify", "n2sub:4", "--profiles"):
+        "50357e8ba94372e43c2a89890bbf4b9e0866c768ea275348171b85ef833d4197",
+    ("factorize", "numerical:3,5,7", "104", "--minimal"):
+        "d7cc80c3573feda3ca1bea837a7a1d27469c47994307a542d90fff8dbdd3d70e",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_CLI_DIGESTS))
+def test_large_payloads_are_pinned(argv, capsys):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _CLI_DIGESTS[argv]
+
+
+def test_closed_stdout_is_a_labeled_exit_not_a_traceback():
+    src = str(Path(premonoids.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody reads: the first write fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "premonoids", "factorize", "numerical:3,5,7", "104", "--minimal"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    stderr = proc.stderr.decode()
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
+    assert proc.returncode == 5

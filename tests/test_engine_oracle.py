@@ -1,11 +1,15 @@
-"""The divisor-automaton engine against its predecessor.
+"""The divisor-automaton engine against its predecessors.
 
-The oracle below is the engine as it was before the automaton: layers as
-frozensets of elements, class vectors built level by level out to the
+The main oracle below is the engine as it was before the automaton: layers
+as frozensets of elements, class vectors built level by level out to the
 distinct-prefix bound (twice that for the census) with no pruning beyond
 divisors of x, and minimal classes picked from all realized vectors by
 pairwise comparison. It shares only the alphabets and ``class_reps`` with
 the engine.
+
+On a finite length set the engine reads the minimal classes off its one
+class-vector census; the dominance-pruned minimal search that it ran there
+before is kept below as a second oracle.
 """
 import random
 
@@ -22,8 +26,18 @@ from premonoids import (
     is_atom,
     realizable_vectors,
 )
-from premonoids.factorization import ElementProfile, _map_classes, factorization_alphabet
-from premonoids.families import powerset_premonoid, zn_premonoid
+from premonoids import factorization as fz
+from premonoids.factorization import (
+    DivisorAutomaton,
+    ElementProfile,
+    _class_vectors,
+    _map_classes,
+    _pairs,
+    _witness,
+    factorization_alphabet,
+    minimal_factorization_classes,
+)
+from premonoids.families import n2_premonoid, numerical_premonoid, powerset_premonoid, zn_premonoid
 from premonoids.randgen import monoid_pool, random_premonoid
 from premonoids.words import class_reps, vector_total
 
@@ -204,3 +218,105 @@ def test_union_power_set_matches_oracle(points):
 @settings(max_examples=100, deadline=None)
 def test_random_premonoids_match_oracle(seed):
     assert_matches_oracle(random_premonoid(random.Random(seed), 6))
+
+
+# -- census minima against the pruned minimal search ---------------------------------
+
+
+def pruned_minimal_classes(P, x, alphabet):
+    """The minimal classes by the dominance-pruned search out to the largest
+    length, on a finite length set: what ``minimal_factorization_classes``
+    ran there before it read the minima off the census."""
+    auto = DivisorAutomaton(P, x, alphabet)
+    lengths = auto.length_set()
+    assert lengths.is_finite
+    if lengths.is_empty:
+        return ()
+    cls_of, reps = auto.numbering()
+    vectors = _class_vectors(auto, cls_of, len(reps), lengths.finite[-1], minimal=True)
+    classes = [(_pairs(v, reps), _witness(auto, cls_of, v)) for v in vectors]
+    return tuple(sorted(classes, key=lambda vw: (vector_total(vw[0]), vw[0])))
+
+
+def assert_census_minima_match(P, elements) -> tuple[int, int]:
+    """Compare on every finite column of the elements; returns how many
+    nonempty columns were compared and in how many the census also held
+    vectors that are not minimal."""
+    compared = dominated = 0
+    for x in elements:
+        for letters in ("irreducibles", "atoms"):
+            alphabet = factorization_alphabet(P, x, letters)
+            auto = DivisorAutomaton(P, x, alphabet)
+            if not auto.length_set().is_finite:
+                continue
+            got = minimal_factorization_classes(P, x, automaton=auto)
+            assert got == pruned_minimal_classes(P, x, alphabet), (x, letters)
+            compared += bool(got)
+            dominated += len(auto.census()) > len(got)
+    return compared, dominated
+
+
+def test_census_minima_match_pruned_search_on_the_pool():
+    compared = sum(
+        assert_census_minima_match(P, P.nonunits())[0]
+        for P in (_divisibility_premonoid(*entry) for entry in monoid_pool())
+    )
+    assert compared > 0
+
+
+@pytest.mark.parametrize("n", range(1, 49))
+def test_census_minima_match_pruned_search_on_zn(n):
+    P = zn_premonoid(n)
+    assert_census_minima_match(P, P.nonunits())
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_census_minima_match_pruned_search_on_random_premonoids(seed):
+    P = random_premonoid(random.Random(seed), 6)
+    assert_census_minima_match(P, P.nonunits())
+
+
+@pytest.mark.parametrize(
+    "P, extra",
+    [(numerical_premonoid([3, 5, 7]), (104,)), (n2_premonoid(4), ())],
+    ids=["numerical:3,5,7", "n2sub:4"],
+)
+def test_census_minima_match_pruned_search_on_families(P, extra):
+    assert assert_census_minima_match(P, P.nonunit_sample() + extra)[0] > 0
+
+
+# A commutative carrier whose finite census holds a vector above another
+# realized one would pump it (x = x * w), so there every finite census is all
+# minima; these non-commutative tables are ones whose finite census is not.
+@pytest.mark.parametrize("seed", [350, 527, 744, 829, 848, 1049, 1275, 1322, 1633])
+def test_census_minima_drop_dominated_vectors(seed):
+    P = random_premonoid(random.Random(seed), 6)
+    assert assert_census_minima_match(P, P.nonunits())[1] > 0
+
+
+def test_one_class_vector_search_per_column(monkeypatch):
+    calls = []
+    real = fz._class_vectors
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("minimal", False))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fz, "_class_vectors", counted)
+    carriers = [(P, P.nonunits()) for P in map(zn_premonoid, (8, 12, 16, 30))]
+    numerical = numerical_premonoid([3, 5, 7])
+    carriers.append((numerical, numerical.nonunit_sample() + (104,)))
+    finite_columns = 0
+    for P, elements in carriers:
+        for x in elements:
+            irr = factorization_alphabet(P, x, "irreducibles")
+            alphabets = {irr, tuple(a for a in irr if is_atom(P, a))}
+            finite = [fz.length_set(P, x, automaton=DivisorAutomaton(P, x, a)).is_finite for a in alphabets]
+            calls.clear()
+            element_profile(P, x)
+            assert len(calls) <= len(alphabets), (x, calls)
+            # a finite column runs only its census; the pruned search serves infinite ones
+            assert calls.count(True) == finite.count(False), (x, calls)
+            finite_columns += sum(finite)
+    assert finite_columns > 0
