@@ -6,22 +6,14 @@ after construction are O(1) bit tests.
 """
 from __future__ import annotations
 
-from .bitrows import indices
+from .bitrows import close, indices
 from .errors import ShapeError
 from .monoid import FiniteMonoid
 
 
-def _close(n: int, rows: list[int]) -> tuple[int, ...]:
-    """Reflexive-transitive closure of a bit-row relation (Warshall on bit rows)."""
-    for i in range(n):
-        rows[i] |= 1 << i
-    for k in range(n):
-        bit = 1 << k
-        rk = rows[k]
-        for i in range(n):
-            if rows[i] & bit:
-                rows[i] |= rk
-    return tuple(rows)
+def _close(succ: list[list[int]]) -> tuple[int, ...]:
+    """Reflexive-transitive closure of a relation given as successor lists."""
+    return tuple(close(succ))
 
 
 class PreorderRel:
@@ -52,25 +44,21 @@ class PreorderRel:
     @classmethod
     def from_matrix(cls, matrix, kind: str = "explicit", source=None) -> "PreorderRel":
         n = len(matrix)
-        rows = []
+        succ = []
         for i, row in enumerate(matrix):
             if len(row) != n:
                 raise ShapeError(f"relation row {i} has length {len(row)}, expected {n}")
-            bits = 0
-            for j, v in enumerate(row):
-                if v:
-                    bits |= 1 << j
-            rows.append(bits)
-        return cls(n, _close(n, rows), kind=kind, source=source)
+            succ.append([j for j, v in enumerate(row) if v])
+        return cls(n, _close(succ), kind=kind, source=source)
 
     @classmethod
     def from_pairs(cls, n: int, pairs, kind: str = "explicit") -> "PreorderRel":
-        rows = [0] * n
+        succ: list[list[int]] = [[] for _ in range(n)]
         for a, b in pairs:
             if not (0 <= a < n and 0 <= b < n):
                 raise ShapeError(f"pair ({a}, {b}) out of range")
-            rows[a] |= 1 << b
-        return cls(n, _close(n, rows), kind=kind, source={"pairs": sorted(set(map(tuple, pairs)))})
+            succ[a].append(b)
+        return cls(n, _close(succ), kind=kind, source={"pairs": sorted(set(map(tuple, pairs)))})
 
     @classmethod
     def total(cls, n: int) -> "PreorderRel":

@@ -13,13 +13,18 @@ kinds of evidence, both tagged as bounded evidence rather than certificates:
   always strictly shorter, so such a step can only come from the relations;
   an unbounded supply of them is exactly how the ascending chain condition on
   principal two-sided ideals fails.
+
+The divisibility digraph has one-letter edges only, its closure is built once
+per strongly connected component, chain lengths come from one pass over the
+child lists in topological order, and the cycle scan stops at the class that
+fills its quota.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
 
-from .bitrows import indices
+from .bitrows import close, indices
 from .errors import BoundTooSmallError, ShapeError
 
 
@@ -144,97 +149,124 @@ def _strict_children(reach: list) -> list:
     return [indices(below[v] & ~reach[v]) for v in range(len(reach))]
 
 
+def _check_alphabet(alphabet: str) -> None:
+    """Letters must be distinct (or words repeat) and not digits (which
+    ``parse_relation_word`` reads as repeat counts)."""
+    for i, c in enumerate(alphabet):
+        if c.isdigit():
+            raise ShapeError(f"letter {c!r} of alphabet {alphabet!r} is a digit")
+        if c in alphabet[:i]:
+            raise ShapeError(f"letter {c!r} repeats in alphabet {alphabet!r}")
+
+
+def _cycles(reps: list, members: list, index: dict, limit: int) -> list:
+    """The first ``limit`` cycles (rep, left, right) in key order: w = left *
+    mid * right with mid ~ w, a proper context, and left or right outside the
+    class of the empty word (class 0).  Such a class has words of two lengths;
+    classes come in representative order, so the scan stops at the class that
+    fills the quota."""
+    found: list = []
+    for c, words in enumerate(members):
+        shortest = len(words[0])  # members come in order of length
+        if shortest == len(words[-1]):
+            continue
+        hits = set()
+        for w in words:
+            n = len(w)
+            for i in range(n - shortest + 1):
+                for j in range(i + shortest, n + 1 if i else n):
+                    if index[w[i:j]] == c and (index[w[:i]] or index[w[j:]]):
+                        hits.add((w[:i], w[j:]))
+        found += [(reps[c], left, right) for left, right in sorted(hits)]
+        if len(found) >= limit:
+            break
+    return found[:limit]
+
+
 def presentation_explore(alphabet: str, relations, bound: int) -> ExplorationReport:
     """Bounded congruence classes plus divisibility evidence for a monoid
     presentation; see the module docstring for what the evidence means."""
+    _check_alphabet(alphabet)
     rels = tuple(
         (parse_relation_word(l, alphabet), parse_relation_word(r, alphabet))
         for l, r in relations
     )
     cong = BoundedCongruence(alphabet=alphabet, relations=rels, bound=bound)
 
-    reps = sorted(cong.classes(), key=lambda w: (len(w), w))
+    roots = [cong.class_of(w) for w in cong.words]
+    reps = sorted(set(roots), key=lambda w: (len(w), w))
     rep_index = {rep: i for i, rep in enumerate(reps)}
     k = len(reps)
+    index = {w: rep_index[r] for w, r in zip(cong.words, roots)}
 
-    # direct divisibility edges: every contiguous factor of every word divides
-    # that word's class
-    reach = [1 << i for i in range(k)]
-    cycles = []
+    # one-letter divisibility edges: a factor inside the bound grows into its
+    # word by one-letter appends that all stay inside the bound, so their
+    # closure holds every factor edge
+    succ: list = [[] for _ in range(k)]
+    members: list = [[] for _ in range(k)]
     for w in cong.words:
-        cw = rep_index[cong.class_of(w)]
-        n = len(w)
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                mid = w[i:j]
-                cu = rep_index[cong.class_of(mid)]
-                reach[cu] |= 1 << cw
-                if cu == cw and (i > 0 or j < n):
-                    left, right = w[:i], w[j:]
-                    if cong.class_of(left) != "" or cong.class_of(right) != "":
-                        cycles.append((cong.class_of(mid), left, right))
+        c = index[w]
+        members[c].append(w)
+        if len(w) < bound:
+            edges = succ[c]
+            for a in alphabet:
+                edges.append(index[w + a])
+                edges.append(index[a + w])
     # divisibility is transitive in the monoid even when the composed witness
     # would not fit inside the bound, so close the bounded digraph
-    for t in range(k):
-        bit = 1 << t
-        row = reach[t]
-        for i in range(k):
-            if reach[i] & bit:
-                reach[i] |= row
-
+    reach = close(succ)
     children = _strict_children(reach)
 
     # longest strictly descending chains; a step "qualifies" when the minimal
-    # representative fails to get shorter, which no free monoid step can do
-    plain: dict[int, tuple] = {}
-    evid: dict[int, tuple] = {}
+    # representative fails to get shorter, which no free monoid step can do.
+    # A child has fewer children than its parent, so ascending child counts
+    # are a topological order.  ``plain[v]``/``evid[v]`` are chain lengths
+    # (0: no evidence chain) with the first strictly longer child winning.
+    plain = [1] * k
+    plain_next = [-1] * k
+    evid = [0] * k
+    evid_next: list = [None] * k  # (child, whether the rest is plain)
+    for v in sorted(range(k), key=lambda v: len(children[v])):
+        best, best_evid = 1, 0
+        length = len(reps[v])
+        for c in children[v]:
+            if plain[c] >= best:
+                best = plain[c] + 1
+                plain_next[v] = c
+            if len(reps[c]) >= length and plain[c] >= best_evid:
+                best_evid = plain[c] + 1
+                evid_next[v] = (c, True)
+            if evid[c] and evid[c] >= best_evid:
+                best_evid = evid[c] + 1
+                evid_next[v] = (c, False)
+        plain[v], evid[v] = best, best_evid
 
-    def chain_plain(v: int) -> tuple:
-        got = plain.get(v)
-        if got is None:
-            best = (v,)
-            for c in children[v]:
-                cand = (v,) + chain_plain(c)
-                if len(cand) > len(best):
-                    best = cand
-            plain[v] = got = best
-        return got
+    def plain_chain(v: int) -> list:
+        chain = [v]
+        while plain_next[v] >= 0:
+            v = plain_next[v]
+            chain.append(v)
+        return chain
 
-    def chain_evidence(v: int) -> tuple:
-        """Longest descent from v containing at least one qualifying step;
-        empty when none exists."""
-        got = evid.get(v)
-        if got is None:
-            best: tuple = ()
-            for c in children[v]:
-                qualifies = len(reps[c]) >= len(reps[v])
-                if qualifies:
-                    cand = (v,) + chain_plain(c)
-                    if len(cand) > len(best):
-                        best = cand
-                sub = chain_evidence(c)
-                if sub and len(sub) + 1 > len(best):
-                    best = (v,) + sub
-            evid[v] = got = best
-        return got
+    # max returns the first of the longest, as the strict comparison did
+    best_plain = plain_chain(max(range(k), key=plain.__getitem__))
+    best_evidence: list = []
+    v = max(range(k), key=evid.__getitem__)
+    if evid[v]:
+        while True:
+            best_evidence.append(v)
+            v, rest_plain = evid_next[v]
+            if rest_plain:
+                best_evidence += plain_chain(v)
+                break
 
-    best_plain: tuple = ()
-    best_evidence: tuple = ()
-    for v in range(k):
-        cand = chain_plain(v)
-        if len(cand) > len(best_plain):
-            best_plain = cand
-        cand = chain_evidence(v)
-        if len(cand) > len(best_evidence):
-            best_evidence = cand
-
-    cycles = sorted(set(cycles), key=lambda c: (len(c[0]), c))[:20]
+    cycles = _cycles(reps, members, index, 20)
     sample = tuple(
         (u, v) for u, v, _ in cong.merge_log[:10]
     )
     return ExplorationReport(
         congruence=cong,
-        class_count=len(reps),
+        class_count=k,
         sample_merges=sample,
         cycles=tuple(cycles),
         longest_descending_chain=tuple(reps[i] for i in best_plain),

@@ -484,8 +484,15 @@ def test_writer_refuses_what_json_refuses(obj):
 
 
 # sha256 of the stdout of these commands, recorded with ``json.dumps(indent=2,
-# sort_keys=True)`` as the writer
+# sort_keys=True)`` as the writer and, for the presentations, with the
+# all-factor explorer of tests/presentation_oracle.py
 _CLI_DIGESTS = {
+    ("describe", "present:xy:x2=yx2y:9"):
+        "fe7da4d6fb445a83ccc0aac76916d7f167663e6d5c5513163fd7fcb2748d08ee",
+    ("describe", "present:xyz:xy=yx,xz=zx:7"):
+        "39e107e585d556ca7594a036c131de1d9edb5e8968d9f9acb34d4c6a5e44f6ac",
+    ("verify", "present:xy:x2=yx2y:9", "present:xyz:xy=yx,xz=zx:5", "--seed", "1"):
+        "1871bda175f1f8173e6080ade5bd7ddcd9dec6eb8320039679cb8469cee78664",
     ("classify", "n2sub:4", "--profiles"):
         "50357e8ba94372e43c2a89890bbf4b9e0866c768ea275348171b85ef833d4197",
     ("factorize", "numerical:3,5,7", "104", "--minimal"):
@@ -498,6 +505,14 @@ def test_large_payloads_are_pinned(argv, capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _CLI_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("command", ["describe", "verify"])
+@pytest.mark.parametrize("spec", ["present:xx::3", "present:x1::3", "present:xyx:x=y:2"])
+def test_bad_presentation_alphabet_exits_2(command, spec, capsys):
+    code, out, err = run_cli(capsys, command, spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "alphabet" in err and "Traceback" not in err
 
 
 def test_closed_stdout_is_a_labeled_exit_not_a_traceback():

@@ -10,7 +10,7 @@ preorder's ``leq``/``lt``.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from premonoids import (
@@ -21,6 +21,7 @@ from premonoids import (
     PreorderRel,
     divisibility_preorder,
 )
+from premonoids.bitrows import close
 from premonoids.families import powerset_premonoid, zn_premonoid
 from premonoids.randgen import monoid_pool, random_premonoid
 
@@ -106,6 +107,21 @@ def oracle_strict_is_acyclic(rel) -> bool:
         return True
 
     return all(color[u] == 2 or dfs(u) for u in range(n))
+
+
+def oracle_close(n, rows) -> list:
+    """Reflexive-transitive closure of bit rows: Warshall's loop, which
+    ``PreorderRel.from_matrix`` and ``from_pairs`` ran before the SCC closure."""
+    rows = list(rows)
+    for i in range(n):
+        rows[i] |= 1 << i
+    for k in range(n):
+        bit = 1 << k
+        rk = rows[k]
+        for i in range(n):
+            if rows[i] & bit:
+                rows[i] |= rk
+    return rows
 
 
 def oracle_first_nonassociative(table):
@@ -258,3 +274,39 @@ def test_associativity_witness_on_both_row_encodings(n):
     with pytest.raises(NonAssociativeError) as info:
         FiniteMonoid(table, 1, check_associativity=True)
     assert info.value.witness == expected
+
+
+# successor lists over 0..n-1 with repeats, self-loops and cycles
+digraphs = st.integers(0, 12).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(0, max(n - 1, 0)), max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs)
+@example([])
+@example([[]])
+@example([[0]])
+@example([[1], [2], [0], [3]])
+def test_scc_closure_matches_warshall(succ):
+    n = len(succ)
+    rows = [sum({1 << j for j in targets}) for targets in succ]
+    expected = oracle_close(n, rows)
+    assert close(succ) == expected
+    pairs = [(i, j) for i, targets in enumerate(succ) for j in targets]
+    assert list(PreorderRel.from_pairs(n, pairs).rows) == expected
+    matrix = [[bool(row >> j & 1) for j in range(n)] for row in rows]
+    assert list(PreorderRel.from_matrix(matrix).rows) == expected
+
+
+def test_scc_closure_needs_no_recursion():
+    """A path 0 -> 1 -> ... with a back edge: one component reached through
+    a DFS path far deeper than the recursion limit."""
+    n = 5000
+    succ = [[i + 1] for i in range(n - 1)] + [[n // 2]]
+    rows = close(succ)
+    tail = ((1 << n) - 1) ^ ((1 << (n // 2)) - 1)
+    assert rows[n // 2:] == [tail] * (n - n // 2)
+    assert rows[0] == (1 << n) - 1

@@ -1,4 +1,9 @@
+import inspect
+import sys
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from premonoids import BoundTooSmallError, ShapeError, presentations
 from premonoids.presentations import (
@@ -6,6 +11,8 @@ from premonoids.presentations import (
     parse_relation_word,
     presentation_explore,
 )
+
+from presentation_oracle import oracle_explore
 
 
 def test_parse_relation_word():
@@ -94,3 +101,83 @@ def test_strict_children_match_the_pairwise_definition(monkeypatch):
     fast = [presentation_explore(*case).to_json() for case in cases]
     monkeypatch.setattr(presentations, "_strict_children", pairwise_children)
     assert [presentation_explore(*case).to_json() for case in cases] == fast
+
+
+# the largest bound drawn per alphabet size keeps the oracle's factor loop small
+_MAX_BOUND = {1: 12, 2: 7, 3: 4}
+
+
+@st.composite
+def small_presentations(draw):
+    size = draw(st.integers(1, 3))
+    alphabet = "".join(draw(st.permutations("xyz"))[:size])
+    side = st.text(alphabet=alphabet, max_size=3)
+    relations = draw(st.lists(st.tuples(side, side), max_size=3))
+    longest = max((len(w) for rel in relations for w in rel), default=0)
+    bound = draw(st.integers(longest, _MAX_BOUND[size]))
+    return alphabet, relations, bound
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_presentations())
+@example(("x", [], 0))
+@example(("yx", [("y", "")], 5))
+@example(("xy", [("xy", "yx"), ("yy", "")], 6))
+def test_explorer_matches_the_all_factor_oracle(case):
+    assert presentation_explore(*case).to_json() == oracle_explore(*case).to_json()
+
+
+# the presentations of the benchmark and of the README
+_BENCH_CASES = [
+    ("xy", [("x2", "yx2y")], 9),
+    ("xy", [("x2", "yx2y")], 10),
+    ("xyz", [("xy", "yx"), ("xz", "zx")], 5),
+    ("xyz", [("xy", "yx"), ("xz", "zx")], 7),
+]
+# more than 20 cycles, so the scan stops early: inside the first class with
+# words of two lengths, or after several of them
+_MANY_CYCLES = [
+    ("x", [("x3", "x5")], 40),
+    ("yx", [("yyx", "yx")], 6),
+    ("yx", [("y", "yxx")], 6),
+    ("xy", [("xy", "x")], 6),
+]
+
+
+@pytest.mark.parametrize("case", _BENCH_CASES + _MANY_CYCLES)
+def test_explorer_matches_the_oracle_on_fixed_cases(case):
+    assert presentation_explore(*case).to_json() == oracle_explore(*case).to_json()
+
+
+@pytest.mark.parametrize("case", _MANY_CYCLES)
+def test_many_cycles_are_cut_at_twenty(case):
+    assert len(presentation_explore(*case).cycles) == 20
+
+
+def test_cycles_stop_exactly_at_twenty():
+    """x^3 ~ x^5 puts every longer power in one of two classes; the quota
+    fills inside the first of them and sorts by context."""
+    cycles = presentation_explore("x", [("x3", "x5")], 40).cycles
+    assert len(cycles) == 20
+    assert {w for w, _, _ in cycles} == {"xxx"}
+    assert list(cycles) == sorted(cycles)
+
+
+@pytest.mark.parametrize("case", [("x", [], 400), ("x", [("x3", "x5")], 60)])
+def test_explorer_needs_no_recursion(case):
+    """The free monoid on one letter has a descending chain through all 401
+    classes; the chain walk must not take a frame per step."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        report = presentation_explore(*case)
+    finally:
+        sys.setrecursionlimit(limit)
+    if not case[1]:
+        assert report.longest_descending_chain == tuple("x" * n for n in range(400, -1, -1))
+
+
+@pytest.mark.parametrize("alphabet", ["xx", "xyx", "x1", "1", "a0b"])
+def test_alphabet_letters_are_distinct_and_not_digits(alphabet):
+    with pytest.raises(ShapeError):
+        presentation_explore(alphabet, [], 3)
