@@ -13,6 +13,47 @@ def indices(mask: int) -> list[int]:
     return out
 
 
+def generating_pairs(up) -> tuple[list, list]:
+    """A small set of pairs whose reflexive-transitive closure is the
+    preorder ``up`` (bit rows over 0..k-1, row i has bit j when i <= j).
+
+    Returns ``(links, covers)``: ``links`` pairs every member of a class both
+    ways with the class's least member, ``covers`` holds the covering pairs
+    between class minima.  Every pair i <= j is a chain of them, and every
+    strict pair such a chain with at least one cover.  Members share their
+    up-set, so classes are the distinct rows; the rest of c's strict up-set
+    loses the up-set of each cover found, and the next cover is its element
+    of largest up-set, which nothing left lies strictly below.
+
+    Raises ``ValueError`` unless ``up`` is reflexive and transitive.  It is
+    exactly when each class minimum's row is its class joined with its
+    covers' rows: then every element lies in its own row, and j in up(i)
+    gives up(j) <= up(i) by induction on the size of up(i), since a cover's
+    row is a proper subset of the row it covers."""
+    least: dict[int, int] = {}
+    members: dict[int, int] = {}  # row -> mask of the elements with that row
+    links = []
+    for i, row in enumerate(up):
+        m = least.setdefault(row, i)
+        members[row] = members.get(row, 0) | 1 << i
+        if m != i:
+            links += [(i, m), (m, i)]
+    minima = sum(1 << m for m in least.values())
+    size = [row.bit_count() for row in up]
+    covers = []
+    for row, c in least.items():
+        rest = row & minima & ~(1 << c)
+        reached = members[row]
+        while rest:
+            d = max(indices(rest), key=size.__getitem__)
+            covers.append((c, d))
+            reached |= up[d]
+            rest &= ~(up[d] | 1 << d)
+        if reached != row:
+            raise ValueError(f"the row of element {c} is not its class joined with its covers' rows")
+    return links, covers
+
+
 def close(succ) -> list[int]:
     """Reflexive-transitive closure of the digraph ``succ`` (a list of
     successor lists over 0..n-1): row i has bit j when j is reachable from i.

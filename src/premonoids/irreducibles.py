@@ -139,13 +139,12 @@ def unit_orbits(P: Premonoid, members) -> tuple[tuple, ...]:
             parent[max(ri, rj)] = min(ri, rj)
 
     units = sorted(P.units())
+    op = P.op
     for a in members:
-        for u in units:
-            ua = P.op(u, a)
-            for v in units:
-                b = P.op(ua, v)
-                if b in index:
-                    union(index[a], index[b])
+        lefts = {op(u, a) for u in units}
+        for b in {op(ua, v) for ua in lefts for v in units}:
+            if b in index:
+                union(index[a], index[b])
     blocks: dict[int, list] = {}
     for a in members:
         blocks.setdefault(find(index[a]), []).append(a)

@@ -75,6 +75,7 @@ class LocalPremonoid:
         self.order = order
         self._strict_lower = strict_lower
         self._divcache: dict = {}
+        self._divsets: dict = {}  # x -> frozenset(divisors(x)), for leq
         self._irrcache: dict = {}  # irreducibles.is_irreducible/is_atom
         if order != "divisibility" and strict_lower is None:
             raise NotComputableError(
@@ -99,7 +100,10 @@ class LocalPremonoid:
 
     def leq(self, a, b) -> bool:
         if self.order == "divisibility":
-            return a in self.divisors(b)
+            divs = self._divsets.get(b)
+            if divs is None:
+                divs = self._divsets[b] = frozenset(self.divisors(b))
+            return a in divs
         return self.order(a, b)
 
     def lt(self, a, b) -> bool:
@@ -159,38 +163,35 @@ class LocalPremonoid:
 
     def bounded_flags(self, sample=None):
         """Compatibility flags decided by quantifier scans over a finite
-        sample of the carrier; the verdicts are labeled as bounded evidence,
-        not certificates.  Chain conditions are certified: divisor sets are
-        finite, so strictly descending divisibility chains from x live inside
-        the finite set of divisors of x and cannot repeat."""
-        from .premonoid import PremonoidFlags
+        sample S of the carrier; the verdicts are labeled as bounded evidence,
+        not certificates.  Each x in S has its |S|^2 sandwich products uxv
+        (u, v in S) computed once: :func:`premonoid.compatibility` compares
+        them over the generating pairs of the order restricted to S, and weak
+        positivity reads them too.  That restriction must be reflexive and
+        transitive; a rule order that is not raises
+        :class:`NotComputableError`.  The reduction to generating pairs also
+        chains comparisons among the products, outside S: divisibility is
+        transitive there, a rule order is trusted to be.  Chain
+        conditions are certified: divisor sets are finite, so strictly
+        descending divisibility chains from x live inside the finite set of
+        divisors of x and cannot repeat."""
+        from .premonoid import PremonoidFlags, compatibility
 
         if sample is None:
             sample = self.monoid.sample_elements()
         sample = tuple(sample)
         leq = self.leq
-        lt = self.lt
         op = self.op
+        up = [sum(1 << j for j, y in enumerate(sample) if leq(x, y)) for x in sample]
+        images = [tuple(op(op(u, x), v) for u in sample for v in sample) for x in sample]
+        preordered, strongly_preordered = compatibility(up, images, leq, self.lt)
         e = self.identity
-        pairs = [(x, y) for x in sample for y in sample if leq(x, y) and x != y]
-        preordered = all(
-            leq(op(op(u, x), v), op(op(u, y), v))
-            for x, y in pairs
-            for u in sample
-            for v in sample
-        )
-        strongly_preordered = preordered and all(
-            lt(op(op(u, x), v), op(op(u, y), v))
-            for x, y in pairs
-            if lt(x, y)
-            for u in sample
-            for v in sample
-        )
         identity_below = all(leq(e, y) for y in sample)
-        units = [u for u in sample if self.is_unit(u)]
+        units = [i for i, u in enumerate(sample) if self.is_unit(u)]
+        sides = [i * len(sample) + j for i in units for j in units]  # uxv, u and v units
         weakly_positive = all(
-            leq(op(op(u, x), v), x) for x in sample for u in units for v in units
-        ) and all(leq(x, op(op(a, x), b)) for x in sample for a in sample for b in sample)
+            leq(image[k], x) for x, image in zip(sample, images) for k in sides
+        ) and all(leq(x, y) for x, image in zip(sample, images) for y in image)
         if self.order == "divisibility":
             artinian = strongly_artinian = True
             note = "bounded scan; chain conditions certified by finite divisor sets"

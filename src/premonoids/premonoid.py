@@ -1,8 +1,9 @@
 """A monoid paired with a preorder on its carrier.
 
 No compatibility between the operation and the preorder is assumed; the
-compatibility predicates live in :class:`PremonoidFlags` and are decided by
-exhaustive scan on finite carriers.
+compatibility predicates live in :class:`PremonoidFlags`. :func:`compatibility`
+decides them over a generating set of pairs, for finite carriers and for the
+samples of lazily presented ones alike.
 
 :class:`Carrier` is the query protocol that the irreducibility and
 factorization engines are written against; :class:`Premonoid` implements it
@@ -14,8 +15,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Protocol, runtime_checkable
 
-from .bitrows import indices
-from .errors import ShapeError
+from .bitrows import generating_pairs, indices
+from .errors import NotComputableError, ShapeError
 from .monoid import FiniteMonoid
 from .preorder import PreorderRel
 
@@ -69,6 +70,35 @@ class PremonoidFlags:
 
     def to_json(self) -> dict:
         return asdict(self)
+
+
+def compatibility(up, images, leq, lt) -> tuple[bool, bool]:
+    """(preordered, strongly preordered) of elements 0..k-1 under the
+    preorder ``up`` (bit rows, row i has bit j when i <= j), where
+    ``images[i]`` lists the images of element i under a family of maps and
+    ``leq``/``lt`` compare two images.
+
+    Each map must be monotone (i <= j gives m(i) <= m(j)), and strictly so
+    on strict pairs. Only the pairs of :func:`bitrows.generating_pairs` are
+    scanned: every pair i <= j is a chain of links and covers, so
+    monotonicity carries over by transitivity; links are equivalent pairs,
+    so once monotonicity holds a chain with one strict cover step is strict
+    (a <= b < c and a < b <= c both give a < c), and strictness needs only
+    the covers. The cost is |links + covers| times the number of maps.
+    ``up`` must be reflexive and transitive; otherwise the scan raises
+    :class:`NotComputableError` instead of giving a verdict."""
+    try:
+        links, covers = generating_pairs(up)
+    except ValueError as exc:
+        raise NotComputableError(
+            f"the order is not reflexive and transitive on the scanned elements: {exc}"
+        ) from exc
+    pairs = links + covers
+    preordered = all(all(map(leq, images[a], images[b])) for a, b in pairs)
+    strongly_preordered = preordered and all(
+        all(map(lt, images[a], images[b])) for a, b in covers
+    )
+    return preordered, strongly_preordered
 
 
 class Premonoid:
@@ -174,7 +204,9 @@ class Premonoid:
         return result
 
     def flags(self) -> PremonoidFlags:
-        """Compatibility flags by exhaustive scan, one side at a time.
+        """Compatibility flags by :func:`compatibility` over the images of
+        each element under every left and every right multiplication (column
+        x and row x of the table).
 
         Two-sided compatibility (x <= y implies uxv <= uyv for all u, v) holds
         iff both one-sided laws do (ux <= uy and xu <= yu): u = 1 or v = 1
@@ -187,22 +219,21 @@ class Premonoid:
         n = self.monoid.n
         t = self.monoid.table
         rows = self.preorder.rows
-        e = self.identity
-        # every left and every right multiplication, as a map x -> m[x]
-        maps = t + tuple(zip(*t))
-        above = [(x, [y for y in indices(rows[x]) if y != x]) for x in range(n)]
-        preordered = all(rows[m[x]] >> m[y] & 1 for m in maps for x, ys in above for y in ys)
-        strictly_above = [(x, [y for y in ys if not rows[y] >> x & 1]) for x, ys in above]
-        strongly_preordered = preordered and not any(
-            rows[m[y]] >> m[x] & 1 for m in maps for x, ys in strictly_above for y in ys
+        columns = tuple(zip(*t))
+        images = [columns[x] + t[x] for x in range(n)]  # u*x, then x*u, over all u
+        preordered, strongly_preordered = compatibility(
+            rows,
+            images,
+            lambda a, b: rows[a] >> b & 1,
+            lambda a, b: rows[a] >> b & 1 and not rows[b] >> a & 1,
         )
-        identity_below_all = rows[e] == (1 << n) - 1
+        identity_below_all = rows[self.identity] == (1 << n) - 1
         positive = preordered and identity_below_all
         strongly_positive = strongly_preordered and identity_below_all
-        unit_maps = [maps[i] for u in self.units() for i in (u, n + u)]
+        sides = [k for u in self.units() for k in (u, n + u)]
         ideals = self.monoid.ideal_masks()
         weakly_positive = all(
-            rows[m[x]] >> x & 1 for m in unit_maps for x in range(n)
+            rows[image[k]] >> x & 1 for x, image in enumerate(images) for k in sides
         ) and all(ideal & ~row == 0 for ideal, row in zip(ideals, rows))
         flags = PremonoidFlags(
             preordered=preordered,

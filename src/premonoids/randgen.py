@@ -186,10 +186,3 @@ def random_premonoid(rng: random.Random, max_size: int = 6) -> Premonoid:
     monoid = random_monoid(rng, max_size)
     return Premonoid(monoid, random_preorder(rng, monoid))
 
-
-def random_left_duo_monoid(rng: random.Random, max_size: int = 6) -> FiniteMonoid:
-    for _ in range(200):
-        m = random_monoid(rng, max_size)
-        if m.structure_flags().left_duo:
-            return m
-    raise AssertionError("pool exhausted without a left duo instance")

@@ -115,6 +115,24 @@ def _scan_weakly_positive(m, rel) -> bool:
     ) and all(leq(x, t[t[a][x]][b]) for x in range(n) for a in range(n) for b in range(n))
 
 
+def _scan_compatible(m, rel, strict: bool) -> bool:
+    """ux <= uy and xu <= yu over all u and every pair x <= y, or ux < uy and
+    xu < yu over every x < y when ``strict``. Shares no code with
+    ``Premonoid.flags``, which scans only a generating set of pairs."""
+    t, rows, n = m.table, rel.rows, m.n
+    columns = tuple(zip(*t))
+
+    def holds(a, b) -> bool:
+        return rows[a] >> b & 1 and not (strict and rows[b] >> a & 1)
+
+    return all(
+        all(map(holds, t[x], t[y])) and all(map(holds, columns[x], columns[y]))
+        for x in range(n)
+        for y in range(n)
+        if x != y and holds(x, y)
+    )
+
+
 def check_divisibility_premonoid_laws(P: Premonoid) -> CheckResult:
     """Laws tying the monoid structure to its divisibility premonoid: on a
     finite carrier the monoid is Dedekind-finite, so divisibility units are
@@ -128,11 +146,12 @@ def check_divisibility_premonoid_laws(P: Premonoid) -> CheckResult:
         return _fail(name, div_units=sorted(dp.units()), units=sorted(m.units()))
     if not _scan_weakly_positive(m, dp.preorder):
         return _fail(name, weakly_positive=False)
-    flags = dp.flags()
+    # the identity divides everything, so positive means preordered here;
+    # a commutative monoid is duo, so the strict scan follows the plain one
     s = m.structure_flags()
-    if (s.left_duo or s.right_duo) and not (flags.preordered and flags.positive):
-        return _fail(name, duo_but_not_positive=flags.to_json())
-    if s.commutative and s.unit_cancellative and not flags.strongly_positive:
+    if (s.left_duo or s.right_duo) and not _scan_compatible(m, dp.preorder, strict=False):
+        return _fail(name, duo_but_not_positive=True)
+    if s.commutative and s.unit_cancellative and not _scan_compatible(m, dp.preorder, strict=True):
         return _fail(name, commutative_unit_cancellative_but_not_strongly_positive=True)
     return _ok(name)
 

@@ -139,20 +139,3 @@ def erdos_rado_scan(words, letter_leq):
                 return (i, j, emb)
     return None
 
-
-def longest_bad_sequence(universe, first, letter_leq) -> int:
-    """Length of the longest sequence starting at ``first``, drawn from
-    ``universe``, in which no earlier word embeds into a later one.
-
-    Exhaustive DFS; intended for tiny universes.
-    """
-    universe = list(universe)
-
-    def extendable(prefix) -> int:
-        best = len(prefix)
-        for w in universe:
-            if all(embed_increasing(p, w, letter_leq) is None for p in prefix):
-                best = max(best, extendable(prefix + [w]))
-        return best
-
-    return extendable([first])

@@ -3,11 +3,14 @@
 ``pairwise_minimal_words`` compares every pair of words with the literal
 matching order, as ``verify.check_minimal_brute_force`` did before it grouped
 the words by letter multiset; ``vector_leq`` is the sub-multiset comparison
-of two class vectors. No code of the library calls these.
+of two class vectors; ``longest_bad_sequence`` searches all bad sequences of
+a tiny universe and ``random_left_duo_monoid`` draws random monoids until one
+is left duo. No code of the library calls these.
 """
 import itertools
 
-from premonoids.words import shuffle_leq_matching
+from premonoids.randgen import random_monoid
+from premonoids.words import embed_increasing, shuffle_leq_matching
 
 
 def brute_words(P, x, max_len, alphabet):
@@ -42,3 +45,29 @@ def vector_leq(u: tuple, v: tuple) -> bool:
     """Sub-multiset comparison of two class vectors."""
     other = dict(v)
     return all(other.get(c, 0) >= k for c, k in u)
+
+
+def longest_bad_sequence(universe, first, letter_leq) -> int:
+    """Length of the longest sequence starting at ``first``, drawn from
+    ``universe``, in which no earlier word embeds into a later one.
+
+    Exhaustive DFS; intended for tiny universes.
+    """
+    universe = list(universe)
+
+    def extendable(prefix) -> int:
+        best = len(prefix)
+        for w in universe:
+            if all(embed_increasing(p, w, letter_leq) is None for p in prefix):
+                best = max(best, extendable(prefix + [w]))
+        return best
+
+    return extendable([first])
+
+
+def random_left_duo_monoid(rng, max_size: int = 6):
+    for _ in range(200):
+        m = random_monoid(rng, max_size)
+        if m.structure_flags().left_duo:
+            return m
+    raise AssertionError("pool exhausted without a left duo instance")

@@ -51,7 +51,7 @@ from premonoids.matrices import (
 )
 from premonoids.monoid import FiniteMonoid
 from premonoids.presentations import presentation_explore
-from premonoids.randgen import random_left_duo_monoid, random_premonoid, tiny_monoid_tables
+from premonoids.randgen import random_premonoid, tiny_monoid_tables
 from premonoids.verify import (
     check_abstract_bound,
     check_localization_invariance,
@@ -59,13 +59,18 @@ from premonoids.verify import (
 from premonoids.words import (
     class_reps,
     erdos_rado_scan,
-    longest_bad_sequence,
     shuffle_leq,
     shuffle_leq_matching,
     word_vector,
 )
 
-from brute_force import brute_words, pairwise_minimal_words, vector_leq
+from brute_force import (
+    brute_words,
+    longest_bad_sequence,
+    pairwise_minimal_words,
+    random_left_duo_monoid,
+    vector_leq,
+)
 
 
 def _passline(k: int, message: str) -> None:

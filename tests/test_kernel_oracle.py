@@ -3,8 +3,9 @@
 The oracles below are the kernel as it was before ideal masks: principal
 ideals as Python sets, divisors by scanning every ideal, the divisibility
 preorder built bit by bit from those sets, the two-sided |pairs| x n^2 flags
-scan, the triple-loop associativity check, and the recursive heights and
-strict-order DFS. They share nothing with the kernel but the table and the
+scan over all pairs (the kernel scans only generating pairs), the
+triple-loop associativity check, and the recursive heights and strict-order
+DFS. They share nothing with the kernel but the table and the
 preorder's ``leq``/``lt``.
 """
 import random
@@ -21,8 +22,9 @@ from premonoids import (
     PreorderRel,
     divisibility_preorder,
 )
-from premonoids.bitrows import close
+from premonoids.bitrows import close, generating_pairs
 from premonoids.families import powerset_premonoid, zn_premonoid
+from premonoids.preorder import natural_order_rel, pullback_preorder
 from premonoids.randgen import monoid_pool, random_premonoid
 
 
@@ -310,3 +312,94 @@ def test_scc_closure_needs_no_recursion():
     tail = ((1 << n) - 1) ^ ((1 << (n // 2)) - 1)
     assert rows[n // 2:] == [tail] * (n - n // 2)
     assert rows[0] == (1 << n) - 1
+
+
+def chain_table(n: int, kind: str, reverse: bool) -> tuple:
+    """The max chain or capped addition (min(i + j, n - 1)) on 0..n-1, with
+    element i labeled i, or n - 1 - i when ``reverse``. Returns (table,
+    identity)."""
+    op = max if kind == "max" else lambda i, j: min(i + j, n - 1)
+    label = [n - 1 - i for i in range(n)] if reverse else list(range(n))
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            table[label[i]][label[j]] = label[op(i, j)]
+    return table, label[0]
+
+
+def chain_preorders(m):
+    """Divisibility, the index order, and the index order on blocks of three
+    (classes of up to three members, so the links are scanned too)."""
+    n = m.n
+    yield divisibility_preorder(m)
+    yield natural_order_rel(n)
+    yield pullback_preorder([i // 3 for i in range(n)], natural_order_rel((n + 2) // 3))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("kind", ["max", "capped"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 40])
+def test_chain_flags_match_oracle(n, kind, reverse):
+    m = FiniteMonoid(*chain_table(n, kind, reverse))
+    for rel in chain_preorders(m):
+        P = Premonoid(m, rel)
+        assert P.flags() == oracle_flags(P), rel
+
+
+def test_long_chain_flags(reversed_chain):
+    """Too large for the oracle: the 1100-element chain has about 600k
+    pairs but only 1099 covers and no links. Divisibility is compatible but
+    not strictly (3 < 2, yet 1 * 3 = 1 * 2 = 1 in the index labels), and the
+    identity is below everything."""
+    f = reversed_chain.flags()
+    assert (f.preordered, f.strongly_preordered, f.positive, f.weakly_positive) == (
+        True,
+        False,
+        True,
+        True,
+    )
+
+
+def oracle_strictly_between(up, c, d) -> bool:
+    """Some e with c < e < d, by a scan over all of 0..k-1."""
+    lt = lambda a, b: up[a] >> b & 1 and not up[b] >> a & 1  # noqa: E731
+    return any(lt(c, e) and lt(e, d) for e in range(len(up)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs)
+@example([])
+@example([[0]])
+@example([[1], [0], [0, 1]])
+@example([[1], [2], [3], []])
+def test_generating_pairs_generate_the_preorder(succ):
+    n = len(succ)
+    up = oracle_close(n, [sum({1 << j for j in targets}) for targets in succ])
+    links, covers = generating_pairs(up)
+    generated: list[list[int]] = [[] for _ in range(n)]
+    for a, b in links + covers:
+        generated[a].append(b)
+    assert close(generated) == up
+    for a, b in links:  # both ways between equivalent elements
+        assert up[a] >> b & 1 and up[b] >> a & 1 and (b, a) in links
+    for c, d in covers:
+        assert up[c] >> d & 1 and not up[d] >> c & 1
+        assert not oracle_strictly_between(up, c, d)
+    assert len(set(covers)) == len(covers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs, st.booleans())
+@example([[1], [2], [0]], True)
+@example([[1], [2], []], True)
+@example([[1], [0]], False)
+def test_generating_pairs_refuse_relations_that_are_not_preorders(succ, reflexive):
+    """Raw rows, closed or not: ``generating_pairs`` accepts exactly the
+    reflexive and transitive ones."""
+    n = len(succ)
+    rows = [sum({1 << j for j in targets}) | (reflexive << i) for i, targets in enumerate(succ)]
+    if oracle_close(n, rows) == rows:
+        generating_pairs(rows)
+    else:
+        with pytest.raises(ValueError):
+            generating_pairs(rows)

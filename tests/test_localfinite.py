@@ -3,6 +3,7 @@ import random
 import pytest
 
 from premonoids import NotComputableError, is_atom, is_irreducible
+from premonoids.cli import load_instance
 from premonoids.families import (
     cyclic_group,
     make_numerical,
@@ -91,3 +92,86 @@ def test_degree_predicates_work_locally():
     assert is_atom(lp, 2) and is_atom(lp, 3)
     assert not is_atom(lp, 4)
     assert is_irreducible(lp, 2, 3) and not is_irreducible(lp, 6, 3)
+
+
+COMPATIBILITY = ("preordered", "strongly_preordered", "positive", "strongly_positive", "weakly_positive")
+
+
+def oracle_bounded_flags(lp, sample) -> dict:
+    """The compatibility verdicts of ``LocalPremonoid.bounded_flags`` as it
+    computed them before generating pairs: every pair x <= y of the sample
+    against every sandwich u * _ * v, and weak positivity over products
+    computed afresh."""
+    sample = tuple(sample)
+    leq, lt, op, e = lp.leq, lp.lt, lp.op, lp.identity
+    pairs = [(x, y) for x in sample for y in sample if leq(x, y) and x != y]
+    preordered = all(
+        leq(op(op(u, x), v), op(op(u, y), v)) for x, y in pairs for u in sample for v in sample
+    )
+    strongly_preordered = preordered and all(
+        lt(op(op(u, x), v), op(op(u, y), v))
+        for x, y in pairs
+        if lt(x, y)
+        for u in sample
+        for v in sample
+    )
+    identity_below = all(leq(e, y) for y in sample)
+    units = [u for u in sample if lp.is_unit(u)]
+    weakly_positive = all(
+        leq(op(op(u, x), v), x) for x in sample for u in units for v in units
+    ) and all(leq(x, op(op(a, x), b)) for x in sample for a in sample for b in sample)
+    return {
+        "preordered": preordered,
+        "strongly_preordered": strongly_preordered,
+        "positive": preordered and identity_below,
+        "strongly_positive": strongly_preordered and identity_below,
+        "weakly_positive": weakly_positive,
+    }
+
+
+# every lazily presented family that the benchmark's job lists load
+BENCH_LOCAL_SPECS = (
+    "numerical:3,5,7",
+    "numerical:5,7,9,11",
+    "n2sub:4",
+    "n2sub:5",
+    "b:c3:1,2",
+    "b:c4:1,2,3",
+    "b:dinf:",
+    "powerN:8",
+    "remarkN:20",
+)
+
+
+@pytest.mark.parametrize("spec", BENCH_LOCAL_SPECS)
+def test_bounded_flags_match_all_pairs_oracle(spec):
+    instance = load_instance(spec)
+    assert instance.kind == "local"
+    sample = instance.payload.monoid.sample_elements()
+    for size in range(4, 13):
+        # fresh carriers, so the two share no divisor cache
+        flags = load_instance(spec).payload.bounded_flags(sample[:size]).to_json()
+        expected = oracle_bounded_flags(load_instance(spec).payload, sample[:size])
+        assert {k: flags[k] for k in COMPATIBILITY} == expected, size
+
+
+def test_non_transitive_rule_order_is_refused():
+    """Within distance 2 is reflexive but not transitive (0 ~ 2 ~ 4, not
+    0 ~ 4): the generating pairs cannot stand for it, so the scan refuses
+    instead of giving a verdict."""
+    lp = LocalPremonoid(
+        make_numerical((2, 3)),
+        order=lambda a, b: abs(a - b) <= 2,
+        strict_lower=lambda x: (),
+    )
+    with pytest.raises(NotComputableError, match="not reflexive and transitive"):
+        lp.bounded_flags((0, 2, 4))
+    assert lp.bounded_flags((0, 2)).method.startswith("bounded")
+
+
+def test_non_reflexive_rule_order_is_refused():
+    lp = LocalPremonoid(
+        make_numerical((2, 3)), order=lambda a, b: a < b, strict_lower=lambda x: ()
+    )
+    with pytest.raises(NotComputableError, match="not reflexive and transitive"):
+        lp.bounded_flags((0, 2, 3))

@@ -11,14 +11,13 @@ from premonoids.families import powerset_premonoid, zn_premonoid
 from premonoids.monoid import FiniteMonoid
 from premonoids.randgen import (
     monoid_pool,
-    random_left_duo_monoid,
     random_monoid,
     random_premonoid,
     tiny_monoid_tables,
 )
 from premonoids.verify import minimal_words_by_multiset, verify_suite
 
-from brute_force import brute_words, pairwise_minimal_words
+from brute_force import brute_words, pairwise_minimal_words, random_left_duo_monoid
 
 
 def test_tiny_monoid_enumeration_is_exhaustive():
@@ -126,9 +125,10 @@ def test_bf_iff_ff_does_not_trust_the_engine_length_sets(monkeypatch):
 
 def test_divisibility_laws_do_not_trust_the_kernel_ideal_masks(monkeypatch):
     """Weak positivity is scanned over the table, so wrong ideal masks in the
-    kernel make the check fail, although Premonoid.flags, which reads the same
-    masks as the preorder's rows, still reports weak positivity."""
-    from premonoids import Premonoid, divisibility_preorder
+    kernel make the check fail with its own verdict. Premonoid.flags, which
+    reads the same masks as the preorder's rows, finds them not transitive
+    (2 <= 4 <= 0 but not 2 <= 0) and refuses to give any."""
+    from premonoids import NotComputableError, Premonoid, divisibility_preorder
     from premonoids.monoid import FiniteMonoid
     from premonoids.verify import check_divisibility_premonoid_laws
 
@@ -137,10 +137,32 @@ def test_divisibility_laws_do_not_trust_the_kernel_ideal_masks(monkeypatch):
     # drop 0 = 0 * 2 * 1 from the ideal of 2; the units stay as they are
     wrong = tuple(m & ~1 if x == 2 else m for x, m in enumerate(P.monoid.ideal_masks()))
     monkeypatch.setattr(FiniteMonoid, "ideal_masks", lambda self: wrong)
-    assert Premonoid(P.monoid, divisibility_preorder(P.monoid)).flags().weakly_positive
+    with pytest.raises(NotComputableError, match="not reflexive and transitive"):
+        Premonoid(P.monoid, divisibility_preorder(P.monoid)).flags()
     result = check_divisibility_premonoid_laws(P)
     assert not result.passed
     assert result.details == {"weakly_positive": False}
+
+
+def test_divisibility_laws_do_not_use_the_generating_pair_scan(monkeypatch):
+    """The check scans every pair itself: with the kernel's generating-pair
+    scan made to raise, it still passes on commutative (duo), cancellative
+    and non-commutative carriers."""
+    import premonoids.bitrows
+    import premonoids.premonoid
+    from premonoids.verify import check_divisibility_premonoid_laws
+
+    carriers = [zn_premonoid(12), powerset_premonoid(3)[0]]
+    carriers += [Premonoid(FiniteMonoid(t, e), divisibility_preorder(FiniteMonoid(t, e))) for t, e in monoid_pool()]
+
+    def refuse(*args):
+        raise AssertionError("verify called the kernel's compatibility scan")
+
+    for module in (premonoids.bitrows, premonoids.premonoid):
+        monkeypatch.setattr(module, "generating_pairs", refuse)
+    monkeypatch.setattr(premonoids.premonoid, "compatibility", refuse)
+    for P in carriers:
+        assert check_divisibility_premonoid_laws(P).passed
 
 
 def _assert_grouping_matches_pairwise(P):

@@ -12,7 +12,9 @@ from premonoids import (
     shuffle_leq_matching,
 )
 from premonoids.families import make_zn, zn_premonoid
-from premonoids.words import class_reps, embed_increasing, longest_bad_sequence
+from premonoids.words import class_reps, embed_increasing
+
+from brute_force import longest_bad_sequence
 
 
 def test_pi_examples():
