@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 
 from .errors import CapExceededError, NotProductOneError, ShapeError
 from .localfinite import LocallyFiniteMonoid, LocalPremonoid
@@ -226,10 +225,18 @@ class ProductOneMonoid(LocallyFiniteMonoid):
 
     Divisor certificate: the monoid is commutative (multiset union), so
     Y | X means X = Y + W; both parts are sub-multisets of X, and there are
-    finitely many of those.  Product-one certification searches orderings by
-    depth-first traversal memoized on (remaining multiset, partial product).
-    The ordering search is exponential in the number of distinct letters;
-    intended for small supports.
+    finitely many of those.
+
+    Product-one certification reads one table kept on the monoid: for each
+    multiset m, written as its count vector over the sorted support, the set
+    P(m) of products of all orderings of m.  P(empty) = {1}, and since every
+    ordering ends in some letter, P(m) is the union over the distinct letters
+    g of m of P(m - g) * g, exact for non-abelian groups too.  The table is
+    filled bottom-up, a whole box of sub-multisets at a time, so it stays
+    closed under taking sub-multisets: m is product-one when 1 is in P(m),
+    and the divisors of x are the sub-multisets d with 1 in P(d) and in
+    P(x - d).  The box below counts k_1, ..., k_s has (k_1 + 1)...(k_s + 1)
+    entries, each a set of group elements; no ordering is searched.
     """
 
     def __init__(self, mul, group_identity, support):
@@ -237,39 +244,48 @@ class ProductOneMonoid(LocallyFiniteMonoid):
         self.group_identity = group_identity
         self.support = tuple(sorted(support))
         self.identity = ()
-        self._p1cache: dict = {}
+        self._slot = {g: i for i, g in enumerate(self.support)}
+        self._products: dict = {(0,) * len(self.support): frozenset((group_identity,))}
+
+    def _counts(self, multiset) -> tuple:
+        counts = [0] * len(self.support)
+        for g in multiset:
+            slot = self._slot.get(g)
+            if slot is None:
+                raise ShapeError(f"{g!r} is outside the support")
+            counts[slot] += 1
+        return tuple(counts)
+
+    def _letters(self, counts) -> tuple:
+        return tuple(itertools.chain.from_iterable(map(itertools.repeat, self.support, counts)))
+
+    def _fill(self, vectors) -> None:
+        """Enter every count vector of ``vectors`` into the table; each one's
+        vectors with a letter less must be in it or come earlier."""
+        table, mul, support = self._products, self.mul, self.support
+        for v in vectors:
+            if v in table:
+                continue
+            prods = set()
+            for i, k in enumerate(v):
+                if k:
+                    g = support[i]
+                    prods.update(mul(p, g) for p in table[v[:i] + (k - 1,) + v[i + 1 :]])
+            table[v] = frozenset(prods)
+
+    def _entry(self, counts) -> frozenset:
+        """P(counts), filling the box of vectors below ``counts`` if needed."""
+        got = self._products.get(counts)
+        if got is None:
+            self._fill(itertools.product(*(range(k + 1) for k in counts)))
+            got = self._products[counts]
+        return got
 
     def is_product_one(self, multiset) -> bool:
-        ms = tuple(sorted(multiset))
-        if ms in self._p1cache:
-            return self._p1cache[ms]
-        seen = set()
-
-        def search(remaining: tuple, prod) -> bool:
-            if not remaining:
-                return prod == self.group_identity
-            key = (remaining, prod)
-            if key in seen:
-                return False
-            seen.add(key)
-            picked = set()
-            for i, g in enumerate(remaining):
-                if g in picked:
-                    continue
-                picked.add(g)
-                if search(remaining[:i] + remaining[i + 1 :], self.mul(prod, g)):
-                    return True
-            return False
-
-        ok = search(ms, self.group_identity)
-        self._p1cache[ms] = ok
-        return ok
+        return self.group_identity in self._entry(self._counts(multiset))
 
     def element(self, members) -> tuple:
         ms = tuple(sorted(members))
-        for g in ms:
-            if g not in self.support:
-                raise ShapeError(f"{g!r} is outside the support")
         if not self.is_product_one(ms):
             raise NotProductOneError(f"no ordering of {ms!r} multiplies to one")
         return ms
@@ -278,31 +294,26 @@ class ProductOneMonoid(LocallyFiniteMonoid):
         return tuple(sorted(x + y))
 
     def divisors(self, x) -> tuple:
-        counts = Counter(x)
-        letters = sorted(counts)
-        found = []
-        for picks in itertools.product(*(range(counts[g] + 1) for g in letters)):
-            sub = []
-            for g, k in zip(letters, picks):
-                sub.extend([g] * k)
-            sub = tuple(sub)
-            rest = counts - Counter(sub)
-            rest_ms = tuple(sorted(rest.elements()))
-            if self.is_product_one(sub) and self.is_product_one(rest_ms):
-                found.append(tuple(sorted(sub)))
-        return tuple(sorted(set(found)))
+        # lexicographic order, so the complements come in the reverse order
+        box = list(itertools.product(*(range(k + 1) for k in self._counts(x))))
+        self._fill(box)
+        table, one = self._products, self.group_identity
+        found = [
+            self._letters(d)
+            for d, rest in zip(box, reversed(box))
+            if one in table[d] and one in table[rest]
+        ]
+        return tuple(sorted(found))
 
     def sample_elements(self, limit: int | None = None, max_size: int = 4) -> tuple:
-        out = set()
-        frontier = {()}
-        for _ in range(max_size):
-            fresh = set()
-            for ms in frontier:
-                for g in self.support:
-                    fresh.add(tuple(sorted(ms + (g,))))
-            frontier = fresh
-            out |= {ms for ms in fresh if self.is_product_one(ms)}
-        out = sorted(out | {()})
+        vectors = [
+            v
+            for v in itertools.product(range(max_size + 1), repeat=len(self.support))
+            if sum(v) <= max_size
+        ]
+        self._fill(vectors)
+        one = self.group_identity
+        out = sorted(self._letters(v) for v in vectors if one in self._products[v])
         return tuple(out[:limit]) if limit else tuple(out)
 
     def contains(self, x) -> bool:
@@ -320,6 +331,9 @@ def make_product_one(group: FiniteMonoid, support) -> ProductOneMonoid:
     if units != frozenset(range(group.n)):
         raise ShapeError("the base table must be a group")
     support = tuple(sorted(set(support)))
+    for g in support:
+        if not 0 <= g < group.n:
+            raise ShapeError(f"support letter {g} is not an element 0..{group.n - 1} of the group")
     return ProductOneMonoid(
         mul=lambda a, b: group.table[a][b],
         group_identity=group.identity,

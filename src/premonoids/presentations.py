@@ -14,17 +14,21 @@ kinds of evidence, both tagged as bounded evidence rather than certificates:
   an unbounded supply of them is exactly how the ascending chain condition on
   principal two-sided ideals fails.
 
-The divisibility digraph has one-letter edges only, its closure is built once
-per strongly connected component, chain lengths come from one pass over the
-child lists in topological order, and the cycle scan stops at the class that
-fills its quota.
+The divisibility digraph has one-letter edges only.  Its closure, and the
+closure of the reversed digraph (the transpose), are each built once per
+strongly connected component, so the strict children of a class are one
+mask.  Chains come from one pass in topological order over level masks, the
+classes whose chain has h classes: each class steps to the least class on
+the highest level its children meet, at a cost of classes times levels
+big-int ANDs rather than a step per divisibility pair.  The cycle scan stops
+at the class that fills its quota.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
 
-from .bitrows import close, indices
+from .bitrows import close
 from .errors import BoundTooSmallError, ShapeError
 
 
@@ -136,19 +140,6 @@ class ExplorationReport:
         }
 
 
-def _strict_children(reach: list) -> list:
-    """For each class v, the classes strictly below it in ascending order.
-
-    ``reach[c]`` has bit v when c divides v and must be transitively closed;
-    c is strictly below v when c divides v but v does not divide c."""
-    below = [0] * len(reach)  # the transposed rows: bit c when c divides v
-    for c, row in enumerate(reach):
-        bit = 1 << c
-        for v in indices(row):
-            below[v] |= bit
-    return [indices(below[v] & ~reach[v]) for v in range(len(reach))]
-
-
 def _check_alphabet(alphabet: str) -> None:
     """Letters must be distinct (or words repeat) and not digits (which
     ``parse_relation_word`` reads as repeat counts)."""
@@ -183,6 +174,117 @@ def _cycles(reps: list, members: list, index: dict, limit: int) -> list:
     return found[:limit]
 
 
+def _divisibility(cong: BoundedCongruence) -> tuple:
+    """Classes of the bounded congruence and their bounded divisibility.
+
+    Returns ``(reps, members, index, reach, below)``: representatives in
+    (length, word) order, each class's words in order of length, the word ->
+    class map, and the divisibility rows (``reach[c]`` has bit v when c
+    divides v, ``below[v]`` has bit c then).  The digraph has one-letter
+    edges only: a factor inside the bound grows into its word by one-letter
+    appends that all stay inside the bound, so the closure holds every factor
+    edge.  Divisibility is transitive in the monoid even when the composed
+    witness would not fit inside the bound, so both digraphs are closed, and
+    the closure of the reversed digraph is the transpose of ``reach``."""
+    roots = [cong.class_of(w) for w in cong.words]
+    reps = sorted(set(roots), key=lambda w: (len(w), w))
+    rep_index = {rep: i for i, rep in enumerate(reps)}
+    k = len(reps)
+    index = {w: rep_index[r] for w, r in zip(cong.words, roots)}
+    succ: list = [[] for _ in range(k)]
+    pred: list = [[] for _ in range(k)]
+    members: list = [[] for _ in range(k)]
+    for w in cong.words:
+        c = index[w]
+        members[c].append(w)
+        if len(w) < cong.bound:
+            edges = succ[c]
+            for a in cong.alphabet:
+                for d in (index[w + a], index[a + w]):
+                    edges.append(d)
+                    pred[d].append(c)
+    return reps, members, index, close(succ), close(pred)
+
+
+def _least(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _top(levels: list, mask: int, h: int) -> tuple:
+    """The highest level at or below ``h`` that meets ``mask``, and the least
+    class of ``mask`` there; ``(0, -1)`` when none does."""
+    while h:
+        hit = levels[h] & mask
+        if hit:
+            return h, _least(hit)
+        h -= 1
+    return 0, -1
+
+
+def _put(levels: list, h: int, v: int) -> None:
+    while len(levels) <= h:
+        levels.append(0)
+    levels[h] |= 1 << v
+
+
+def _chains(reach: list, below: list, reps: list) -> tuple:
+    """The longest strictly descending chain and the longest evidence chain,
+    as lists of classes (the evidence chain empty when there is none).
+
+    c is a strict child of v when c divides v and v does not divide c.  A
+    step "qualifies" when the representative fails to get shorter, which no
+    free monoid step can do; an evidence chain has at least one qualifying
+    step.  A child has fewer children than its parent, so ascending child
+    counts are a topological order.  ``plain[h]`` and ``evid[h]`` are the
+    masks of the classes done so far whose chain has h classes.  Each class
+    steps to the least class on the highest level its children meet: the
+    plain chain over all children, the evidence chain either by a plain step
+    to a child whose representative is no shorter (reps come in order of
+    length, so those children are a suffix mask) or by an evidence step, the
+    longer chain winning, then the lesser class, then the plain step."""
+    k = len(reach)
+    children = [b & ~r for b, r in zip(below, reach)]
+    first: dict = {}  # length -> the first class whose representative has it
+    for c, rep in enumerate(reps):
+        first.setdefault(len(rep), c)
+    plain: list = [0]
+    evid: list = [0]
+    plain_next = [-1] * k
+    evid_next: list = [None] * k  # (child, whether the rest is plain)
+    for v in sorted(range(k), key=[m.bit_count() for m in children].__getitem__):
+        kids = children[v]
+        h, plain_next[v] = _top(plain, kids, len(plain) - 1)
+        f = first[len(reps[v])]
+        a, by_plain = _top(plain, kids >> f << f, h)
+        e, by_evid = _top(evid, kids, len(evid) - 1)
+        if a > e or (a == e and a and by_plain <= by_evid):
+            evid_next[v] = (by_plain, True)
+            _put(evid, a + 1, v)
+        elif e:
+            evid_next[v] = (by_evid, False)
+            _put(evid, e + 1, v)
+        _put(plain, h + 1, v)
+
+    def plain_chain(v: int) -> list:
+        chain = [v]
+        while plain_next[v] >= 0:
+            v = plain_next[v]
+            chain.append(v)
+        return chain
+
+    # the least class of the top level is the first of the longest
+    best_evidence: list = []
+    if len(evid) > 1:
+        v = _least(evid[-1])
+        while True:
+            best_evidence.append(v)
+            v, rest_plain = evid_next[v]
+            if rest_plain:
+                best_evidence += plain_chain(v)
+                break
+    return plain_chain(_least(plain[-1])), best_evidence
+
+
 def presentation_explore(alphabet: str, relations, bound: int) -> ExplorationReport:
     """Bounded congruence classes plus divisibility evidence for a monoid
     presentation; see the module docstring for what the evidence means."""
@@ -192,81 +294,15 @@ def presentation_explore(alphabet: str, relations, bound: int) -> ExplorationRep
         for l, r in relations
     )
     cong = BoundedCongruence(alphabet=alphabet, relations=rels, bound=bound)
-
-    roots = [cong.class_of(w) for w in cong.words]
-    reps = sorted(set(roots), key=lambda w: (len(w), w))
-    rep_index = {rep: i for i, rep in enumerate(reps)}
-    k = len(reps)
-    index = {w: rep_index[r] for w, r in zip(cong.words, roots)}
-
-    # one-letter divisibility edges: a factor inside the bound grows into its
-    # word by one-letter appends that all stay inside the bound, so their
-    # closure holds every factor edge
-    succ: list = [[] for _ in range(k)]
-    members: list = [[] for _ in range(k)]
-    for w in cong.words:
-        c = index[w]
-        members[c].append(w)
-        if len(w) < bound:
-            edges = succ[c]
-            for a in alphabet:
-                edges.append(index[w + a])
-                edges.append(index[a + w])
-    # divisibility is transitive in the monoid even when the composed witness
-    # would not fit inside the bound, so close the bounded digraph
-    reach = close(succ)
-    children = _strict_children(reach)
-
-    # longest strictly descending chains; a step "qualifies" when the minimal
-    # representative fails to get shorter, which no free monoid step can do.
-    # A child has fewer children than its parent, so ascending child counts
-    # are a topological order.  ``plain[v]``/``evid[v]`` are chain lengths
-    # (0: no evidence chain) with the first strictly longer child winning.
-    plain = [1] * k
-    plain_next = [-1] * k
-    evid = [0] * k
-    evid_next: list = [None] * k  # (child, whether the rest is plain)
-    for v in sorted(range(k), key=lambda v: len(children[v])):
-        best, best_evid = 1, 0
-        length = len(reps[v])
-        for c in children[v]:
-            if plain[c] >= best:
-                best = plain[c] + 1
-                plain_next[v] = c
-            if len(reps[c]) >= length and plain[c] >= best_evid:
-                best_evid = plain[c] + 1
-                evid_next[v] = (c, True)
-            if evid[c] and evid[c] >= best_evid:
-                best_evid = evid[c] + 1
-                evid_next[v] = (c, False)
-        plain[v], evid[v] = best, best_evid
-
-    def plain_chain(v: int) -> list:
-        chain = [v]
-        while plain_next[v] >= 0:
-            v = plain_next[v]
-            chain.append(v)
-        return chain
-
-    # max returns the first of the longest, as the strict comparison did
-    best_plain = plain_chain(max(range(k), key=plain.__getitem__))
-    best_evidence: list = []
-    v = max(range(k), key=evid.__getitem__)
-    if evid[v]:
-        while True:
-            best_evidence.append(v)
-            v, rest_plain = evid_next[v]
-            if rest_plain:
-                best_evidence += plain_chain(v)
-                break
-
+    reps, members, index, reach, below = _divisibility(cong)
+    best_plain, best_evidence = _chains(reach, below, reps)
     cycles = _cycles(reps, members, index, 20)
     sample = tuple(
         (u, v) for u, v, _ in cong.merge_log[:10]
     )
     return ExplorationReport(
         congruence=cong,
-        class_count=k,
+        class_count=len(reps),
         sample_merges=sample,
         cycles=tuple(cycles),
         longest_descending_chain=tuple(reps[i] for i in best_plain),

@@ -5,7 +5,8 @@ matching order, as ``verify.check_minimal_brute_force`` did before it grouped
 the words by letter multiset; ``vector_leq`` is the sub-multiset comparison
 of two class vectors; ``longest_bad_sequence`` searches all bad sequences of
 a tiny universe and ``random_left_duo_monoid`` draws random monoids until one
-is left duo. No code of the library calls these.
+is left duo; ``product_one_by_orderings`` tries every ordering of a multiset
+of group elements. No code of the library calls these.
 """
 import itertools
 
@@ -45,6 +46,18 @@ def vector_leq(u: tuple, v: tuple) -> bool:
     """Sub-multiset comparison of two class vectors."""
     other = dict(v)
     return all(other.get(c, 0) >= k for c, k in u)
+
+
+def product_one_by_orderings(mul, identity, multiset) -> bool:
+    """Whether some ordering of ``multiset`` multiplies, left to right under
+    ``mul``, to ``identity``."""
+    for order in set(itertools.permutations(multiset)):
+        p = identity
+        for g in order:
+            p = mul(p, g)
+        if p == identity:
+            return True
+    return False
 
 
 def longest_bad_sequence(universe, first, letter_leq) -> int:

@@ -1,13 +1,18 @@
-"""The all-factor presentation explorer, kept as the oracle for
-``presentations.presentation_explore``.
+"""Oracles for ``presentations.presentation_explore``.
 
-It visits every contiguous factor of every word for the divisibility edges,
-closes them with Warshall's loop, finds strict children pairwise, computes
-chains by memoized recursion and sorts every cycle it finds.  It shares the
-congruence and the report type with the program, not the evidence search.
+``oracle_explore`` is the all-factor explorer: it visits every contiguous
+factor of every word for the divisibility edges, closes them with Warshall's
+loop, finds strict children pairwise, computes chains by memoized recursion
+and sorts every cycle it finds.  It shares the congruence and the report type
+with the program, not the evidence search.
+
+``loop_chains`` is the chain pass the explorer ran before it read chains off
+level masks: child lists built pair by pair from the closed rows, and one
+loop over each class's children in a topological order.
 """
 from __future__ import annotations
 
+from premonoids.bitrows import indices
 from premonoids.presentations import (
     BoundedCongruence,
     ExplorationReport,
@@ -112,3 +117,62 @@ def oracle_explore(alphabet: str, relations, bound: int) -> ExplorationReport:
         longest_descending_chain=tuple(reps[i] for i in best_plain),
         accp_evidence_chain=tuple(reps[i] for i in best_evidence),
     )
+
+
+def strict_children(reach: list) -> list:
+    """For each class v, the classes strictly below it in ascending order.
+
+    ``reach[c]`` has bit v when c divides v and must be transitively closed;
+    c is strictly below v when c divides v but v does not divide c."""
+    below = [0] * len(reach)  # the transposed rows: bit c when c divides v
+    for c, row in enumerate(reach):
+        bit = 1 << c
+        for v in indices(row):
+            below[v] |= bit
+    return [indices(below[v] & ~reach[v]) for v in range(len(reach))]
+
+
+def loop_chains(reach: list, reps: list) -> tuple[list, list]:
+    """The longest strictly descending chain and the longest evidence chain
+    (a step whose representative does not get shorter), as lists of classes;
+    on ties the first strictly longer child wins."""
+    k = len(reach)
+    children = strict_children(reach)
+    plain = [1] * k
+    plain_next = [-1] * k
+    evid = [0] * k
+    evid_next: list = [None] * k  # (child, whether the rest is plain)
+    # a child has fewer children than its parent: a topological order
+    for v in sorted(range(k), key=lambda v: len(children[v])):
+        best, best_evid = 1, 0
+        length = len(reps[v])
+        for c in children[v]:
+            if plain[c] >= best:
+                best = plain[c] + 1
+                plain_next[v] = c
+            if len(reps[c]) >= length and plain[c] >= best_evid:
+                best_evid = plain[c] + 1
+                evid_next[v] = (c, True)
+            if evid[c] and evid[c] >= best_evid:
+                best_evid = evid[c] + 1
+                evid_next[v] = (c, False)
+        plain[v], evid[v] = best, best_evid
+
+    def plain_chain(v: int) -> list:
+        chain = [v]
+        while plain_next[v] >= 0:
+            v = plain_next[v]
+            chain.append(v)
+        return chain
+
+    best_plain = plain_chain(max(range(k), key=plain.__getitem__))
+    best_evidence: list = []
+    v = max(range(k), key=evid.__getitem__)
+    if evid[v]:
+        while True:
+            best_evidence.append(v)
+            v, rest_plain = evid_next[v]
+            if rest_plain:
+                best_evidence += plain_chain(v)
+                break
+    return best_plain, best_evidence

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -223,6 +224,29 @@ def test_describe_product_one(capsys):
     data = json.loads(out)
     assert code == 0
     assert data["atoms_2"] == [[1, 1, 1], [1, 2], [2, 2, 2]]
+
+
+@pytest.mark.parametrize("spec", ["b:c4:5", "b:c4:-1"])
+def test_product_one_support_outside_the_group_exits_2(spec, capsys):
+    """A letter past the group's order, or a negative one, is an input error,
+    not an index into the table."""
+    code, out, err = run_cli(capsys, "describe", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "support letter" in err and "Traceback" not in err
+
+
+def test_product_one_elements_need_no_recursion(capsys):
+    """Product-one sets are filled bottom-up over count vectors, so a
+    1200-letter element takes no frame per letter."""
+    text = "(" + ",".join(["1"] * 1200) + ")"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        code, out, err = run_cli(capsys, "factorize", "b:c3:1", text)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0, err
+    assert json.loads(out)["atomic_lengths"] == {"finite": [400]}
 
 
 def test_determinism_byte_identical(capsys):

@@ -35,6 +35,9 @@ from premonoids.families import (
     zn_premonoid,
 )
 from premonoids.localfinite import LocalPremonoid
+from premonoids.monoid import FiniteMonoid
+
+from brute_force import product_one_by_orderings
 
 
 def test_make_zn_identity_convention():
@@ -197,12 +200,16 @@ def test_product_one_divisors_are_product_one_complement_pairs():
     from collections import Counter
 
     counts = Counter(x)
+
+    def product_one(ms):
+        return product_one_by_orderings(lambda a, b: (a + b) % 3, 0, ms)
+
     expect = []
     for i in range(counts[1] + 1):
         for j in range(counts[2] + 1):
             sub = (1,) * i + (2,) * j
             rest = (1,) * (counts[1] - i) + (2,) * (counts[2] - j)
-            if b.is_product_one(sub) and b.is_product_one(rest):
+            if product_one(sub) and product_one(rest):
                 expect.append(sub)
     assert sorted(divs) == sorted(expect)
     b.check_divisor_laws(x)
@@ -240,6 +247,72 @@ def test_dihedral_product_one_atoms_and_division():
         for _ in range(n):
             power = b.op(power, u1)
         assert un in b.divisors(power)
+
+
+_S3 = list(itertools.permutations(range(3)))  # the identity first
+_S3_INDEX = {p: i for i, p in enumerate(_S3)}
+
+
+def _s3_mul(a: int, b: int) -> int:
+    """Composition in S3 on permutation indices: first b, then a."""
+    return _S3_INDEX[tuple(_S3[a][_S3[b][i]] for i in range(3))]
+
+
+def _product_one_cases():
+    """(name, monoid, the oracle's own group law, group identity)."""
+    s3 = FiniteMonoid([[_s3_mul(a, b) for b in range(6)] for a in range(6)], 0)
+    transposition, three_cycle = _S3_INDEX[(0, 2, 1)], _S3_INDEX[(1, 2, 0)]
+
+    def dihedral(a, b):  # r^k s^e * r^m s^f = r^(k +- m) s^(e + f)
+        return (a[0] + (-b[0] if a[1] else b[0]), (a[1] + b[1]) % 2)
+
+    return [
+        ("C3", make_product_one(cyclic_group(3), (1, 2)), lambda a, b: (a + b) % 3, 0),
+        ("C4", make_product_one(cyclic_group(4), (1, 2, 3)), lambda a, b: (a + b) % 4, 0),
+        ("Dinf", make_product_one_dihedral(), dihedral, (0, 0)),
+        ("S3", make_product_one(s3, (transposition, three_cycle)), _s3_mul, 0),
+    ]
+
+
+@pytest.mark.parametrize("case", _product_one_cases(), ids=lambda c: c[0])
+def test_product_one_table_matches_all_orderings(case):
+    """Every multiset of at most five support letters: product-one, its
+    divisors (sub-multisets splitting it into two product-one parts) and the
+    sample, all against trying every ordering."""
+    _, monoid, mul, one = case
+    oracle = {}
+
+    def product_one(ms):
+        if ms not in oracle:
+            oracle[ms] = product_one_by_orderings(mul, one, ms)
+        return oracle[ms]
+
+    members = []
+    for size in range(6):
+        for ms in itertools.combinations_with_replacement(monoid.support, size):
+            assert monoid.is_product_one(ms) == product_one(ms), ms
+            if product_one(ms):
+                members.append(ms)
+    assert monoid.sample_elements(max_size=5) == tuple(sorted(members))
+    for x in members:
+        expect = set()
+        for r in range(len(x) + 1):
+            for d in itertools.combinations(x, r):
+                rest = list(x)
+                for g in d:
+                    rest.remove(g)
+                if product_one(d) and product_one(tuple(rest)):
+                    expect.add(d)
+        assert monoid.divisors(x) == tuple(sorted(expect)), x
+
+
+def test_product_one_needs_every_last_letter():
+    """In S3 the transposition t and the 3-cycle c give t*c*t*c = 1 but
+    c*c*t*t = c^2: product-one depends on the order, not only the counts."""
+    _, monoid, mul, one = _product_one_cases()[-1]
+    t, c = monoid.support
+    assert monoid.is_product_one((t, t, c, c))
+    assert mul(mul(mul(c, c), t), t) != one
 
 
 # -- the zero-versus-positive order on the naturals ------------------------------------

@@ -12,7 +12,9 @@ from premonoids.presentations import (
     presentation_explore,
 )
 
-from presentation_oracle import oracle_explore
+from premonoids.bitrows import indices
+
+from presentation_oracle import loop_chains, oracle_explore, strict_children
 
 
 def test_parse_relation_word():
@@ -83,24 +85,31 @@ def test_report_json_shape():
     assert data["note"] == "bounded evidence, not a certificate"
 
 
-def test_strict_children_match_the_pairwise_definition(monkeypatch):
-    def pairwise_children(reach):
-        k = len(reach)
+def _divisibility(case):
+    alphabet, relations, bound = case
+    rels = tuple((parse_relation_word(l, alphabet), parse_relation_word(r, alphabet)) for l, r in relations)
+    return presentations._divisibility(BoundedCongruence(alphabet=alphabet, relations=rels, bound=bound))
 
-        def strictly_below(i, j):
-            return bool(reach[i] >> j & 1) and not (reach[j] >> i & 1)
 
-        return [[c for c in range(k) if strictly_below(c, v)] for v in range(k)]
-
+def test_strict_children_match_the_pairwise_definition():
+    """``below`` is the transpose of ``reach``, so the child masks the chain
+    pass reads, ``below[v] & ~reach[v]``, are the classes c with c | v and
+    not v | c."""
     cases = [
         ("xy", [("x2", "yx2y")], 8),
         ("xy", [], 4),
         ("xyz", [("xy", "yx"), ("xz", "zx")], 5),
         ("ab", [("aa", "b"), ("ab", "ba")], 5),
     ]
-    fast = [presentation_explore(*case).to_json() for case in cases]
-    monkeypatch.setattr(presentations, "_strict_children", pairwise_children)
-    assert [presentation_explore(*case).to_json() for case in cases] == fast
+    for case in cases:
+        _, _, _, reach, below = _divisibility(case)
+        k = len(reach)
+        assert sum(map(int.bit_count, below)) == sum(map(int.bit_count, reach))
+        assert all(below[v] >> c & 1 for c in range(k) for v in indices(reach[c]))
+        children = strict_children(reach)
+        for v in range(k):
+            pairwise = [c for c in range(k) if reach[c] >> v & 1 and not reach[v] >> c & 1]
+            assert indices(below[v] & ~reach[v]) == pairwise == children[v]
 
 
 # the largest bound drawn per alphabet size keeps the oracle's factor loop small
@@ -147,6 +156,21 @@ _MANY_CYCLES = [
 @pytest.mark.parametrize("case", _BENCH_CASES + _MANY_CYCLES)
 def test_explorer_matches_the_oracle_on_fixed_cases(case):
     assert presentation_explore(*case).to_json() == oracle_explore(*case).to_json()
+
+
+# the last case has a class whose best evidence step, to one child, is both
+# kinds at once; the plain step must win
+_CHAIN_CASES = _BENCH_CASES + _MANY_CYCLES + [
+    ("x", [], 400),
+    ("xy", [("x2", "yx2y")], 11),
+    ("xy", [("xy", "yx"), ("yy", "")], 6),
+]
+
+
+@pytest.mark.parametrize("case", _CHAIN_CASES)
+def test_chains_by_level_masks_match_the_child_loop(case):
+    reps, _, _, reach, below = _divisibility(case)
+    assert presentations._chains(reach, below, reps) == loop_chains(reach, reps)
 
 
 @pytest.mark.parametrize("case", _MANY_CYCLES)
