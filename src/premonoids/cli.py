@@ -27,6 +27,7 @@ from .factorization import (
     layer_automaton_dot,
     length_set,
     minimal_factorization_classes,
+    prefix_bound,
 )
 from .irreducibles import (
     atoms,
@@ -308,7 +309,7 @@ def factorize_payload(
         "atomic_lengths": prof.atomic_lengths.to_json(),
         "minimal": {
             "certified_complete": True,
-            "search_bound": P.prefix_bound(x),
+            "search_bound": prefix_bound(P, x),
             "classes": _fmt_classes(instance, prof.minimal),
         },
     }
@@ -608,6 +609,8 @@ def main(argv=None) -> int:
             _emit(describe_payload(instance, degrees), args)
             return 0
         if args.command == "factorize":
+            if args.max_len < 0:
+                raise CliError(f"--max-len must be >= 0, got {args.max_len}", 2)
             instance = load_instance(args.instance, args.preorder)
             if args.format == "dot":
                 if instance.kind != "finite":

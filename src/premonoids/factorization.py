@@ -26,6 +26,14 @@ from .premonoid import Carrier
 from .words import class_reps, vector_total
 
 
+def prefix_bound(P: Carrier, x) -> int:
+    """Max length of a factorization of x with pairwise distinct prefix
+    products: a word of length k has k + 1 prefix products (the empty one is
+    the identity), all divisors of x. By the excision argument above, no
+    minimal factorization is longer."""
+    return len(P.divisors(x)) - 1
+
+
 def factorization_alphabet(P: Carrier, x, letters: str = "irreducibles", degree: int = 2) -> tuple:
     """The letters that can appear in a factorization of x: irreducible (or
     atom) divisors of x, sorted."""
@@ -234,7 +242,7 @@ def layer_automaton(P: Carrier, x, letters: str = "irreducibles"):
 def layer_automaton_dot(P: Carrier, x, letters: str = "irreducibles") -> str:
     layers, first, period = layer_automaton(P, x, letters)
     lines = ["digraph layers {", "  rankdir=LR;"]
-    fmt = lambda s: "{" + ",".join(str(P.label(e)) for e in sorted(s)) + "}"
+    fmt = lambda s: "{" + ",".join(str(e) for e in sorted(s)) + "}"
     for i, s in enumerate(layers):
         shape = "doublecircle" if x in s else "circle"
         lines.append(f'  s{i} [label="L{i + 1}={fmt(s)}", shape={shape}];')
@@ -402,7 +410,7 @@ def minimal_factorization_classes(P: Carrier, x, letters: str = "irreducibles", 
     if lengths.is_finite:
         vectors = _census_minima(auto.census(), len(reps), lengths.finite[-1])
     else:
-        vectors = _class_vectors(auto, cls_of, len(reps), P.prefix_bound(x), minimal=True)
+        vectors = _class_vectors(auto, cls_of, len(reps), prefix_bound(P, x), minimal=True)
     classes = [(_pairs(v, reps), _witness(auto, cls_of, v)) for v in vectors]
     return tuple(sorted(classes, key=lambda vw: (vector_total(vw[0]), vw[0])))
 
@@ -480,26 +488,17 @@ def element_profile(P: Carrier, x) -> ElementProfile:
         # irreducible factorizations, then intersect with atom words
         literal = _literal_classes(atom, class_reps(P.leq, irr_alpha), minimal)
     return ElementProfile(
-        element=P.label(x),
-        irreducible_divisors=tuple(P.label(a) for a in irr_alpha),
-        atom_divisors=tuple(P.label(a) for a in atom_alpha),
+        element=x,
+        irreducible_divisors=irr_alpha,
+        atom_divisors=atom_alpha,
         lengths=lengths,
         atomic_lengths=atomic_lengths,
         class_count=class_count,
         atomic_class_count=atomic_class_count,
-        minimal=_map_classes(P, minimal),
-        minimal_atomic_within=_map_classes(P, within),
-        minimal_atomic_literal=_map_classes(P, literal),
+        minimal=minimal,
+        minimal_atomic_within=within,
+        minimal_atomic_literal=literal,
     )
-
-
-def _map_classes(P: Carrier, classes) -> tuple:
-    """Rewrite vectors and witness words into stable cross-view labels."""
-    out = []
-    for vec, word in classes:
-        mapped_vec = tuple(sorted((P.label(c), m) for c, m in vec))
-        out.append((mapped_vec, tuple(P.label(a) for a in word)))
-    return tuple(out)
 
 
 # -- the classification lattice ---------------------------------------------------------
@@ -630,7 +629,7 @@ def classify(P: Carrier, elements=None, scope: str | None = None) -> Classificat
     profiles: dict = {}
     for x in elements:
         prof = element_profile(P, x)
-        profiles[P.label(x)] = prof
+        profiles[x] = prof
         for name, value in _element_flags(prof).items():
             if not value and flags[name]:
                 flags[name] = False

@@ -11,6 +11,7 @@ finite carriers.
 from __future__ import annotations
 
 from .errors import NotComputableError
+from .premonoid import PremonoidFlags, compatibility, heights_of
 
 
 class LocallyFiniteMonoid:
@@ -119,42 +120,7 @@ class LocalPremonoid:
         pool = self.divisors(x) if self.order == "divisibility" else self._strict_lower(x)
         return tuple(y for y in pool if not self.is_unit(y) and self.lt(y, x))
 
-    def prefix_bound(self, x) -> int:
-        return len(self.divisors(x)) - 1
-
-    def label(self, a):
-        return a
-
-    def heights_of(self, elements) -> dict:
-        """Longest strict non-unit chains descending from each element.
-
-        A depth-first walk of ``strictly_below`` on an explicit stack of
-        (element, strictly-below list, iterator) frames, so deep chains
-        cannot hit the recursion limit; each element's list is computed once.
-        An element is ``None`` in the memo while it is on the stack; units
-        never enter it and get 0.
-        """
-        memo: dict = {}
-        for root in elements:
-            if root in memo or self.is_unit(root):
-                continue
-            memo[root] = None
-            below = self.strictly_below(root)
-            stack = [(root, below, iter(below))]
-            while stack:
-                x, below, todo = stack[-1]
-                for y in todo:
-                    if y not in memo:
-                        memo[y] = None
-                        lower = self.strictly_below(y)
-                        stack.append((y, lower, iter(lower)))
-                        break
-                    if memo[y] is None:
-                        raise NotComputableError(f"the strict order has a cycle through {y!r}")
-                else:
-                    stack.pop()
-                    memo[x] = 1 + max((memo[y] for y in below), default=0)
-        return {x: memo.get(x, 0) for x in elements}
+    heights_of = heights_of  # the one walk of premonoid.heights_of, as a method
 
     def nonunit_sample(self, limit: int | None = None) -> tuple:
         return tuple(
@@ -175,8 +141,6 @@ class LocalPremonoid:
         conditions are certified: divisor sets are finite, so strictly
         descending divisibility chains from x live inside the finite set of
         divisors of x and cannot repeat."""
-        from .premonoid import PremonoidFlags, compatibility
-
         if sample is None:
             sample = self.monoid.sample_elements()
         sample = tuple(sample)

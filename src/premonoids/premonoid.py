@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Protocol, runtime_checkable
 
-from .bitrows import generating_pairs, indices
+from .bitrows import generating_pairs
 from .errors import NotComputableError, ShapeError
 from .monoid import FiniteMonoid
 from .preorder import PreorderRel
@@ -43,12 +43,37 @@ class Carrier(Protocol):
     def strictly_below(self, x) -> tuple:
         """Exactly the non-units y with y < x."""
 
-    def prefix_bound(self, x) -> int:
-        """Max length of a factorization of x with pairwise distinct prefix
-        products."""
 
-    def label(self, a):
-        """Stable cross-view label of an element."""
+def heights_of(P: Carrier, elements) -> dict:
+    """Longest strict non-unit chains descending from each element.
+
+    A depth-first walk of ``strictly_below`` on an explicit stack of
+    (element, strictly-below list, iterator) frames, so deep chains
+    cannot hit the recursion limit; each element's list is computed once.
+    An element is ``None`` in the memo while it is on the stack; units
+    never enter it and get 0.
+    """
+    memo: dict = {}
+    for root in elements:
+        if root in memo or P.is_unit(root):
+            continue
+        memo[root] = None
+        below = P.strictly_below(root)
+        stack = [(root, below, iter(below))]
+        while stack:
+            x, below, todo = stack[-1]
+            for y in todo:
+                if y not in memo:
+                    memo[y] = None
+                    lower = P.strictly_below(y)
+                    stack.append((y, lower, iter(lower)))
+                    break
+                if memo[y] is None:
+                    raise NotComputableError(f"the strict order has a cycle through {y!r}")
+            else:
+                stack.pop()
+                memo[x] = 1 + max((memo[y] for y in below), default=0)
+    return {x: memo.get(x, 0) for x in elements}
 
 
 @dataclass(frozen=True)
@@ -104,7 +129,7 @@ def compatibility(up, images, leq, lt) -> tuple[bool, bool]:
 class Premonoid:
     """Finite carrier: a FiniteMonoid together with a PreorderRel."""
 
-    __slots__ = ("monoid", "preorder", "_units", "_heights", "_flags", "_irrcache")
+    __slots__ = ("monoid", "preorder", "_units", "_nonunits", "_heights", "_flags", "_irrcache")
 
     def __init__(self, monoid: FiniteMonoid, preorder: PreorderRel):
         if monoid.n != preorder.n:
@@ -114,6 +139,7 @@ class Premonoid:
         object.__setattr__(self, "monoid", monoid)
         object.__setattr__(self, "preorder", preorder)
         object.__setattr__(self, "_units", None)
+        object.__setattr__(self, "_nonunits", None)
         object.__setattr__(self, "_heights", None)
         object.__setattr__(self, "_flags", None)
         object.__setattr__(self, "_irrcache", {})  # irreducibles.is_irreducible/is_atom
@@ -157,7 +183,12 @@ class Premonoid:
         return a in self.units()
 
     def nonunits(self) -> tuple:
-        return tuple(a for a in range(self.monoid.n) if a not in self.units())
+        if self._nonunits is None:
+            units = self.units()
+            object.__setattr__(
+                self, "_nonunits", tuple(a for a in range(self.monoid.n) if a not in units)
+            )
+        return self._nonunits
 
     def strictly_below(self, x: int) -> tuple:
         """The non-units y < x: bit x of y's up-set row, and not bit y of x's."""
@@ -165,43 +196,15 @@ class Premonoid:
         up = rows[x]
         return tuple(y for y in self.nonunits() if rows[y] >> x & 1 and not up >> y & 1)
 
-    def prefix_bound(self, x: int) -> int:
-        """Max length of a factorization of x with pairwise distinct prefix
-        products: excising a repeated-prefix segment yields a strictly smaller
-        factorization, and every prefix product divides x."""
-        return len(self.divisors(x)) - 1
-
-    def label(self, a: int):
-        """Stable cross-view label of an element (index in the root carrier)."""
-        return a
-
     # -- derived data ----------------------------------------------------------
 
     def heights(self) -> tuple[int, ...]:
-        """Longest strict chain of non-units starting at each element.
-
-        Units get 0 (no chain can start there); any non-unit gets at least 1,
-        the chain consisting of the element alone. y < x makes the up-set of
-        y a proper superset of that of x, so visiting non-units by decreasing
-        up-set size settles y before any x above it, with no recursion.
-        """
-        if self._heights is not None:
-            return self._heights
-        rows = self.preorder.rows
-        units = self.units()
-        nonunits = [x for x in range(self.monoid.n) if x not in units]
-        nonunit_mask = sum(1 << x for x in nonunits)
-        heights = [0] * self.monoid.n
-        for x in nonunits:
-            heights[x] = 1
-        for y in sorted(nonunits, key=lambda y: -rows[y].bit_count()):
-            up = heights[y] + 1
-            for x in indices(rows[y] & nonunit_mask):
-                if up > heights[x] and not rows[x] >> y & 1:  # y < x
-                    heights[x] = up
-        result = tuple(heights)
-        object.__setattr__(self, "_heights", result)
-        return result
+        """Longest strict chain of non-units starting at each element, in
+        element order, by :func:`heights_of`."""
+        if self._heights is None:
+            heights = heights_of(self, range(self.monoid.n))
+            object.__setattr__(self, "_heights", tuple(heights.values()))
+        return self._heights
 
     def flags(self) -> PremonoidFlags:
         """Compatibility flags by :func:`compatibility` over the images of
@@ -264,7 +267,8 @@ class Premonoid:
 
 
 class SubPremonoid(Premonoid):
-    """A restricted premonoid remembering its parent's element labels."""
+    """A restricted premonoid with ``to_parent``, the map of its elements
+    into its parent's."""
 
     __slots__ = ("parent", "to_parent", "_to_sub")
 
@@ -273,9 +277,6 @@ class SubPremonoid(Premonoid):
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "to_parent", to_parent)
         object.__setattr__(self, "_to_sub", {p: i for i, p in enumerate(to_parent)})
-
-    def label(self, a: int):
-        return self.parent.label(self.to_parent[a])
 
     def from_parent(self, p) -> int:
         return self._to_sub[p]

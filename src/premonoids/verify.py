@@ -24,6 +24,7 @@ from .factorization import (
     factorization_alphabet,
     length_set,
     minimal_factorization_classes,
+    prefix_bound,
 )
 from .monoid import FiniteMonoid
 from .premonoid import Premonoid
@@ -227,7 +228,7 @@ def _sweep_class_count(P, x, alphabet) -> int | None:
     """
     rep = wd.class_reps(P.leq, alphabet)
     allowed = frozenset(P.divisors(x))
-    bound = P.prefix_bound(x)
+    bound = prefix_bound(P, x)
     level = {(): frozenset({P.identity})}
     realized = set()
     for k in range(1, 2 * bound + 2):
@@ -276,7 +277,7 @@ def check_abstract_bound(P: Premonoid, degrees=(2, 3)) -> CheckResult:
         for s in degrees:
             alphabet = tuple(a for a in P.divisors(x) if is_irreducible(P, a, s))
             bound = s ** (heights[x] - 1)
-            cap = min(bound, P.prefix_bound(x))
+            cap = min(bound, prefix_bound(P, x))
             layer = {P.identity}
             found = None
             for k in range(1, cap + 1):
@@ -289,33 +290,33 @@ def check_abstract_bound(P: Premonoid, degrees=(2, 3)) -> CheckResult:
     return _ok(name)
 
 
-def _profile_signature(P, x):
+def _profile_signature(P, x, name=lambda a: a):
+    """The factorization data of x in P, with every element renamed by
+    ``name``."""
     prof = element_profile(P, x)
-    horizon = min(P.prefix_bound(x), 5)
-    words_bounded = tuple(
-        tuple(P.label(a) for a in w) for w in enumerate_factorizations(P, x, horizon)
-    )
-    atom_words_bounded = tuple(
-        tuple(P.label(a) for a in w)
-        for w in enumerate_factorizations(P, x, horizon, letters="atoms")
-    )
+    horizon = min(prefix_bound(P, x), 5)
+    word = lambda w: tuple(map(name, w))
+    classes = lambda cs: tuple((tuple((name(c), m) for c, m in v), word(w)) for v, w in cs)
     return {
-        "irr_divs": prof.irreducible_divisors,
-        "atom_divs": prof.atom_divisors,
+        "irr_divs": word(prof.irreducible_divisors),
+        "atom_divs": word(prof.atom_divisors),
         "lengths": prof.lengths,
         "atomic_lengths": prof.atomic_lengths,
-        "minimal": prof.minimal,
-        "minimal_within": prof.minimal_atomic_within,
-        "minimal_literal": prof.minimal_atomic_literal,
-        "words": words_bounded,
-        "atom_words": atom_words_bounded,
+        "minimal": classes(prof.minimal),
+        "minimal_within": classes(prof.minimal_atomic_within),
+        "minimal_literal": classes(prof.minimal_atomic_literal),
+        "words": tuple(map(word, enumerate_factorizations(P, x, horizon))),
+        "atom_words": tuple(map(word, enumerate_factorizations(P, x, horizon, letters="atoms"))),
     }
 
 
 def check_localization_invariance(P: Premonoid, sample=None) -> CheckResult:
     """Factorization data of x agrees whether computed in the whole carrier,
     in the divisor-closed closure of x, or in the submonoid generated by the
-    divisors of x."""
+    divisors of x. A view's data are renamed into the carrier through
+    ``view.to_parent``; that map is increasing, so every order the engine
+    reports (sorted divisors, vectors and classes, least witnesses) carries
+    over."""
     name = "localization-invariance"
     sample = sample if sample is not None else P.nonunits()
     for x in sample:
@@ -327,7 +328,7 @@ def check_localization_invariance(P: Premonoid, sample=None) -> CheckResult:
             ("germ", P.germ_localization(x)),
         ):
             lx = view.from_parent(x)
-            local = _profile_signature(view, lx)
+            local = _profile_signature(view, lx, view.to_parent.__getitem__)
             for key in base:
                 if base[key] != local[key]:
                     return _fail(
@@ -583,7 +584,7 @@ def check_minimal_brute_force(P: Premonoid, max_carrier: int = 6) -> CheckResult
         return _skip(name, f"carrier {n} above brute-force limit {max_carrier}")
     for x in P.nonunits():
         alphabet = factorization_alphabet(P, x, "irreducibles")
-        bound = P.prefix_bound(x)
+        bound = prefix_bound(P, x)
         all_words = []
         for length in range(1, bound + 3):
             for w in it.product(alphabet, repeat=length):

@@ -23,7 +23,7 @@ from premonoids import (
 from premonoids import atoms as atoms_of
 from premonoids import irreducibles as irreducibles_of
 from premonoids import quarks as quarks_of
-from premonoids.factorization import factorization_alphabet
+from premonoids.factorization import factorization_alphabet, prefix_bound
 from premonoids.families import (
     cyclic_group,
     make_numerical,
@@ -189,7 +189,7 @@ def test_acceptance_04_abstract_factorization_bound():
             divs = set(LP.divisors(x))
             for s in (2, 3):
                 alphabet = factorization_alphabet(LP, x, "irreducibles", degree=s)
-                cap = min(s ** (ht - 1), LP.prefix_bound(x))
+                cap = min(s ** (ht - 1), prefix_bound(LP, x))
                 layer = {LP.identity}
                 hit = None
                 for k in range(1, cap + 1):

@@ -1,21 +1,33 @@
-"""The carrier protocol: who implements it, exact ``strictly_below``, and
-heights of lazily presented carriers without recursion.
+"""The carrier protocol: who implements it, that the engines need nothing
+else, exact ``strictly_below``, and heights without recursion.
 
 The oracles are the literal definitions: the non-units y with y < x, filtered
 out of a pool known to contain them all, and heights by plain recursion over
 that filter.
 """
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from premonoids import FiniteMonoid, NotComputableError, divisibility_preorder
+from premonoids import (
+    FiniteMonoid,
+    NotComputableError,
+    classify,
+    divisibility_preorder,
+    element_profile,
+    enumerate_factorizations,
+    is_atom,
+    is_irreducible,
+    is_quark,
+)
 from premonoids.cli import load_instance
 from premonoids.families import AdditiveNaturals, cyclic_group, power_premonoid, zn_premonoid
 from premonoids.localfinite import LocalPremonoid
-from premonoids.premonoid import Carrier, Premonoid, SubPremonoid
+from premonoids.premonoid import Carrier, Premonoid, SubPremonoid, heights_of
 from premonoids.randgen import monoid_pool, random_premonoid
 
 # one instance of each local builder the CLI loads (power:FILE loads
@@ -80,6 +92,74 @@ def test_strictly_below_is_exact_on_the_monoid_pool():
     for table, identity in monoid_pool():
         monoid = FiniteMonoid(table, identity)
         assert_finite_exact(Premonoid(monoid, divisibility_preorder(monoid)))
+
+
+def carrier_members() -> set:
+    return {name for name in vars(Carrier) if not name.startswith("_")} | set(Carrier.__annotations__)
+
+
+class ProtocolOnly:
+    """A carrier that answers the ``Carrier`` queries and nothing else: no
+    caches, no element list, no other method of the carrier it wraps."""
+
+    __slots__ = ("_carrier",)
+
+    def __init__(self, carrier):
+        self._carrier = carrier
+
+    @property
+    def identity(self):
+        return self._carrier.identity
+
+    def op(self, a, b):
+        return self._carrier.op(a, b)
+
+    def divisors(self, x) -> tuple:
+        return self._carrier.divisors(x)
+
+    def leq(self, a, b) -> bool:
+        return self._carrier.leq(a, b)
+
+    def lt(self, a, b) -> bool:
+        return self._carrier.lt(a, b)
+
+    def is_unit(self, a) -> bool:
+        return self._carrier.is_unit(a)
+
+    def strictly_below(self, x) -> tuple:
+        return self._carrier.strictly_below(x)
+
+
+def test_the_protocol_declares_seven_queries():
+    members = {"identity", "op", "divisors", "leq", "lt", "is_unit", "strictly_below"}
+    assert carrier_members() == members
+    assert {name for name in dir(ProtocolOnly) if not name.startswith("_")} == members
+
+
+def test_the_readme_lists_the_protocol_members():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"`Carrier` protocol .*?declares: (.*?)\.\s", readme, re.S)
+    assert sentence is not None, "README lost the sentence listing the Carrier members"
+    assert set(re.findall(r"`(\w+)`", sentence.group(1))) == carrier_members()
+
+
+PROTOCOL_CASES = [("zn:12", zn_premonoid(12)), ("numerical:3,5,7", load_instance("numerical:3,5,7").payload)]
+
+
+@pytest.mark.parametrize("spec, P", PROTOCOL_CASES, ids=[s for s, _ in PROTOCOL_CASES])
+def test_engines_ask_only_the_protocol(spec, P):
+    elements = P.nonunits() if isinstance(P, Premonoid) else P.nonunit_sample()
+    W = ProtocolOnly(P)
+    assert isinstance(W, Carrier)
+    for x in elements:
+        assert element_profile(W, x) == element_profile(P, x), x
+        assert list(enumerate_factorizations(W, x, 5)) == list(enumerate_factorizations(P, x, 5)), x
+        for s in (2, 3):
+            assert is_irreducible(W, x, s) == is_irreducible(P, x, s), (x, s)
+            assert is_atom(W, x, s) == is_atom(P, x, s), (x, s)
+        assert is_quark(W, x) == is_quark(P, x), x
+    assert classify(W, elements=elements) == classify(P, elements=elements)
+    assert heights_of(W, elements) == heights_of(P, elements)
 
 
 @pytest.mark.parametrize("n", range(1, 49))

@@ -388,6 +388,17 @@ def test_describe_bad_degree_is_a_labeled_error(capsys):
     assert err.startswith("error: --degree") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("max_len, code", [("-1", 2), ("0", 0)])
+def test_factorize_max_len_must_not_be_negative(max_len, code, capsys):
+    code_got, out, err = run_cli(capsys, "factorize", "zn:8", "2", "--max-len", max_len)
+    assert code_got == code
+    if code:
+        assert out == ""
+        assert err.startswith("error: --max-len") and "Traceback" not in err
+    else:
+        assert json.loads(out)["words"] == []
+
+
 def test_verify_matrix_reports_failing_snf_probe(tmp_path, capsys, monkeypatch):
     import premonoids.matrices as mx
 

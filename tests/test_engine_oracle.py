@@ -31,11 +31,11 @@ from premonoids.factorization import (
     DivisorAutomaton,
     ElementProfile,
     _class_vectors,
-    _map_classes,
     _pairs,
     _witness,
     factorization_alphabet,
     minimal_factorization_classes,
+    prefix_bound,
 )
 from premonoids.families import n2_premonoid, numerical_premonoid, powerset_premonoid, zn_premonoid
 from premonoids.randgen import monoid_pool, random_premonoid
@@ -105,7 +105,7 @@ def oracle_realizable_vectors(P, x, alphabet):
     alphabet = tuple(a for a in alphabet if a in set(P.divisors(x)))
     if not alphabet:
         return (), False
-    bound = P.prefix_bound(x)
+    bound = prefix_bound(P, x)
     levels = _vector_levels(P, x, alphabet, 2 * bound + 1)
     infinite = any(x in prods for level in levels[bound + 1:] for prods in level.values())
     return tuple(sorted(_realized(levels[: bound + 1], x))), infinite
@@ -142,7 +142,7 @@ def oracle_minimal_classes(P, x, alphabet):
     if not alphabet:
         return ()
     rep = class_reps(P.leq, alphabet)
-    realized = _realized(_vector_levels(P, x, alphabet, P.prefix_bound(x), rep=rep), x)
+    realized = _realized(_vector_levels(P, x, alphabet, prefix_bound(P, x), rep=rep), x)
     minima = sorted(
         (vec for vec in realized if not any(vector_lt(w, vec) for w in realized)),
         key=lambda v: (vector_total(v), v),
@@ -159,7 +159,7 @@ def oracle_profile(P, x) -> ElementProfile:
     literal = []
     if minimal and atom_alpha:
         rep = class_reps(P.leq, irr_alpha)
-        atom_levels = _vector_levels(P, x, atom_alpha, P.prefix_bound(x), rep=rep)
+        atom_levels = _vector_levels(P, x, atom_alpha, prefix_bound(P, x), rep=rep)
         atom_realizable = _realized(atom_levels, x)
         sorted_atoms = tuple(sorted(atom_alpha))
         literal = [
@@ -168,16 +168,16 @@ def oracle_profile(P, x) -> ElementProfile:
             if vec in atom_realizable
         ]
     return ElementProfile(
-        element=P.label(x),
-        irreducible_divisors=tuple(P.label(a) for a in irr_alpha),
-        atom_divisors=tuple(P.label(a) for a in atom_alpha),
+        element=x,
+        irreducible_divisors=irr_alpha,
+        atom_divisors=atom_alpha,
         lengths=oracle_length_set(P, x, irr_alpha),
         atomic_lengths=oracle_length_set(P, x, atom_alpha),
         class_count=None if infinite else len(vectors),
         atomic_class_count=None if ainfinite else len(avectors),
-        minimal=_map_classes(P, minimal),
-        minimal_atomic_within=_map_classes(P, oracle_minimal_classes(P, x, atom_alpha)),
-        minimal_atomic_literal=_map_classes(P, literal),
+        minimal=minimal,
+        minimal_atomic_within=oracle_minimal_classes(P, x, atom_alpha),
+        minimal_atomic_literal=tuple(literal),
     )
 
 

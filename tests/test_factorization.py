@@ -10,6 +10,7 @@ from premonoids import (
     minimal_factorization_classes,
     realizable_vectors,
 )
+from premonoids.factorization import prefix_bound
 from premonoids.families import (
     make_remark_premonoid,
     powerset_premonoid,
@@ -155,7 +156,7 @@ def test_minimal_certification_against_deep_brute_force():
         P = random_premonoid(rng, max_size=5)
         for x in P.nonunits():
             alphabet = factorization_alphabet(P, x)
-            bound = P.prefix_bound(x)
+            bound = prefix_bound(P, x)
             words = brute_words(P, x, bound + 2, alphabet)
             minimal_words = pairwise_minimal_words(P.leq, words)
             assert all(len(w) <= bound for w in minimal_words)

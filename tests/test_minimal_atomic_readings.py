@@ -9,7 +9,7 @@ disagree whenever some minimal class has no atom realization.
 import random
 
 from premonoids import element_profile, is_atom
-from premonoids.factorization import factorization_alphabet
+from premonoids.factorization import factorization_alphabet, prefix_bound
 from premonoids.randgen import random_premonoid
 from premonoids.words import class_reps, word_vector
 
@@ -59,7 +59,7 @@ def test_both_readings_match_brute_force_on_random_instances():
         for x in P.nonunits():
             alphabet = factorization_alphabet(P, x)
             atom_letters = set(a for a in alphabet if is_atom(P, a))
-            bound = P.prefix_bound(x)
+            bound = prefix_bound(P, x)
             all_words = brute_words(P, x, bound + 1, alphabet)
             atom_words = [w for w in all_words if set(w) <= atom_letters]
 
@@ -85,9 +85,15 @@ def test_nested_localization_composes_labels():
             lx = view.from_parent(x)
             inner = view.germ_localization(lx)
             ix = inner.from_parent(lx)
-            assert inner.label(ix) == x
+            # the inner view's elements, named in P by composing the two maps
+            name = lambda a: view.to_parent[inner.to_parent[a]]
+            assert name(ix) == x
             outer_prof = element_profile(P, x)
             inner_prof = element_profile(inner, ix)
-            assert inner_prof.minimal == outer_prof.minimal
+            renamed = tuple(
+                (tuple((name(c), m) for c, m in vec), tuple(map(name, word)))
+                for vec, word in inner_prof.minimal
+            )
+            assert renamed == outer_prof.minimal
             assert inner_prof.lengths == outer_prof.lengths
-            assert inner_prof.irreducible_divisors == outer_prof.irreducible_divisors
+            assert tuple(map(name, inner_prof.irreducible_divisors)) == outer_prof.irreducible_divisors

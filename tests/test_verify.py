@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from premonoids import Premonoid, divisibility_preorder
-from premonoids.factorization import factorization_alphabet
+from premonoids.factorization import factorization_alphabet, prefix_bound
 from premonoids.families import powerset_premonoid, zn_premonoid
 from premonoids.monoid import FiniteMonoid
 from premonoids.randgen import (
@@ -165,12 +165,33 @@ def test_divisibility_laws_do_not_use_the_generating_pair_scan(monkeypatch):
         assert check_divisibility_premonoid_laws(P).passed
 
 
+def test_localization_check_renames_through_to_parent(monkeypatch):
+    """A view's data are renamed into the carrier through ``to_parent``, so a
+    view whose map is permuted makes the check fail instead of comparing the
+    view's own numbering with itself."""
+    from premonoids.verify import check_localization_invariance
+
+    P = zn_premonoid(12)
+    assert check_localization_invariance(P).passed
+    restrict = Premonoid.restrict
+
+    def permuted(self, elements):
+        view = restrict(self, elements)
+        object.__setattr__(view, "to_parent", view.to_parent[1:] + view.to_parent[:1])
+        return view
+
+    monkeypatch.setattr(Premonoid, "restrict", permuted)
+    result = check_localization_invariance(P)
+    assert not result.passed
+    assert result.details["view"] == "divisor-closed"
+
+
 def _assert_grouping_matches_pairwise(P):
     """Same minimal words, in the same order, on each word list that
     ``check_minimal_brute_force`` searches."""
     for x in P.nonunits():
         alphabet = factorization_alphabet(P, x, "irreducibles")
-        words = brute_words(P, x, P.prefix_bound(x) + 2, alphabet)
+        words = brute_words(P, x, prefix_bound(P, x) + 2, alphabet)
         assert minimal_words_by_multiset(P.leq, words) == pairwise_minimal_words(P.leq, words)
 
 
