@@ -34,16 +34,16 @@ def prefix_bound(P: Carrier, x) -> int:
     return len(P.divisors(x)) - 1
 
 
-def factorization_alphabet(P: Carrier, x, letters: str = "irreducibles", degree: int = 2) -> tuple:
+def factorization_alphabet(P: Carrier, x, letters: str = "irreducibles") -> tuple:
     """The letters that can appear in a factorization of x: irreducible (or
-    atom) divisors of x, sorted."""
+    atom) divisors of x of degree 2, sorted."""
     if letters == "irreducibles":
         pred = is_irreducible
     elif letters == "atoms":
         pred = is_atom
     else:
         raise ShapeError(f"unknown alphabet choice {letters!r}")
-    return tuple(a for a in P.divisors(x) if pred(P, a, degree))
+    return tuple(a for a in P.divisors(x) if pred(P, a))
 
 
 # -- the divisor automaton -----------------------------------------------------------

@@ -120,16 +120,3 @@ class LengthSet:
             period=data.get("period"),
             residues=data.get("residues", ()),
         )
-
-    def describe(self) -> str:
-        if self.is_empty:
-            return "{}"
-        parts = [str(k) for k in self.finite]
-        if self.offset is not None:
-            if self.period == 1:
-                parts.append(f"{self.offset + self.residues[0]}, {self.offset + self.residues[0] + 1}, ...")
-            else:
-                parts.append(
-                    f"{{{self.offset}+r+{self.period}k : r in {list(self.residues)}}}"
-                )
-        return "{" + ", ".join(parts) + "}"

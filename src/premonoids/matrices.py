@@ -272,111 +272,25 @@ def matrix_divisor_classes(a: Matrix, det_bound: int = 10**12) -> MatrixDivisorC
 
 
 # -- factorization lengths ------------------------------------------------------------------
-
-
-def _positive_divisors(value: int) -> tuple:
-    """Divisors of |value| in ascending order, built from its prime factors;
-    past the default ``det_bound`` this raises ``DetTooLargeError``."""
-    divisors = [1]
-    primes = factor_multiset(value)
-    for p in sorted(set(primes)):
-        divisors = [d * p**e for d in divisors for e in range(primes.count(p) + 1)]
-    return tuple(sorted(divisors))
-
-
-def _ordered_factorizations(value: int, slots: int):
-    """All tuples of positive ints of the given length with the given product."""
-    if slots == 1:
-        yield (value,)
-        return
-    for d in _positive_divisors(value):
-        for rest in _ordered_factorizations(value // d, slots - 1):
-            yield (d,) + rest
-
-
-def _left_divisors(m: Matrix, det: int):
-    """Pairs (T, X) with T*X = M, for every lower-triangular T with positive
-    diagonal of product ``det`` and below-diagonal entries reduced modulo the
-    row's diagonal entry.
-
-    Every right-associate class of a nonsingular integer matrix contains
-    exactly one such form, so these are all left divisors of M of that
-    determinant up to right association.  T is built row by row and X with
-    it, by forward substitution: X_i = (M_i - sum_{k<i} T_ik X_k) / T_ii.
-    The rational solution is unique, so a nonzero remainder rules out the
-    rows of T chosen so far and every form that extends them."""
-    n = len(m)
-
-    def extend(diagonal: tuple, t: tuple, x: tuple):
-        i = len(t)
-        if i == n:
-            yield t, x
-            return
-        d = diagonal[i]
-        tail = (d,) + (0,) * (n - i - 1)
-        for below in itertools.product(range(d), repeat=i):
-            row = []
-            for j, v in enumerate(m[i]):
-                for k, c in enumerate(below):
-                    v -= c * x[k][j]
-                q, r = divmod(v, d)
-                if r:
-                    break
-                row.append(q)
-            else:
-                yield from extend(diagonal, t + (below + tail,), x + (tuple(row),))
-
-    for diagonal in _ordered_factorizations(det, n):
-        yield from extend(diagonal, (), ())
+#
+# det is a transfer homomorphism from the nonsingular integer matrices onto
+# (N>0, *): a matrix splits into two non-units exactly when |det| is composite
+# (split its Smith form), so every factorization of A into irreducibles has
+# Omega(|det A|) factors (Geroldinger and Halter-Koch, Non-Unique
+# Factorizations, 2006, section 3.2).
 
 
 def matrix_is_irreducible(b: Matrix) -> bool:
-    """No splitting B = C*D with both determinants of absolute value >= 2."""
-    b = mat(b)
-    det = abs(mat_det(b))
-    if det <= 1:
-        return False
-    for d in _positive_divisors(det):
-        if 2 <= d <= det // 2:
-            for _ in _left_divisors(b, d):
-                return False
-    return True
+    """No splitting B = C*D with both determinants of absolute value >= 2:
+    exactly when |det B| is prime."""
+    return len(factor_multiset(mat_det(mat(b)))) == 1
 
 
 def matrix_length_set(a: Matrix, det_bound: int = 10**12) -> LengthSet:
-    """Exact set of lengths of factorizations of A into irreducible matrices.
-
-    Peels irreducible left divisors in canonical lower-triangular form and
-    recurses on the exact quotient; any factorization can be rotated into
-    this shape step by step without changing its length.  A left divisor is
-    tested for irreducibility only once it is found, at most once per call."""
+    """Exact set of lengths of factorizations of A into irreducible matrices:
+    {Omega(|det A|)}, and {0} for a unit."""
     a = mat(a)
     det = mat_det(a)
     if det == 0:
         raise SingularMatrixError("matrix must have nonzero determinant")
-    factor_multiset(det, det_bound)  # enforce the bound before recursing
-    memo: dict = {}
-    irreducible: dict = {}
-
-    def rec(m: Matrix) -> frozenset:
-        got = memo.get(m)
-        if got is not None:
-            return got
-        dm = abs(mat_det(m))
-        if dm == 1:
-            memo[m] = frozenset({0})
-            return memo[m]
-        out = set()
-        for d in _positive_divisors(dm):
-            if d < 2:
-                continue
-            for t, q in _left_divisors(m, d):
-                verdict = irreducible.get(t)
-                if verdict is None:
-                    verdict = irreducible[t] = matrix_is_irreducible(t)
-                if verdict:
-                    out |= {1 + l for l in rec(q)}
-        memo[m] = frozenset(out)
-        return memo[m]
-
-    return LengthSet.make(rec(a))
+    return LengthSet.of(len(factor_multiset(det, det_bound)))

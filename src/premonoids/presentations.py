@@ -107,12 +107,6 @@ class BoundedCongruence:
         """Canonical (shortest, then lexicographically least) representative."""
         return self._find(w)
 
-    def classes(self) -> dict:
-        out: dict = {}
-        for w in self.words:
-            out.setdefault(self._find(w), []).append(w)
-        return {rep: tuple(sorted(members)) for rep, members in sorted(out.items())}
-
 
 @dataclass
 class ExplorationReport:

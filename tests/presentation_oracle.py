@@ -43,7 +43,7 @@ def oracle_explore(alphabet: str, relations, bound: int) -> ExplorationReport:
     )
     cong = BoundedCongruence(alphabet=alphabet, relations=rels, bound=bound)
 
-    reps = sorted(cong.classes(), key=lambda w: (len(w), w))
+    reps = sorted({cong.class_of(w) for w in cong.words}, key=lambda w: (len(w), w))
     rep_index = {rep: i for i, rep in enumerate(reps)}
     k = len(reps)
 

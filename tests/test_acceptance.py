@@ -17,6 +17,7 @@ from premonoids import (
     classify,
     divisibility_preorder,
     is_atom,
+    is_irreducible,
     length_set,
     minimal_factorization_classes,
 )
@@ -188,7 +189,7 @@ def test_acceptance_04_abstract_factorization_bound():
         for x, ht in heights.items():
             divs = set(LP.divisors(x))
             for s in (2, 3):
-                alphabet = factorization_alphabet(LP, x, "irreducibles", degree=s)
+                alphabet = [a for a in LP.divisors(x) if is_irreducible(LP, a, s)]
                 cap = min(s ** (ht - 1), prefix_bound(LP, x))
                 layer = {LP.identity}
                 hit = None

@@ -205,7 +205,7 @@ _SQUARE = st.integers(1, 3).flatmap(
 )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None)
 @given(st.one_of(_SQUARE, _RAGGED, _JSON_JUNK))
 def test_matrix_files_never_produce_a_traceback(payload):
     with tempfile.TemporaryDirectory() as tmp:
@@ -420,6 +420,28 @@ def test_verify_matrix_reports_failing_snf_probe(tmp_path, capsys, monkeypatch):
     assert probe["passed"] is False
     assert probe["details"]["error"] == "probe self-check failed"
     assert len(probe["details"]["matrix"]) == 2
+
+
+@pytest.mark.parametrize("fault", ["one-more", "two-lengths", "prime-dropped"])
+def test_verify_matrix_length_check_catches_a_wrong_engine(fault, tmp_path, capsys, monkeypatch):
+    """The expected count comes from the Smith form, not from the engine's
+    own prime factorization, so each injected error fails the check."""
+    import premonoids.matrices as mx
+
+    mpath = tmp_path / "a.json"
+    mpath.write_text(json.dumps([[2, 0], [0, 6]]))  # det 12, three primes
+    if fault == "one-more":
+        monkeypatch.setattr(mx, "matrix_length_set", lambda a: premonoids.LengthSet.of(4))
+    elif fault == "two-lengths":
+        monkeypatch.setattr(mx, "matrix_length_set", lambda a: premonoids.LengthSet.of(3, 4))
+    else:
+        real = mx.factor_multiset
+        monkeypatch.setattr(mx, "factor_multiset", lambda v, det_bound=10**12: real(v, det_bound)[1:])
+    code, out, _ = run_cli(capsys, "verify", f"matrix:{mpath}")
+    assert code == 4
+    checks = {c["name"]: c for c in json.loads(out)["reports"][0]["checks"]}
+    check = checks["length-set-vs-prime-count"]
+    assert check["passed"] is False and check["details"]["prime_count"] == 3
 
 
 def test_verify_matrix_passing_probes_keep_empty_details(tmp_path, capsys):
