@@ -11,13 +11,18 @@ pruning facts about a factorization of x:
   and if any factorization exceeds that bound then factorizations of
   unbounded length exist (pump the excised segment instead of dropping it).
 
-Every search runs on one :class:`DivisorAutomaton` per element and alphabet:
-the divisors of x numbered 0..d-1, their transition table over the alphabet,
-and sets of divisors as int bitmasks.
+Every search runs on one :class:`DivisorAutomaton` per element and letter
+kind: the divisors of x as states, sets of them as int bitmasks, and the
+successor mask of each state. On a finite carrier the states are numbered by
+element and the successor masks are the carrier's letter rows, folded once
+per letter and kind, masked by the divisors of x; any other carrier numbers
+the divisors 0..d-1 and multiplies each by each letter.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import and_
 
 from .errors import ShapeError
 from .irreducibles import is_atom, is_irreducible
@@ -36,14 +41,12 @@ def prefix_bound(P: Carrier, x) -> int:
 
 def factorization_alphabet(P: Carrier, x, letters: str = "irreducibles") -> tuple:
     """The letters that can appear in a factorization of x: irreducible (or
-    atom) divisors of x of degree 2, sorted."""
-    if letters == "irreducibles":
-        pred = is_irreducible
-    elif letters == "atoms":
-        pred = is_atom
-    else:
+    atom) divisors of x of degree 2, sorted. Every atom is irreducible, so
+    only irreducibles are asked whether they are atoms."""
+    if letters not in ("irreducibles", "atoms"):
         raise ShapeError(f"unknown alphabet choice {letters!r}")
-    return tuple(a for a in P.divisors(x) if pred(P, a))
+    irr = tuple(a for a in P.divisors(x) if is_irreducible(P, a))
+    return irr if letters == "irreducibles" else tuple(a for a in irr if is_atom(P, a))
 
 
 # -- the divisor automaton -----------------------------------------------------------
@@ -67,46 +70,92 @@ def _bitset(indices) -> int:
     return out
 
 
-class DivisorAutomaton:
-    """The divisors of x numbered 0..d-1 with their transition table over an
-    alphabet of divisors of x.
+class _LazyRows(dict):
+    """The ``table`` of the finite construction: the row of state p, its
+    product with each letter or -1 where that does not divide x, is worked
+    out on first lookup."""
 
-    ``table[i][j]`` numbers ``states[i] * alphabet[j]``, or is -1 when that
-    product does not divide x, and then no extension of it is x either. Sets
-    of divisors are int bitmasks over the numbering. The alphabet is sorted,
-    so a search that tries letters in table order meets the lexicographically
-    least word first. The length set, the class numbering and the class-vector
-    census are computed once, on first use.
+    __slots__ = ("op", "mask", "alphabet")
+
+    def __init__(self, op, mask: int, alphabet: tuple):
+        super().__init__()
+        self.op, self.mask, self.alphabet = op, mask, alphabet
+
+    def __missing__(self, p) -> list:
+        mask = self.mask
+        row = self[p] = [q if mask >> q & 1 else -1 for q in map(self.op, repeat(p), self.alphabet)]
+        return row
+
+
+class DivisorAutomaton:
+    """The automaton of x over the letters of one kind, ``"irreducibles"`` or
+    ``"atoms"``: its states are the divisors of x, and sets of states are int
+    bitmasks.
+
+    A finite carrier (one with ``letter_rows``) numbers each state by its
+    element, and the successors of p are the carrier's letter row of p masked
+    by the divisors of x, so no product is taken to build the automaton. Any
+    other carrier numbers the divisors 0..d-1 and multiplies each by each
+    letter once; that construction is also the test oracle of the first.
+
+    ``succ[i]`` is the mask of the successors of state i. ``table[i][j]``
+    numbers the product of state i with ``alphabet[j]``, or is -1 when that
+    product does not divide x, and then no extension of it is x either; the
+    finite construction works a row out only when it is looked up. The
+    alphabet is sorted, so a search that tries letters in table order meets
+    the lexicographically least word first. The length set, the class
+    numbering and the class-vector census are computed once, on first use.
     """
 
-    __slots__ = ("states", "alphabet", "table", "succ", "start", "goal", "leq",
-                 "_lengths", "_classes", "_census")
+    __slots__ = ("states", "alphabet", "table", "succ", "start", "goal", "leq", "_ids",
+                 "_lengths", "_rep", "_classes", "_census")
 
-    def __init__(self, P: Carrier, x, alphabet):
+    def __init__(self, P: Carrier, x, letters: str = "irreducibles"):
         states = P.divisors(x)
-        index = {p: i for i, p in enumerate(states)}
-        op = P.op
+        alphabet = factorization_alphabet(P, x, letters)
+        letter_rows = getattr(P, "letter_rows", None)
         self.states = states
-        self.alphabet = tuple(sorted(a for a in alphabet if a in index))
-        self.table = [[index.get(op(p, a), -1) for a in self.alphabet] for p in states]
-        self.succ = [_bitset(row) for row in self.table]
-        self.start = index[P.identity]
-        self.goal = index[x]
+        self.alphabet = alphabet
         self.leq = P.leq
+        if letter_rows is None:
+            index = {p: i for i, p in enumerate(states)}
+            op = P.op
+            self._ids = range(len(states))
+            self.table = [[index.get(op(p, a), -1) for a in alphabet] for p in states]
+            self.succ = [_bitset(row) for row in self.table]
+            self.start = index[P.identity]
+            self.goal = index[x]
+        else:
+            rows = letter_rows(letters, alphabet)
+            mask = _bitset(states)
+            self._ids = states
+            self.table = _LazyRows(P.op, mask, alphabet)
+            self.succ = dict(zip(states, map(and_, map(rows.__getitem__, states), repeat(mask))))
+            self.start = P.identity
+            self.goal = x
         self._lengths = None
+        self._rep = None
         self._classes = None
         self._census = None
 
+    def elements(self, mask: int) -> frozenset:
+        """The divisors of x in ``mask``."""
+        return frozenset(p for i, p in zip(self._ids, self.states) if mask >> i & 1)
+
     def preimage(self, mask: int) -> int:
         """States with a letter leading into ``mask``."""
-        return _bitset(i for i, s in enumerate(self.succ) if s & mask)
+        succ = self.succ
+        return _bitset(i for i in self._ids if succ[i] & mask)
 
     def class_succ(self, cls_of, classes: int) -> list:
         """``out[c][i]``: the states reached from state i by a letter of class c."""
         if classes == 1:
             return [self.succ]
         groups = [[j for j, c in enumerate(cls_of) if c == k] for k in range(classes)]
-        return [[_bitset(row[j] for j in group) for row in self.table] for group in groups]
+        ids = self._ids
+        rows = [self.table[i] for i in ids]
+        out = [[_bitset(row[j] for j in group) for row in rows] for group in groups]
+        return out if isinstance(ids, range) else [dict(zip(ids, masks)) for masks in out]
 
     def layers(self) -> tuple[list, int]:
         """Masks of the layers L_1, L_2, ... (L_k: the products of k letters)
@@ -136,11 +185,17 @@ class DivisorAutomaton:
             )
         return self._lengths
 
+    def class_map(self) -> dict:
+        """Each letter's class representative, by ``words.class_reps``."""
+        if self._rep is None:
+            self._rep = class_reps(self.leq, self.alphabet)
+        return self._rep
+
     def numbering(self) -> tuple[list, list]:
         """The class number of each letter and the class representatives in
         number order, for the classes of the alphabet."""
         if self._classes is None:
-            self._classes = _numbering(self, class_reps(self.leq, self.alphabet))
+            self._classes = _numbering(self, self.class_map())
         return self._classes
 
     def census(self) -> list:
@@ -158,9 +213,7 @@ class DivisorAutomaton:
 
 
 def _automaton(P: Carrier, x, letters, automaton=None) -> DivisorAutomaton:
-    if automaton is None:
-        automaton = DivisorAutomaton(P, x, factorization_alphabet(P, x, letters))
-    return automaton
+    return DivisorAutomaton(P, x, letters) if automaton is None else automaton
 
 
 # -- streaming enumeration -------------------------------------------------------
@@ -235,8 +288,7 @@ def layer_automaton(P: Carrier, x, letters: str = "irreducibles"):
     if not auto.alphabet:
         return [], 0, 1
     layers, first = auto.layers()
-    members = [frozenset(p for i, p in enumerate(auto.states) if m >> i & 1) for m in layers]
-    return members, first, len(layers) - first
+    return [auto.elements(m) for m in layers], first, len(layers) - first
 
 
 def layer_automaton_dot(P: Carrier, x, letters: str = "irreducibles") -> str:
@@ -465,10 +517,10 @@ def _class_list(classes) -> list:
     return [[list(map(list, v)), list(w)] for v, w in classes]
 
 
-def _column_data(P: Carrier, x, alphabet) -> tuple:
-    """The automaton of x over ``alphabet``, its length set, its class count
-    (None = infinitely many) and its minimal classes."""
-    auto = DivisorAutomaton(P, x, alphabet)
+def _column_data(P: Carrier, x, letters: str) -> tuple:
+    """The automaton of x over the letters of one kind, its length set, its
+    class count (None = infinitely many) and its minimal classes."""
+    auto = DivisorAutomaton(P, x, letters)
     lengths = length_set(P, x, automaton=auto)
     vectors, infinite = realizable_vectors(P, x, automaton=auto)
     minimal = minimal_factorization_classes(P, x, automaton=auto)
@@ -476,17 +528,17 @@ def _column_data(P: Carrier, x, alphabet) -> tuple:
 
 
 def element_profile(P: Carrier, x) -> ElementProfile:
-    irr_alpha = factorization_alphabet(P, x, "irreducibles")
+    irr, lengths, class_count, minimal = _column_data(P, x, "irreducibles")
+    irr_alpha = irr.alphabet
     atom_alpha = tuple(a for a in irr_alpha if is_atom(P, a))
-    _, lengths, class_count, minimal = _column_data(P, x, irr_alpha)
     if atom_alpha == irr_alpha:
         # every irreducible divisor is an atom, so the atomic data coincide
         atomic_lengths, atomic_class_count, within, literal = lengths, class_count, minimal, minimal
     else:
-        atom, atomic_lengths, atomic_class_count, within = _column_data(P, x, atom_alpha)
+        atom, atomic_lengths, atomic_class_count, within = _column_data(P, x, "atoms")
         # literal reading of minimal atomic classes: minimal among all
         # irreducible factorizations, then intersect with atom words
-        literal = _literal_classes(atom, class_reps(P.leq, irr_alpha), minimal)
+        literal = _literal_classes(atom, irr.class_map(), minimal)
     return ElementProfile(
         element=x,
         irreducible_divisors=irr_alpha,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from functools import reduce
+from itertools import chain, repeat
 from operator import itemgetter, or_
 
 from .bitrows import indices
@@ -29,14 +30,15 @@ def _first_nonassociative(rows) -> tuple[int, int, int] | None:
     """
     n = len(rows)
     if n <= 256:
-        # indices fit in a byte: translate maps row y through row x in one C call
+        # indices fit in a byte: one translate maps the whole table through
+        # row x, and row y of the result is x(yz) over all z
         packed = [bytes(row) for row in rows]
+        table = b"".join(packed)
         pad = bytes(256 - n)
 
         def agrees(x: int) -> bool:
             rx = packed[x]
-            through = rx + pad
-            return [packed[p] for p in rx] == [ry.translate(through) for ry in packed]
+            return b"".join(map(packed.__getitem__, rx)) == table.translate(rx + pad)
     else:
         # n > 256, so each itemgetter takes many indices and returns a tuple
         through = [itemgetter(*row) for row in rows]
@@ -81,12 +83,18 @@ class FiniteMonoid:
         n = len(rows)
         if n == 0:
             raise ShapeError("empty multiplication table")
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ShapeError(f"row {i} has length {len(row)}, expected {n}")
-            for j, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < n:
-                    raise ShapeError(f"entry ({i}, {j}) = {v!r} is not an element index")
+        if not (
+            all(map(n.__eq__, map(len, rows)))
+            and all(map(isinstance, chain.from_iterable(rows), repeat(int)))
+            and set(range(n)).issuperset(chain.from_iterable(rows))
+        ):
+            # rescan entry by entry for the first fault
+            for i, row in enumerate(rows):
+                if len(row) != n:
+                    raise ShapeError(f"row {i} has length {len(row)}, expected {n}")
+                for j, v in enumerate(row):
+                    if not isinstance(v, int) or not 0 <= v < n:
+                        raise ShapeError(f"entry ({i}, {j}) = {v!r} is not an element index")
         if not isinstance(identity, int) or not 0 <= identity < n:
             raise ShapeError(f"identity {identity!r} is not an element index")
         for x in range(n):

@@ -8,11 +8,15 @@ samples of lazily presented ones alike.
 :class:`Carrier` is the query protocol that the irreducibility and
 factorization engines are written against; :class:`Premonoid` implements it
 for finite carriers, and lazily presented carriers plug into the same
-machinery through :class:`premonoids.localfinite.LocalPremonoid`.
+machinery through :class:`premonoids.localfinite.LocalPremonoid`. Beyond the
+protocol, :meth:`Premonoid.letter_rows` lets the factorization engine read
+successor masks off the table instead of multiplying.
 """
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import repeat
+from operator import itemgetter, lshift, or_
 from typing import Protocol, runtime_checkable
 
 from .bitrows import generating_pairs
@@ -129,7 +133,8 @@ def compatibility(up, images, leq, lt) -> tuple[bool, bool]:
 class Premonoid:
     """Finite carrier: a FiniteMonoid together with a PreorderRel."""
 
-    __slots__ = ("monoid", "preorder", "_units", "_nonunits", "_heights", "_flags", "_irrcache")
+    __slots__ = ("monoid", "preorder", "_units", "_nonunits", "_heights", "_flags", "_irrcache",
+                 "_letter_rows")
 
     def __init__(self, monoid: FiniteMonoid, preorder: PreorderRel):
         if monoid.n != preorder.n:
@@ -143,6 +148,7 @@ class Premonoid:
         object.__setattr__(self, "_heights", None)
         object.__setattr__(self, "_flags", None)
         object.__setattr__(self, "_irrcache", {})  # irreducibles.is_irreducible/is_atom
+        object.__setattr__(self, "_letter_rows", {})  # letter kind -> (rows, folded letters)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Premonoid is immutable")
@@ -195,6 +201,29 @@ class Premonoid:
         rows = self.preorder.rows
         up = rows[x]
         return tuple(y for y in self.nonunits() if rows[y] >> x & 1 and not up >> y & 1)
+
+    # -- finite capability of the factorization engine --------------------------
+
+    def letter_rows(self, letters: str, alphabet) -> list:
+        """Row p holds the bits of p*a over the letters a of kind ``letters``
+        folded so far; the letters of ``alphabet`` not yet folded are folded
+        in first, one table column each.
+
+        ``alphabet`` must hold letters of that kind only. A letter a with p*a
+        dividing x divides x, so the row of p masked by the divisors of x
+        lists exactly p's successors in x's automaton once x's own letters
+        are folded, whatever else has been folded for other elements.
+        """
+        entry = self._letter_rows.get(letters)
+        if entry is None:
+            entry = self._letter_rows[letters] = ([0] * self.monoid.n, set())
+        rows, folded = entry
+        table = self.monoid.table
+        for a in alphabet:
+            if a not in folded:
+                folded.add(a)
+                rows[:] = map(or_, rows, map(lshift, repeat(1), map(itemgetter(a), table)))
+        return rows
 
     # -- derived data ----------------------------------------------------------
 

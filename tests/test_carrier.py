@@ -25,10 +25,13 @@ from premonoids import (
     is_quark,
 )
 from premonoids.cli import load_instance
+from premonoids.factorization import DivisorAutomaton
 from premonoids.families import AdditiveNaturals, cyclic_group, power_premonoid, zn_premonoid
 from premonoids.localfinite import LocalPremonoid
 from premonoids.premonoid import Carrier, Premonoid, SubPremonoid, heights_of
 from premonoids.randgen import monoid_pool, random_premonoid
+
+from protocol_only import ProtocolOnly
 
 # one instance of each local builder the CLI loads (power:FILE loads
 # power_premonoid when the base has more than four elements)
@@ -98,38 +101,6 @@ def carrier_members() -> set:
     return {name for name in vars(Carrier) if not name.startswith("_")} | set(Carrier.__annotations__)
 
 
-class ProtocolOnly:
-    """A carrier that answers the ``Carrier`` queries and nothing else: no
-    caches, no element list, no other method of the carrier it wraps."""
-
-    __slots__ = ("_carrier",)
-
-    def __init__(self, carrier):
-        self._carrier = carrier
-
-    @property
-    def identity(self):
-        return self._carrier.identity
-
-    def op(self, a, b):
-        return self._carrier.op(a, b)
-
-    def divisors(self, x) -> tuple:
-        return self._carrier.divisors(x)
-
-    def leq(self, a, b) -> bool:
-        return self._carrier.leq(a, b)
-
-    def lt(self, a, b) -> bool:
-        return self._carrier.lt(a, b)
-
-    def is_unit(self, a) -> bool:
-        return self._carrier.is_unit(a)
-
-    def strictly_below(self, x) -> tuple:
-        return self._carrier.strictly_below(x)
-
-
 def test_the_protocol_declares_seven_queries():
     members = {"identity", "op", "divisors", "leq", "lt", "is_unit", "strictly_below"}
     assert carrier_members() == members
@@ -146,12 +117,36 @@ def test_the_readme_lists_the_protocol_members():
 PROTOCOL_CASES = [("zn:12", zn_premonoid(12)), ("numerical:3,5,7", load_instance("numerical:3,5,7").payload)]
 
 
+def takes_finite_construction(P, x, letters) -> bool:
+    """Whether x's automaton numbers its states by element (the finite
+    construction) rather than 0..d-1; the goal tells them apart wherever
+    x's place among its divisors is not x itself."""
+    auto = DivisorAutomaton(P, x, letters)
+    divisors = P.divisors(x)
+    assert divisors.index(x) != x, "x does not tell the constructions apart"
+    assert auto.goal in (x, divisors.index(x))
+    assert auto.elements(1 << auto.goal) == {x}
+    return auto.goal == x
+
+
+def test_finite_carriers_take_the_finite_construction():
+    P = zn_premonoid(12)
+    sub = P.divisor_closed_localization(2)  # elements 1, 2, 4, 5, 7, 8, 10, 11
+    for carrier, x in ((P, 4), (P, 9), (sub, sub.from_parent(10))):
+        for letters in ("irreducibles", "atoms"):
+            assert takes_finite_construction(carrier, x, letters), (carrier, x, letters)
+            assert not takes_finite_construction(ProtocolOnly(carrier), x, letters), (carrier, x)
+
+
 @pytest.mark.parametrize("spec, P", PROTOCOL_CASES, ids=[s for s, _ in PROTOCOL_CASES])
 def test_engines_ask_only_the_protocol(spec, P):
     elements = P.nonunits() if isinstance(P, Premonoid) else P.nonunit_sample()
     W = ProtocolOnly(P)
     assert isinstance(W, Carrier)
     for x in elements:
+        if P.divisors(x).index(x) != x:
+            assert takes_finite_construction(P, x, "irreducibles") == isinstance(P, Premonoid), x
+            assert not takes_finite_construction(W, x, "irreducibles"), x
         assert element_profile(W, x) == element_profile(P, x), x
         assert list(enumerate_factorizations(W, x, 5)) == list(enumerate_factorizations(P, x, 5)), x
         for s in (2, 3):

@@ -15,7 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import premonoids
+from premonoids import FiniteMonoid
 from premonoids.cli import _dumps, load_instance, main
+from premonoids.factorization import layer_automaton_dot
+from premonoids.families import powerset_premonoid
+
+from protocol_only import ProtocolOnly
 
 
 def run_cli(capsys, *argv):
@@ -283,6 +288,25 @@ def test_dot_outputs(capsys):
     assert code == 0 and out.startswith("digraph")
     code, out, _ = run_cli(capsys, "factorize", "zn:4", "0", "--format", "dot")
     assert code == 0 and "digraph layers" in out
+
+
+@pytest.mark.parametrize("spec", ["zn:12", "chain", "union4"])
+def test_factorize_dot_matches_the_divisor_indexed_construction(spec, tmp_path, capsys):
+    # the CLI's finite carrier numbers automaton states by element; the
+    # protocol-only wrapper gets the divisor-indexed construction
+    if spec != "zn:12":
+        path = tmp_path / f"{spec}.json"
+        if spec == "chain":
+            monoid = FiniteMonoid([[max(i, j) for j in range(30)] for i in range(30)], 0)
+        else:
+            monoid = powerset_premonoid(4)[0].monoid
+        path.write_text(json.dumps(monoid.to_json()))
+        spec = str(path)
+    P = load_instance(spec).payload
+    for x in range(P.monoid.n):
+        code, out, _ = run_cli(capsys, "factorize", spec, str(x), "--format", "dot")
+        assert code == 0
+        assert out == layer_automaton_dot(ProtocolOnly(P), x) + "\n", x
 
 
 def test_out_file(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """The divisor-automaton engine against its predecessors.
 
-The main oracle below is the engine as it was before the automaton: layers
+The first oracle below is the engine as it was before the automaton: layers
 as frozensets of elements, class vectors built level by level out to the
 distinct-prefix bound (twice that for the census) with no pruning beyond
 divisors of x, and minimal classes picked from all realized vectors by
@@ -10,8 +10,14 @@ the engine.
 On a finite length set the engine reads the minimal classes off its one
 class-vector census; the dominance-pruned minimal search that it ran there
 before is kept below as a second oracle.
+
+On a finite carrier the automaton numbers its states by element and reads
+its successor masks off the carrier's letter rows; the divisor-indexed
+construction, which any carrier without letter rows gets, is its oracle.
 """
+import json
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +27,11 @@ from premonoids import (
     FiniteMonoid,
     LengthSet,
     Premonoid,
+    atoms,
     divisibility_preorder,
     element_profile,
+    enumerate_factorizations,
+    irreducibles,
     is_atom,
     realizable_vectors,
 )
@@ -38,10 +47,12 @@ from premonoids.factorization import (
     prefix_bound,
 )
 from premonoids.families import n2_premonoid, numerical_premonoid, powerset_premonoid, zn_premonoid
+from premonoids.cli import factorize_payload, load_instance
 from premonoids.randgen import monoid_pool, random_premonoid
 from premonoids.words import class_reps, vector_total
 
 from brute_force import vector_leq
+from protocol_only import ProtocolOnly
 
 
 def vector_lt(u: tuple, v: tuple) -> bool:
@@ -223,11 +234,11 @@ def test_random_premonoids_match_oracle(seed):
 # -- census minima against the pruned minimal search ---------------------------------
 
 
-def pruned_minimal_classes(P, x, alphabet):
+def pruned_minimal_classes(P, x, letters):
     """The minimal classes by the dominance-pruned search out to the largest
     length, on a finite length set: what ``minimal_factorization_classes``
     ran there before it read the minima off the census."""
-    auto = DivisorAutomaton(P, x, alphabet)
+    auto = DivisorAutomaton(P, x, letters)
     lengths = auto.length_set()
     assert lengths.is_finite
     if lengths.is_empty:
@@ -245,12 +256,11 @@ def assert_census_minima_match(P, elements) -> tuple[int, int]:
     compared = dominated = 0
     for x in elements:
         for letters in ("irreducibles", "atoms"):
-            alphabet = factorization_alphabet(P, x, letters)
-            auto = DivisorAutomaton(P, x, alphabet)
+            auto = DivisorAutomaton(P, x, letters)
             if not auto.length_set().is_finite:
                 continue
             got = minimal_factorization_classes(P, x, automaton=auto)
-            assert got == pruned_minimal_classes(P, x, alphabet), (x, letters)
+            assert got == pruned_minimal_classes(P, x, letters), (x, letters)
             compared += bool(got)
             dominated += len(auto.census()) > len(got)
     return compared, dominated
@@ -310,13 +320,137 @@ def test_one_class_vector_search_per_column(monkeypatch):
     finite_columns = 0
     for P, elements in carriers:
         for x in elements:
-            irr = factorization_alphabet(P, x, "irreducibles")
-            alphabets = {irr, tuple(a for a in irr if is_atom(P, a))}
-            finite = [fz.length_set(P, x, automaton=DivisorAutomaton(P, x, a)).is_finite for a in alphabets]
+            same = factorization_alphabet(P, x, "irreducibles") == factorization_alphabet(P, x, "atoms")
+            kinds = ("irreducibles",) if same else ("irreducibles", "atoms")
+            finite = [fz.length_set(P, x, letters).is_finite for letters in kinds]
             calls.clear()
             element_profile(P, x)
-            assert len(calls) <= len(alphabets), (x, calls)
+            assert len(calls) <= len(kinds), (x, calls)
             # a finite column runs only its census; the pruned search serves infinite ones
             assert calls.count(True) == finite.count(False), (x, calls)
             finite_columns += sum(finite)
     assert finite_columns > 0
+
+
+# -- the finite construction against the divisor-indexed one --------------------------
+#
+# ``ProtocolOnly`` hides the carrier's letter rows, so the same carrier behind
+# it gets the divisor-indexed automaton, which multiplies each divisor of x by
+# each letter.
+
+STREAM_LEN, STREAM_WORDS = 5, 200
+
+
+def _stream(P, x, letters) -> list:
+    return list(islice(enumerate_factorizations(P, x, STREAM_LEN, letters), STREAM_WORDS))
+
+
+def assert_constructions_agree(P):
+    W = ProtocolOnly(P)
+    for x in range(P.monoid.n):
+        for letters in ("irreducibles", "atoms"):
+            fast, slow = DivisorAutomaton(P, x, letters), DivisorAutomaton(W, x, letters)
+            key = (x, letters)
+            assert fz.layer_automaton(P, x, letters) == fz.layer_automaton(W, x, letters), key
+            assert fast.length_set() == slow.length_set(), key
+            assert realizable_vectors(P, x, automaton=fast) == realizable_vectors(W, x, automaton=slow), key
+            assert minimal_factorization_classes(P, x, automaton=fast) == minimal_factorization_classes(
+                W, x, automaton=slow
+            ), key
+            assert _stream(P, x, letters) == _stream(W, x, letters), key
+        assert element_profile(P, x) == element_profile(W, x), x
+
+
+@pytest.mark.parametrize("index", range(len(monoid_pool())))
+def test_finite_construction_on_the_monoid_pool(index):
+    assert_constructions_agree(_divisibility_premonoid(*monoid_pool()[index]))
+
+
+@pytest.mark.parametrize("n", range(1, 49))
+def test_finite_construction_on_zn(n):
+    assert_constructions_agree(zn_premonoid(n))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_finite_construction_on_random_premonoids(seed):
+    assert_constructions_agree(random_premonoid(random.Random(seed), 6))
+
+
+@pytest.mark.parametrize("points", [3, 4])
+def test_finite_construction_on_union_power_sets(points):
+    P, _ = powerset_premonoid(points)
+    assert_constructions_agree(P)
+
+
+@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("kind", ["max", "capped"])
+def test_finite_construction_on_chains(kind, n):
+    op = max if kind == "max" else lambda i, j: min(i + j, n - 1)
+    assert_constructions_agree(_divisibility_premonoid([[op(i, j) for j in range(n)] for i in range(n)], 0))
+
+
+@pytest.mark.parametrize("n", [12, 18, 24, 30])
+def test_finite_construction_on_restricted_views(n):
+    P = zn_premonoid(n)
+    views = {}
+    for y in range(n):
+        for view in (P.divisor_closed_localization(y), P.germ_localization(y)):
+            views.setdefault(view.to_parent, view)
+    for view in views.values():
+        assert_constructions_agree(view)
+
+
+# -- letter rows are folded once, only for letters that are asked for ----------------
+
+
+def assert_letter_rows(P, expected: dict):
+    """The letters folded per kind are ``expected``, and each row is the OR
+    of its products with them."""
+    folded = {kind: entry[1] for kind, entry in P._letter_rows.items()}
+    assert {k: v for k, v in folded.items() if v} == {k: v for k, v in expected.items() if v}
+    table = P.monoid.table
+    for rows, letters in P._letter_rows.values():
+        # a sum of distinct bits is their OR
+        assert rows == [sum({1 << table[p][a] for a in letters}) for p in range(P.monoid.n)]
+
+
+def _atomic_columns(P) -> set:
+    """The atom letters of the elements whose atomic column runs its own
+    automaton: those with an irreducible divisor that is not an atom."""
+    out: set = set()
+    for x in P.nonunits():
+        atom_alpha = factorization_alphabet(P, x, "atoms")
+        if atom_alpha != factorization_alphabet(P, x, "irreducibles"):
+            out.update(atom_alpha)
+    return out
+
+
+@pytest.mark.parametrize("spec", ["zn:128", "union4"])
+def test_classify_folds_each_letter_once(spec):
+    P = zn_premonoid(128) if spec == "zn:128" else powerset_premonoid(4)[0]
+    fz.classify(P)
+    assert_letter_rows(P, {"irreducibles": set(irreducibles(P)), "atoms": _atomic_columns(P)})
+
+
+def test_classify_folds_the_atoms_of_random_premonoids():
+    all_atoms = 0
+    for seed in range(40):
+        P = random_premonoid(random.Random(seed), 6)
+        fz.classify(P)
+        within = _atomic_columns(P)
+        assert_letter_rows(P, {"irreducibles": set(irreducibles(P)), "atoms": within})
+        all_atoms += within == set(atoms(P)) != set()
+    assert all_atoms > 0
+
+
+def test_a_small_element_of_a_long_chain_folds_only_its_letters(tmp_path):
+    n = 200
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"n": n, "identity": 0, "table": [[max(i, j) for j in range(n)] for i in range(n)]}))
+    instance = load_instance(str(path))
+    factorize_payload(instance, "3", 6, "both", minimal_only=True)
+    P = instance.payload
+    assert P.divisors(3) == (0, 1, 2, 3)
+    assert_letter_rows(P, {"irreducibles": {1, 2, 3}})
+    assert sum(len(letters) for _, letters in P._letter_rows.values()) <= 3

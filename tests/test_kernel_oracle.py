@@ -15,11 +15,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from premonoids import (
+    BadIdentityError,
     FiniteMonoid,
     NonAssociativeError,
     Premonoid,
     PremonoidFlags,
     PreorderRel,
+    ShapeError,
     divisibility_preorder,
 )
 from premonoids.bitrows import close, generating_pairs
@@ -196,6 +198,49 @@ def test_associativity_witness_matches_triple_loop(seed, n):
         with pytest.raises(NonAssociativeError) as info:
             FiniteMonoid(table, identity)
         assert info.value.witness == expected
+
+
+def oracle_shape_fault(table):
+    """The first fault of the row-by-row, entry-by-entry scan."""
+    n = len(table)
+    for i, row in enumerate(table):
+        if len(row) != n:
+            return f"row {i} has length {len(row)}, expected {n}"
+        for j, v in enumerate(row):
+            if not isinstance(v, int) or not 0 <= v < n:
+                return f"entry ({i}, {j}) = {v!r} is not an element index"
+    return None
+
+
+BAD_ENTRIES = st.sampled_from([-1, 6, 7, 1.0, 0.5, True, False, "1", None, [0], 2**70])
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), BAD_ENTRIES), max_size=3),
+    st.lists(st.integers(0, 5), max_size=2),
+)
+@settings(max_examples=300, deadline=None)
+def test_table_faults_are_reported_as_the_entry_scan_finds_them(seed, n, bad, short):
+    rng = random.Random(seed)
+    table = [[max(a, b) for b in range(n)] for a in range(n)]
+    for i, j, v in bad:
+        if i < n and j < n:
+            table[i][j] = v if v not in (6, 7) else v - 6 + n  # n and n + 1
+    for i in short:
+        if i < n:
+            table[i] = table[i][: rng.randrange(n)]
+    expected = oracle_shape_fault(table)
+    if expected is None:
+        try:  # faults the entry scan does not look for may remain
+            FiniteMonoid(table, 0)
+        except (BadIdentityError, NonAssociativeError):
+            pass
+    else:
+        with pytest.raises(ShapeError) as info:
+            FiniteMonoid(table, 0)
+        assert str(info.value) == expected
 
 
 def test_associativity_witness_is_the_first_of_several():
