@@ -30,7 +30,6 @@ from .irreducibles import (
     GeneratingSetCertificate,
     IrreducibleReport,
     atoms,
-    irreducible_divisors,
     irreducible_generating_set,
     irreducible_report,
     irreducibles,
@@ -53,7 +52,6 @@ from .preorder import (
 from .verify import CheckResult, verify_suite
 from .words import (
     erdos_rado_scan,
-    scattered_subword,
     shuffle_leq,
     shuffle_leq_matching,
 )

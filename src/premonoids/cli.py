@@ -6,6 +6,11 @@ remarkN:20, power:FILE, matrix:FILE, present:xy:x2=yx2y:10) or from a monoid
 JSON file plus an optional preorder JSON.  Identical configuration and seed
 produce byte-identical JSON output.
 
+Elements of a table are indices, or identity-containing sets such as {0,1}
+for power:FILE over a base of at most 4 elements.  A lazily presented family
+reads its own element text (``LocallyFiniteMonoid.parse``): 7, (5,2), {1,2},
+0.1,0.1 for the dihedral group, or {1} for the powerN set {0,1}.
+
 Exit codes: 0 success, 2 input error, 3 unknown element, 4 verification
 failure, 5 stdout closed before the output was written.
 """
@@ -65,59 +70,18 @@ class Instance:
         try:
             if self.kind == "finite":
                 if self.labels is not None:
-                    value = _parse_set_text(text)
-                    return self.labels.index(value)
+                    return self.labels.index(fam.parse_set_text(text))
                 x = int(text)
                 if not 0 <= x < self.payload.monoid.n:
                     raise ValueError(f"{x} is outside the carrier")
                 return x
             if self.kind == "local":
-                monoid = self.payload.monoid
-                if isinstance(monoid, (fam.PowerMonoid, fam.ReducedPowerN)):
-                    return monoid.element(_parse_set_text(text))
-                if isinstance(monoid, fam.ProductOneMonoid):
-                    if monoid.mul is fam.dihedral_mul:
-                        return monoid.element(_parse_multiset_text(text))
-                    return monoid.element(_parse_set_text(text))
-                if isinstance(monoid, fam.PlaneSubmonoid):
-                    a, b = _parse_ints(text)
-                    if not monoid.contains((a, b)):
-                        raise ValueError(f"({a}, {b}) is not in the carrier")
-                    return (a, b)
-                value = int(text)
-                if not monoid.contains(value):
-                    raise ValueError(f"{value} is not in the carrier")
-                return value
+                return self.payload.monoid.parse(text)
         except PremonoidsError as exc:
             raise CliError(str(exc), 3) from exc
         except (ValueError, IndexError) as exc:
             raise CliError(f"cannot parse element {text!r}: {exc}", 3) from exc
         raise CliError(f"instances of kind {self.kind} take no elements", 3)
-
-
-def _parse_parts(text: str) -> list:
-    cleaned = text.strip().strip("{}()[]")
-    return cleaned.split(",") if cleaned else []
-
-
-def _parse_ints(text: str) -> tuple:
-    """Comma-separated integers in the order given."""
-    return tuple(int(part) for part in _parse_parts(text))
-
-
-def _parse_set_text(text: str) -> tuple:
-    return tuple(sorted(_parse_ints(text)))
-
-
-def _parse_multiset_text(text: str) -> tuple:
-    """Dihedral elements r^k s^e written k.e, sorted."""
-    out = []
-    for part in _parse_parts(text):
-        k, dot, e = part.partition(".")
-        if not dot:
-            raise ShapeError(f"dihedral elements are written k.e, got {part.strip()!r}")
-        out.append((int(k), int(e)))
-    return tuple(sorted(out))
 
 
 def load_instance(spec: str, preorder_spec: str | None = None) -> Instance:
@@ -155,11 +119,11 @@ def _load_instance(spec: str, preorder_spec: str | None) -> Instance:
     if head == "b":
         group_spec, _, support_text = rest.partition(":")
         if group_spec == "dinf":
-            support = _parse_multiset_text(support_text) or ((0, 1), (1, 0))
+            support = fam.parse_multiset_text(support_text) or ((0, 1), (1, 0))
             monoid = fam.make_product_one_dihedral(support)
         elif group_spec.startswith("c"):
             order = int(group_spec[1:])
-            exponents = _parse_set_text(support_text) or tuple(range(1, order))
+            exponents = fam.parse_set_text(support_text) or tuple(range(1, order))
             monoid = fam.make_product_one(fam.cyclic_group(order), exponents)
         else:
             raise ShapeError(f"unknown group spec {group_spec!r}")
@@ -642,6 +606,8 @@ def main(argv=None) -> int:
             _emit(classify_payload(instance, args.element, args.profiles), args)
             return 0
         if args.command == "verify":
+            if args.random_count < 0:
+                raise CliError(f"--random must be >= 0, got {args.random_count}", 2)
             payload, ok = verify_payload(args.instances, args.random_count, args.seed)
             _emit(payload, args)
             return 0 if ok else 4

@@ -16,6 +16,39 @@ from .premonoid import Premonoid
 from .preorder import divisibility_preorder
 
 
+# -- element text ----------------------------------------------------------------------
+#
+# Comma-separated parts, optionally wrapped in brackets: {1,2}, (5,2), 0.1,0.1.
+# Each family's ``parse`` reads its own elements with these.
+
+
+def _parse_parts(text: str) -> list:
+    cleaned = text.strip().strip("{}()[]")
+    return cleaned.split(",") if cleaned else []
+
+
+def _parse_ints(text: str) -> tuple:
+    """Comma-separated integers in the order given."""
+    return tuple(int(part) for part in _parse_parts(text))
+
+
+def parse_set_text(text: str) -> tuple:
+    return tuple(sorted(_parse_ints(text)))
+
+
+def _dihedral_letter(part: str) -> tuple:
+    """The dihedral element r^k s^e written k.e."""
+    k, dot, e = part.partition(".")
+    if not dot:
+        raise ShapeError(f"dihedral elements are written k.e, got {part.strip()!r}")
+    return (int(k), int(e))
+
+
+def parse_multiset_text(text: str) -> tuple:
+    """Dihedral elements written k.e, sorted."""
+    return tuple(sorted(map(_dihedral_letter, _parse_parts(text))))
+
+
 # -- modular multiplication -------------------------------------------------------
 
 
@@ -111,13 +144,9 @@ class PowerMonoid(LocallyFiniteMonoid):
         subs = self._id_subsets(full)
         return tuple(subs[:limit]) if limit else tuple(subs)
 
-    def contains(self, x) -> bool:
-        return (
-            isinstance(x, tuple)
-            and list(x) == sorted(set(x))
-            and self.base.identity in x
-            and all(0 <= m < self.base.n for m in x)
-        )
+    def parse(self, text: str) -> tuple:
+        """A set of base elements written like {1,2}; the identity is added."""
+        return self.element(parse_set_text(text))
 
 
 def make_power_monoid(base: FiniteMonoid) -> PowerMonoid:
@@ -145,8 +174,8 @@ def power_premonoid_finite(base: FiniteMonoid) -> tuple[Premonoid, tuple]:
 class ReducedPowerN(LocallyFiniteMonoid):
     """Finite 0-containing sets of naturals under setwise addition, capped.
 
-    The cap bounds the elements the family accepts (``element``, ``contains``
-    and the sample), not products: a sum past the cap exceeds max X, so it
+    The cap bounds the elements the family accepts (``element``, ``parse`` and
+    the sample), not products: a sum past the cap exceeds max X, so it
     never divides an accepted X and the divisor search may form it freely.
 
     Divisor certificate: X = Y + W forces Y and W inside [0, max X] and both
@@ -156,14 +185,14 @@ class ReducedPowerN(LocallyFiniteMonoid):
     be a proper subset of X otherwise).
     """
 
-    def __init__(self, cap: int, sample_max: int | None = None):
+    def __init__(self, cap: int):
         if cap < 1:
             raise CapExceededError("cap must be >= 1")
         self.cap = cap
         self.identity = (0,)
-        # bounded flag scans take triple products of sample elements; a default
-        # sample below a third of the cap keeps those products within it
-        self.sample_max = min(cap, sample_max if sample_max is not None else min(3, cap // 3))
+        # bounded flag scans take triple products of sample elements; a sample
+        # below a third of the cap keeps those products within it
+        self.sample_max = min(3, cap // 3)
 
     def element(self, members) -> tuple:
         out = tuple(sorted(set(members) | {0}))
@@ -198,22 +227,15 @@ class ReducedPowerN(LocallyFiniteMonoid):
         out = sorted(set(out))
         return tuple(out[:limit]) if limit else tuple(out)
 
-    def contains(self, x) -> bool:
-        return (
-            isinstance(x, tuple)
-            and list(x) == sorted(set(x))
-            and x
-            and x[0] == 0
-            and x[-1] <= self.cap
-        )
+    parse = PowerMonoid.parse  # a set written like {0,1}; 0 is added
 
 
-def make_reduced_power_N(cap: int, sample_max: int | None = None) -> ReducedPowerN:
-    return ReducedPowerN(cap, sample_max)
+def make_reduced_power_N(cap: int) -> ReducedPowerN:
+    return ReducedPowerN(cap)
 
 
-def reduced_power_N_premonoid(cap: int, sample_max: int | None = None) -> LocalPremonoid:
-    return LocalPremonoid(ReducedPowerN(cap, sample_max))
+def reduced_power_N_premonoid(cap: int) -> LocalPremonoid:
+    return LocalPremonoid(ReducedPowerN(cap))
 
 
 # -- product-one sequences over a group -------------------------------------------------
@@ -237,11 +259,14 @@ class ProductOneMonoid(LocallyFiniteMonoid):
     and the divisors of x are the sub-multisets d with 1 in P(d) and in
     P(x - d).  The box below counts k_1, ..., k_s has (k_1 + 1)...(k_s + 1)
     entries, each a set of group elements; no ordering is searched.
+
+    ``read_letter`` reads one group element from its text, for ``parse``.
     """
 
-    def __init__(self, mul, group_identity, support):
+    def __init__(self, mul, group_identity, support, read_letter):
         self.mul = mul
         self.group_identity = group_identity
+        self.read_letter = read_letter
         self.support = tuple(sorted(support))
         self.identity = ()
         self._slot = {g: i for i, g in enumerate(self.support)}
@@ -316,13 +341,9 @@ class ProductOneMonoid(LocallyFiniteMonoid):
         out = sorted(self._letters(v) for v in vectors if one in self._products[v])
         return tuple(out[:limit]) if limit else tuple(out)
 
-    def contains(self, x) -> bool:
-        return (
-            isinstance(x, tuple)
-            and all(g in self.support for g in x)
-            and tuple(sorted(x)) == x
-            and self.is_product_one(x)
-        )
+    def parse(self, text: str) -> tuple:
+        """A multiset of group elements, comma-separated, in any order."""
+        return self.element(map(self.read_letter, _parse_parts(text)))
 
 
 def make_product_one(group: FiniteMonoid, support) -> ProductOneMonoid:
@@ -338,6 +359,7 @@ def make_product_one(group: FiniteMonoid, support) -> ProductOneMonoid:
         mul=lambda a, b: group.table[a][b],
         group_identity=group.identity,
         support=support,
+        read_letter=int,
     )
 
 
@@ -355,6 +377,7 @@ def make_product_one_dihedral(support=((0, 1), (1, 0))) -> ProductOneMonoid:
         mul=dihedral_mul,
         group_identity=(0, 0),
         support=tuple(sorted(set(support))),
+        read_letter=_dihedral_letter,
     )
 
 
@@ -424,6 +447,13 @@ class PlaneSubmonoid(LocallyFiniteMonoid):
             )
         )
         self.identity = (0, 0)
+
+    def parse(self, text: str) -> tuple:
+        """A pair written like (5,2)."""
+        a, b = _parse_ints(text)
+        if not self.contains((a, b)):
+            raise ValueError(f"({a}, {b}) is not in the carrier")
+        return (a, b)
 
     def contains(self, v) -> bool:
         """Membership in closed form. With B the generator bound, a sum of p

@@ -112,14 +112,6 @@ def atoms(P: Premonoid, s: int = 2) -> tuple:
     return tuple(a for a in P.nonunits() if is_atom(P, a, s))
 
 
-def irreducible_divisors(P: Carrier, x) -> tuple[tuple, tuple]:
-    """Irreducible divisors and atom divisors of x (degree 2)."""
-    divs = P.divisors(x)
-    irr = tuple(a for a in divs if is_irreducible(P, a))
-    atm = tuple(a for a in irr if is_atom(P, a))
-    return irr, atm
-
-
 def unit_orbits(P: Premonoid, members) -> tuple[tuple, ...]:
     """Partition of ``members`` by the equivalence generated by a ~ u*a*v over
     preorder units u, v; blocks sorted and listed by smallest member."""

@@ -33,6 +33,15 @@ class LocallyFiniteMonoid:
     def contains(self, x) -> bool:
         raise NotImplementedError
 
+    def parse(self, text: str):
+        """The element written ``text``; raises ``ValueError`` or a
+        :class:`premonoids.errors.PremonoidsError` for anything else.  Here an
+        integer member; families of other elements read their own text."""
+        value = int(text)
+        if not self.contains(value):
+            raise ValueError(f"{value} is not in the carrier")
+        return value
+
     def check_divisor_laws(self, x) -> None:
         """Cross-validate the certified divisor set of one element.
 

@@ -257,18 +257,22 @@ def matrix_divisor_classes(a: Matrix, det_bound: int = 10**12) -> MatrixDivisorC
                 if sum(split) <= mult
             ]
         )
+    # the Smith form of a diagonal matrix takes, prime by prime, the i-th
+    # smallest exponent into its i-th invariant factor
     candidates = set()
+    reps = set()
     for choice in itertools.product(*splits_per_prime):
-        entries = []
-        for i in range(n):
-            val = 1
-            for p, split in zip(distinct, choice):
-                val *= p ** split[i]
-            entries.append(val)
+        entries = [1] * n
+        factors = [1] * n
+        for p, split in zip(distinct, choice):
+            for i, (k, j) in enumerate(zip(split, sorted(split))):
+                entries[i] *= p**k
+                factors[i] *= p**j
         candidates.add(tuple(entries))
-    candidates = tuple(sorted(candidates))
-    reps = sorted({snf(diag(*c)).diagonal for c in candidates})
-    return MatrixDivisorClasses(candidates=candidates, representatives=tuple(reps))
+        reps.add(tuple(factors))
+    return MatrixDivisorClasses(
+        candidates=tuple(sorted(candidates)), representatives=tuple(sorted(reps))
+    )
 
 
 # -- factorization lengths ------------------------------------------------------------------

@@ -134,7 +134,12 @@ def _scan_compatible(m, rel, strict: bool) -> bool:
     )
 
 
-def check_divisibility_premonoid_laws(P: Premonoid) -> CheckResult:
+def _divisibility_premonoid(P: Premonoid, dp=None) -> Premonoid:
+    """``dp`` when given, else a fresh divisibility premonoid on P's monoid."""
+    return dp if dp is not None else Premonoid(P.monoid, divisibility_preorder(P.monoid))
+
+
+def check_divisibility_premonoid_laws(P: Premonoid, dp=None) -> CheckResult:
     """Laws tying the monoid structure to its divisibility premonoid: on a
     finite carrier the monoid is Dedekind-finite, so divisibility units are
     the ordinary units and weak positivity always holds; a one-sided duo law
@@ -142,7 +147,7 @@ def check_divisibility_premonoid_laws(P: Premonoid) -> CheckResult:
     to strong positivity."""
     name = "divisibility-premonoid-laws"
     m = P.monoid
-    dp = Premonoid(m, divisibility_preorder(m))
+    dp = _divisibility_premonoid(P, dp)
     if dp.units() != m.units():
         return _fail(name, div_units=sorted(dp.units()), units=sorted(m.units()))
     if not _scan_weakly_positive(m, dp.preorder):
@@ -434,14 +439,13 @@ def check_divisor_closed_restriction(P: Premonoid, rng: random.Random, rounds: i
     return _ok(name)
 
 
-def check_acyclic_collapse(P: Premonoid) -> CheckResult:
+def check_acyclic_collapse(P: Premonoid, dp=None) -> CheckResult:
     """In an acyclic monoid, divisibility-irreducibles, -atoms and -quarks
     all coincide."""
     name = "acyclic-collapse"
-    m = P.monoid
-    if not m.structure_flags().acyclic:
+    if not P.monoid.structure_flags().acyclic:
         return _skip(name, "monoid is not acyclic")
-    dp = Premonoid(m, divisibility_preorder(m))
+    dp = _divisibility_premonoid(P, dp)
     a = set(atoms_of(dp, 2))
     i = set(irreducibles_of(dp, 2))
     q = set(quarks_of(dp))
@@ -454,10 +458,8 @@ def check_dedekind_bf_acyclic(P: Premonoid, div_report=None) -> CheckResult:
     """A finite (hence Dedekind-finite) monoid with finite divisibility length
     sets everywhere must be acyclic."""
     name = "dedekind-bf-acyclic"
-    m = P.monoid
-    dp = Premonoid(m, divisibility_preorder(m))
-    report = div_report if div_report is not None else classify(dp)
-    if report["BF-factorable"] and not m.structure_flags().acyclic:
+    report = div_report if div_report is not None else classify(_divisibility_premonoid(P))
+    if report["BF-factorable"] and not P.monoid.structure_flags().acyclic:
         return _fail(name, flags=dict(report.flags))
     return _ok(name)
 
@@ -481,13 +483,13 @@ def check_strongly_positive_ff_atomic(P: Premonoid, report=None) -> CheckResult:
     return _ok(name)
 
 
-def check_phi_roundtrip(P: Premonoid, rng: random.Random, rounds: int = 4) -> CheckResult:
+def check_phi_roundtrip(P: Premonoid, rng: random.Random, rounds: int = 4, dp=None) -> CheckResult:
     """Generators become exactly the quarks and the irreducibles of the
     shortest-product-length pullback order, and everything they generate is a
     non-unit for it."""
     name = "phi-roundtrip"
     m = P.monoid
-    candidates = [set(atoms_of(Premonoid(m, divisibility_preorder(m)), 2))]
+    candidates = [set(atoms_of(_divisibility_premonoid(P, dp), 2))]
     for _ in range(rounds):
         candidates.append(
             {x for x in range(m.n) if x != m.identity and rng.random() < 0.5}
@@ -641,16 +643,13 @@ def check_higman_probe(P: Premonoid, rng: random.Random, terms: int = 60) -> Che
 def verify_suite(P: Premonoid, seed: int = 0) -> list[CheckResult]:
     """Run every applicable check on one finite premonoid."""
     rng = random.Random(seed)
+    dp = P if P.preorder.kind == "divisibility" else _divisibility_premonoid(P)
     report = classify(P)
-    div_report = (
-        report
-        if P.preorder.kind == "divisibility"
-        else classify(Premonoid(P.monoid, divisibility_preorder(P.monoid)))
-    )
+    div_report = report if dp is P else classify(dp)
     results = [
         check_preorder_laws(P),
         check_flag_implications(P),
-        check_divisibility_premonoid_laws(P),
+        check_divisibility_premonoid_laws(P, dp),
         check_weak_positivity_consequences(P, rng),
         check_irreducible_structure(P),
         check_classification_diagram(P, report),
@@ -661,11 +660,11 @@ def verify_suite(P: Premonoid, seed: int = 0) -> list[CheckResult]:
         check_duo_inclusion(P, rng),
         check_restriction_units(P, rng),
         check_divisor_closed_restriction(P, rng),
-        check_acyclic_collapse(P),
+        check_acyclic_collapse(P, dp),
         check_dedekind_bf_acyclic(P, div_report),
         check_factorable_on_finite(P, report),
         check_strongly_positive_ff_atomic(P, report),
-        check_phi_roundtrip(P, rng),
+        check_phi_roundtrip(P, rng, dp=dp),
         check_shuffle_oracle(P, rng),
         check_pullback_isomorphism(P, rng),
         check_minimal_brute_force(P),

@@ -98,15 +98,6 @@ def shuffle_leq_matching(leq, u, v) -> bool:
 # -- subword embeddings ----------------------------------------------------------
 
 
-def scattered_subword(u, v):
-    """Strictly increasing positions embedding u into v letter-for-letter.
-
-    Returns the 0-indexed position tuple, or None.  Greedy earliest-match is
-    exact for plain letter equality.
-    """
-    return embed_increasing(u, v, lambda a, b: a == b)
-
-
 def embed_increasing(u, v, letter_leq):
     """Strictly increasing positions sigma with letter_leq(u[i], v[sigma(i)]).
 

@@ -390,11 +390,37 @@ _ELEMENT_TEXT = st.one_of(
     _ELEMENT_TEXT,
 )
 def test_element_text_never_produces_a_traceback(spec, text):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(["classify", spec, f"--element={text}"])
-    assert code in (0, 2, 3), (spec, text, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    for argv in (["classify", spec, f"--element={text}"], ["factorize", spec, "--minimal", "--", text]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+
+def _written(spec: str, x) -> str:
+    """x in the element syntax of the README's specifier table."""
+    if spec == "b:dinf:":
+        return ",".join(f"{k}.{e}" for k, e in x)
+    if spec.startswith("n2sub:"):
+        return "({},{})".format(*x)
+    if isinstance(x, int):
+        return str(x)
+    return "{" + ",".join(map(str, x)) + "}"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["numerical:3,5,7", "numerical:5,7,9,11", "n2sub:5", "b:c3:1,2", "b:c4:1,2,3", "b:dinf:", "powerN:8", "remarkN:20"],
+)
+def test_each_family_reads_back_the_elements_it_writes(spec):
+    monoid = load_instance(spec).payload.monoid
+    sample = monoid.sample_elements()
+    assert sample
+    for x in sample:
+        assert monoid.parse(_written(spec, x)) == x, x
+    if spec.startswith("powerN:"):  # the identity 0 may be left out
+        assert [monoid.parse(_written(spec, x[1:])) for x in sample] == list(sample)
 
 
 def test_factorize_numerical_seven(capsys):
@@ -421,6 +447,13 @@ def test_factorize_max_len_must_not_be_negative(max_len, code, capsys):
         assert err.startswith("error: --max-len") and "Traceback" not in err
     else:
         assert json.loads(out)["words"] == []
+
+
+def test_verify_random_count_must_not_be_negative(capsys):
+    code, out, err = run_cli(capsys, "verify", "--random", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --random must be >= 0, got -1\n"
 
 
 def test_verify_matrix_reports_failing_snf_probe(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,7 @@ from premonoids import (
     PreorderRel,
     Premonoid,
     atoms,
-    irreducible_divisors,
+    element_profile,
     irreducible_generating_set,
     irreducible_report,
     irreducibles,
@@ -103,6 +103,12 @@ def test_strongly_positive_collapse():
         P = Premonoid(m, PreorderRel.total(m.n))
         if P.flags().strongly_positive:
             assert set(irreducibles(P, 2)) == set(atoms(P, 2))
+
+
+def irreducible_divisors(P, x) -> tuple:
+    """Irreducible divisors and atom divisors of x, as its profile gives them."""
+    prof = element_profile(P, x)
+    return prof.irreducible_divisors, prof.atom_divisors
 
 
 def test_irreducible_divisors_zn8():

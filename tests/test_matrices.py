@@ -105,6 +105,22 @@ def test_divisor_classes_repeated_primes():
     assert set(dc.candidates) == {(1, 1), (1, 2), (2, 1), (2, 2), (1, 4), (4, 1)}
 
 
+def test_divisor_class_representatives_are_the_smith_forms_of_the_candidates():
+    """The representatives are read off each candidate's prime splits; the
+    Smith form of each candidate diagonal is the oracle."""
+    rng = random.Random(6)
+    matrices = [diag(1, 4), diag(1, 1, 2**9), diag(2, 4, 8, 2**5)]
+    matrices += [((4, 2), (6, 21)), ((2, 1, 0), (0, 2, 1), (1, 0, 6))]  # the bench bases
+    while len(matrices) < 40:
+        n = rng.randint(1, 3)
+        a = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
+        if mat_det(a):
+            matrices.append(a)
+    for a in matrices:
+        dc = matrix_divisor_classes(a)
+        assert dc.representatives == tuple(sorted({snf(diag(*c)).diagonal for c in dc.candidates})), a
+
+
 def test_divisor_classes_cover_actual_divisors():
     # sample left/right factor pairs of A and confirm each factor is associate
     # to a candidate diagonal

@@ -1,6 +1,9 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private module-level function or class is referenced somewhere in the
+package.
 
-``__init__.py`` is exempt: its imports are the package's public surface.
+``__init__.py`` is exempt from the import scan: its imports are the package's
+public surface.
 """
 import ast
 from pathlib import Path
@@ -34,3 +37,47 @@ def test_the_scan_sees_an_unused_name():
 )
 def test_no_module_imports_a_name_it_never_uses(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def private_definitions(source: str) -> dict:
+    """Module-level functions and classes named with one leading underscore."""
+    return {
+        node.name: node.lineno
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+
+
+def referenced_names(source: str) -> set:
+    """Names read as plain names, as attributes or through an import."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_the_scan_sees_an_unreferenced_private_helper():
+    source = "def _used(): pass\ndef _dead(): pass\nclass _Dead: pass\ndef __dunder__(): pass\nx = _used\n"
+    found = private_definitions(source)
+    assert found == {"_used": 1, "_dead": 2, "_Dead": 3}
+    assert sorted(set(found) - referenced_names(source)) == ["_Dead", "_dead"]
+    assert "_h" in referenced_names("from .m import _h\nimport m\nm._g()\n")
+
+
+def test_every_private_helper_is_referenced_in_the_package():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    referenced = set().union(*map(referenced_names, sources.values()))
+    dead = [
+        f"{module} line {line}: {name}"
+        for module, source in sorted(sources.items())
+        for name, line in private_definitions(source).items()
+        if name not in referenced
+    ]
+    assert dead == []

@@ -7,7 +7,6 @@ from premonoids import (
     PreorderRel,
     Premonoid,
     erdos_rado_scan,
-    scattered_subword,
     shuffle_leq,
     shuffle_leq_matching,
 )
@@ -71,10 +70,13 @@ def test_strict_shuffle_implies_shorter():
 
 
 def test_scattered_subword():
-    assert scattered_subword((), ("a", "b")) == ()
-    assert scattered_subword(("a", "b"), ("a", "c", "b")) == (0, 2)
-    assert scattered_subword(("b", "a"), ("a", "c", "b")) is None
-    assert scattered_subword(("a", "a"), ("a",)) is None
+    def equal(a, b):
+        return a == b
+
+    assert embed_increasing((), ("a", "b"), equal) == ()
+    assert embed_increasing(("a", "b"), ("a", "c", "b"), equal) == (0, 2)
+    assert embed_increasing(("b", "a"), ("a", "c", "b"), equal) is None
+    assert embed_increasing(("a", "a"), ("a",), equal) is None
 
 
 def test_embed_increasing_greedy_is_complete():
