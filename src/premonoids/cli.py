@@ -60,17 +60,18 @@ class Instance:
     """A parsed instance: finite premonoid, local premonoid, matrix, or
     presentation."""
 
-    def __init__(self, spec: str, kind: str, payload, labels=None):
+    def __init__(self, spec: str, kind: str, payload, labels=None, parse_label=None):
         self.spec = spec
         self.kind = kind  # "finite" | "local" | "matrix" | "presentation"
         self.payload = payload
-        self.labels = labels
+        self.labels = labels  # a labelled finite carrier: index -> label
+        self.parse_label = parse_label  # and element text -> label
 
     def parse_element(self, text: str):
         try:
             if self.kind == "finite":
                 if self.labels is not None:
-                    return self.labels.index(fam.parse_set_text(text))
+                    return self.labels.index(self.parse_label(text))
                 x = int(text)
                 if not 0 <= x < self.payload.monoid.n:
                     raise ValueError(f"{x} is outside the carrier")
@@ -112,7 +113,7 @@ def _load_instance(spec: str, preorder_spec: str | None) -> Instance:
             P, labels = fam.power_premonoid_finite(base)
             if preorder_spec not in (None, "divisibility"):
                 raise ShapeError("power instances fix the divisibility preorder")
-            return Instance(spec, "finite", P, labels=labels)
+            return Instance(spec, "finite", P, labels=labels, parse_label=fam.PowerMonoid(base).parse)
         return Instance(spec, "local", fam.power_premonoid(base))
     if head == "powerN":
         return Instance(spec, "local", fam.reduced_power_N_premonoid(int(rest)))
@@ -447,11 +448,15 @@ def _dumps(obj) -> str:
     float text stay the stdlib's own; a list of plain ints is one join. The
     open, separator and close strings are built once per depth and shared by
     every container at that depth, and each str key is encoded once.
+    A container met again at the same depth is walked once: its chunk span is
+    joined on its first repeat and reused after that (``obj`` keeps every
+    container alive, so ids stay unique while it is written).
     """
     chunks: list = []
     append = chunks.append
     depths: list = []  # depths[d]: list open, dict open, separator, list close, dict close
     keys: dict = {}
+    written: dict = {}  # (id, depth) -> chunk span (start, end), then the joined text
 
     def strings(depth):
         while len(depths) <= depth:
@@ -471,26 +476,23 @@ def _dumps(obj) -> str:
         raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
     def write(o, depth):
+        if not isinstance(o, (list, tuple, dict)):
+            append(int.__repr__(o) if type(o) is int else _LEAF(o))
+            return
+        if not o:
+            append("{}" if isinstance(o, dict) else "[]")
+            return
+        key = id(o), depth
+        done = written.get(key)
+        if done is not None:
+            if type(done) is tuple:
+                done = written[key] = "".join(chunks[done[0]:done[1]])
+            append(done)
+            return
+        start = len(chunks)
         # a nonempty container ends each item with the separator; the last
         # one is then swapped for the close
-        if isinstance(o, (list, tuple)):
-            if not o:
-                append("[]")
-                return
-            open_list, _, sep, close_list, _ = strings(depth)
-            append(open_list)
-            if {*map(type, o)} == _INT:
-                append(sep.join(map(int.__repr__, o)))
-                append(close_list)
-                return
-            for v in o:
-                write(v, depth + 1)
-                append(sep)
-            chunks[-1] = close_list
-        elif isinstance(o, dict):
-            if not o:
-                append("{}")
-                return
+        if isinstance(o, dict):
             _, open_dict, sep, _, close_dict = strings(depth)
             append(open_dict)
             for k, v in sorted(o.items()):
@@ -498,10 +500,18 @@ def _dumps(obj) -> str:
                 write(v, depth + 1)
                 append(sep)
             chunks[-1] = close_dict
-        elif type(o) is int:
-            append(int.__repr__(o))
         else:
-            append(_LEAF(o))
+            open_list, _, sep, close_list, _ = strings(depth)
+            append(open_list)
+            if {*map(type, o)} == _INT:
+                append(sep.join(map(int.__repr__, o)))
+                append(close_list)
+            else:
+                for v in o:
+                    write(v, depth + 1)
+                    append(sep)
+                chunks[-1] = close_list
+        written[key] = start, len(chunks)
 
     write(obj, 0)
     return "".join(chunks)

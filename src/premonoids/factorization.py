@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import and_
+from operator import and_, or_
 
 from .errors import ShapeError
 from .irreducibles import is_atom, is_irreducible
@@ -70,21 +70,18 @@ def _bitset(indices) -> int:
     return out
 
 
-class _LazyRows(dict):
-    """The ``table`` of the finite construction: the row of state p, its
-    product with each letter or -1 where that does not divide x, is worked
-    out on first lookup."""
+class _Lazy(dict):
+    """A dict that works out a missing value by ``make(key)`` on first lookup."""
 
-    __slots__ = ("op", "mask", "alphabet")
+    __slots__ = ("make",)
 
-    def __init__(self, op, mask: int, alphabet: tuple):
+    def __init__(self, make):
         super().__init__()
-        self.op, self.mask, self.alphabet = op, mask, alphabet
+        self.make = make
 
-    def __missing__(self, p) -> list:
-        mask = self.mask
-        row = self[p] = [q if mask >> q & 1 else -1 for q in map(self.op, repeat(p), self.alphabet)]
-        return row
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 class DivisorAutomaton:
@@ -117,9 +114,9 @@ class DivisorAutomaton:
         self.states = states
         self.alphabet = alphabet
         self.leq = P.leq
+        op = P.op
         if letter_rows is None:
             index = {p: i for i, p in enumerate(states)}
-            op = P.op
             self._ids = range(len(states))
             self.table = [[index.get(op(p, a), -1) for a in alphabet] for p in states]
             self.succ = [_bitset(row) for row in self.table]
@@ -129,7 +126,7 @@ class DivisorAutomaton:
             rows = letter_rows(letters, alphabet)
             mask = _bitset(states)
             self._ids = states
-            self.table = _LazyRows(P.op, mask, alphabet)
+            self.table = _Lazy(lambda p: [q if mask >> q & 1 else -1 for q in map(op, repeat(p), alphabet)])
             self.succ = dict(zip(states, map(and_, map(rows.__getitem__, states), repeat(mask))))
             self.start = P.identity
             self.goal = x
@@ -146,16 +143,6 @@ class DivisorAutomaton:
         """States with a letter leading into ``mask``."""
         succ = self.succ
         return _bitset(i for i in self._ids if succ[i] & mask)
-
-    def class_succ(self, cls_of, classes: int) -> list:
-        """``out[c][i]``: the states reached from state i by a letter of class c."""
-        if classes == 1:
-            return [self.succ]
-        groups = [[j for j, c in enumerate(cls_of) if c == k] for k in range(classes)]
-        ids = self._ids
-        rows = [self.table[i] for i in ids]
-        out = [[_bitset(row[j] for j in group) for row in rows] for group in groups]
-        return out if isinstance(ids, range) else [dict(zip(ids, masks)) for masks in out]
 
     def layers(self) -> tuple[list, int]:
         """Masks of the layers L_1, L_2, ... (L_k: the products of k letters)
@@ -335,31 +322,39 @@ def _class_vectors(auto: DivisorAutomaton, cls_of, classes: int, cap: int, minim
     vector that dominates a realized one is dropped and a realized vector is
     not extended, so every realized survivor is minimal (by Dickson's lemma
     only the minimal generators of a monoid ideal matter).
+
+    Inside the walk a vector is one int whose digit c in base ``cap + 1`` is
+    the count of class c, so a letter of class c adds ``weight[c]``; its
+    counts are read off only where it is recorded or tested for dominance.
+    Each distinct set of states gets its step list once.
     """
+    base = cap + 1
+    weight = [base**c for c in range(classes)]
+    # with one class a state's row is its successor mask; otherwise the class
+    # rows of the states the walk visits are worked out on first lookup
+    rows = auto.succ if classes == 1 else _Lazy(lambda i: _class_row(auto.table[i], cls_of, classes))
+    steps: dict = {}
     goal = 1 << auto.goal
-    csucc = auto.class_succ(cls_of, classes)
-    images: list[dict] = [{} for _ in range(classes)]
-    below = _below(classes, cap) if minimal else None
+    below = _below([cap] * classes) if minimal else None
     found: list = []
-    level = {(0,) * classes: 1 << auto.start}
+    level = {0: 1 << auto.start}
     for _ in range(cap):
         nxt: dict = {}
         for vec, mask in level.items():
-            for c in range(classes):
-                img = images[c].get(mask)
-                if img is None:
-                    img = images[c][mask] = _image(mask, csucc[c])
-                if img:
-                    v = vec[:c] + (vec[c] + 1,) + vec[c + 1:]
-                    nxt[v] = nxt.get(v, 0) | img
+            step = steps.get(mask)
+            if step is None:
+                step = steps[mask] = _steps(mask, rows, weight)
+            for w, img in step:
+                v = vec + w
+                nxt[v] = nxt.get(v, 0) | img
         level = {}
         for v, mask in nxt.items():
-            if minimal and found and _dominates(v, below):
+            if minimal and found and _dominates(_digits(v, weight, base), below):
                 continue
             if mask & goal:
-                found.append(v)
+                found.append(tuple(_digits(v, weight, base)))
                 if minimal:
-                    _mark(below, v, 1 << (len(found) - 1))
+                    _mark(below, found[-1], 1 << (len(found) - 1))
                     continue
             level[v] = mask
         if not level:
@@ -367,13 +362,44 @@ def _class_vectors(auto: DivisorAutomaton, cls_of, classes: int, cap: int, minim
     return found
 
 
+def _class_row(row, cls_of, classes: int) -> list:
+    """For each class in order, the mask of the states that its letters lead
+    to from the state with table row ``row``."""
+    out = [0] * classes
+    for c, q in zip(cls_of, row):
+        if q >= 0:
+            out[c] |= 1 << q
+    return out
+
+
+def _steps(mask: int, rows, weight) -> list:
+    """The (weight, image) step of each class whose letters lead somewhere
+    out of the states in ``mask`` (never empty), in class order."""
+    if len(weight) == 1:
+        image = _image(mask, rows)
+        return [(1, image)] if image else []
+    acc = None
+    while mask:
+        low = mask & -mask
+        row = rows[low.bit_length() - 1]
+        acc = row if acc is None else list(map(or_, acc, row))
+        mask ^= low
+    return [(w, img) for w, img in zip(weight, acc) if img]
+
+
+def _digits(v: int, weight, base: int):
+    """The counts of a vector written as an int, lazily in class order."""
+    return map(base.__rmod__, map(v.__floordiv__, weight))
+
+
 # Dominance against a growing list of minima: ``below[c][k]`` is the bitmask
 # of the minima with count at most k in class c, so a vector dominates a
 # minimum exactly when the AND of these masks over its counts is nonzero.
+# Row c runs up to the largest count of class c that is ever tested.
 
 
-def _below(classes: int, cap: int) -> list:
-    return [[0] * (cap + 1) for _ in range(classes)]
+def _below(tops) -> list:
+    return [[0] * (top + 1) for top in tops]
 
 
 def _mark(below, v: tuple, bit: int) -> None:
@@ -382,7 +408,7 @@ def _mark(below, v: tuple, bit: int) -> None:
             row[j] |= bit
 
 
-def _dominates(v: tuple, below) -> bool:
+def _dominates(v, below) -> bool:
     acc = -1
     for row, k in zip(below, v):
         acc &= row[k]
@@ -391,12 +417,12 @@ def _dominates(v: tuple, below) -> bool:
     return True
 
 
-def _census_minima(vectors, classes: int, cap: int) -> list:
+def _census_minima(vectors) -> list:
     """The minimal vectors of a census listed in order of total. A vector
     below another has a smaller total, and two distinct vectors of equal
     total are never ordered, so each vector is tested only against the
     minima before it."""
-    below = _below(classes, cap)
+    below = _below(map(max, zip(*vectors)))
     out: list = []
     for v in vectors:
         if not _dominates(v, below):
@@ -460,7 +486,7 @@ def minimal_factorization_classes(P: Carrier, x, letters: str = "irreducibles", 
         return ()
     cls_of, reps = auto.numbering()
     if lengths.is_finite:
-        vectors = _census_minima(auto.census(), len(reps), lengths.finite[-1])
+        vectors = _census_minima(auto.census())
     else:
         vectors = _class_vectors(auto, cls_of, len(reps), prefix_bound(P, x), minimal=True)
     classes = [(_pairs(v, reps), _witness(auto, cls_of, v)) for v in vectors]
@@ -498,7 +524,15 @@ class ElementProfile:
     minimal_atomic_within: tuple
     minimal_atomic_literal: tuple
 
+    def _readings(self) -> dict:
+        """The minimal-class readings by object id: a reading that several
+        fields hold (all three whenever every irreducible divisor is an atom)
+        is one entry."""
+        return {id(r): r for r in (self.minimal, self.minimal_atomic_within, self.minimal_atomic_literal)}
+
     def to_json(self) -> dict:
+        # one list per reading object, so that the writer writes it once
+        lists = {key: _class_list(r) for key, r in self._readings().items()}
         return {
             "element": self.element,
             "irreducible_divisors": list(self.irreducible_divisors),
@@ -507,9 +541,9 @@ class ElementProfile:
             "atomic_lengths": self.atomic_lengths.to_json(),
             "class_count": self.class_count,
             "atomic_class_count": self.atomic_class_count,
-            "minimal": _class_list(self.minimal),
-            "minimal_atomic_within": _class_list(self.minimal_atomic_within),
-            "minimal_atomic_literal": _class_list(self.minimal_atomic_literal),
+            "minimal": lists[id(self.minimal)],
+            "minimal_atomic_within": lists[id(self.minimal_atomic_within)],
+            "minimal_atomic_literal": lists[id(self.minimal_atomic_literal)],
         }
 
 
@@ -584,12 +618,13 @@ _PLAIN = {
     "HF": lambda lengths, count: lengths.singleton(),
     "UF": lambda lengths, count: count == 1,
 }
-# conditions on a minimal-class reading ((vector, word), ...)
+# conditions on a minimal-class reading ((vector, word), ...), given its
+# number of classes and its number of distinct totals
 _MINIMAL = {
-    "BmF": lambda classes: len({vector_total(v) for v, _ in classes}) > 0,
-    "FmF": lambda classes: len(classes) > 0,
-    "HmF": lambda classes: len({vector_total(v) for v, _ in classes}) == 1,
-    "UmF": lambda classes: len(classes) == 1,
+    "BmF": lambda classes, totals: totals > 0,
+    "FmF": lambda classes, totals: classes > 0,
+    "HmF": lambda classes, totals: totals == 1,
+    "UmF": lambda classes, totals: classes == 1,
 }
 
 
@@ -661,8 +696,11 @@ class Classification:
 
 
 def _element_flags(p: ElementProfile) -> dict:
+    # (classes, distinct totals) of each reading object
+    sizes = {key: (len(r), len({vector_total(v) for v, _ in r})) for key, r in p._readings().items()}
     return {
-        name: test(getattr(p, attr)) if attr else test(getattr(p, col.lengths), getattr(p, col.class_count))
+        name: test(*sizes[id(getattr(p, attr))]) if attr
+        else test(getattr(p, col.lengths), getattr(p, col.class_count))
         for name, (col, attr, test) in _FLAGS.items()
     }
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import premonoids
 from premonoids import FiniteMonoid
-from premonoids.cli import _dumps, load_instance, main
+from premonoids.cli import CliError, _dumps, classify_payload, load_instance, main
 from premonoids.factorization import layer_automaton_dot
 from premonoids.families import powerset_premonoid
 
@@ -347,6 +347,55 @@ def test_power_of_monoid_file(tmp_path, capsys):
     assert data["lengths"] == {"finite": [], "offset": 1, "period": 1, "residues": [0]}
 
 
+def _power_instances(tmp_path):
+    """``power:FILE`` over C2, a dense finite carrier with labels, and over
+    C5, a lazily presented one."""
+    from premonoids.families import cyclic_group
+
+    out = []
+    for order in (2, 5):
+        path = tmp_path / f"c{order}.json"
+        path.write_text(json.dumps(cyclic_group(order).to_json()))
+        out.append(load_instance(f"power:{path}"))
+    return out
+
+
+def _parsed_set(instance, text):
+    """The subset that the element text names, or the exit code of its error."""
+    try:
+        x = instance.parse_element(text)
+    except CliError as exc:
+        assert "tuple.index" not in str(exc), str(exc)
+        return exc.code
+    return tuple(instance.labels[x]) if instance.labels is not None else x
+
+
+def test_small_and_large_power_bases_read_the_same_texts(tmp_path, capsys):
+    small, large = _power_instances(tmp_path)
+    assert (small.kind, large.kind) == ("finite", "local")
+    # the identity 0 is added on both, whether or not the text names it
+    for text in ("{1}", "{0,1}", "{1,0,1}", "{ 1 }", "{}", "{0}", "1", "0,1"):
+        assert _parsed_set(small, text) == _parsed_set(large, text) != 3, text
+    assert _parsed_set(small, "{1}") == (0, 1)
+    for text in ("{2}", "{0,4}"):  # in the larger base only
+        assert (_parsed_set(small, text), _parsed_set(large, text)) == (3, (0, int(text[-2]))), text
+    for instance in (small, large):
+        code, out, err = run_cli(capsys, "classify", instance.spec, "--element", "{1}")
+        assert code == 0 and err == "" and json.loads(out)["element"] == [0, 1]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.text(max_size=6) | st.lists(st.integers(-2, 6), max_size=3).map(lambda xs: "{" + ",".join(map(str, xs)) + "}"))
+def test_power_element_texts_give_labelled_errors(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        small, large = _power_instances(Path(tmp))
+        got = _parsed_set(small, text), _parsed_set(large, text)
+    # a text inside the smaller base names the same subset on both
+    if isinstance(got[1], tuple) and got[1][-1] < 2:
+        assert got[0] == got[1], text
+    assert all(isinstance(g, tuple) or g == 3 for g in got), (text, got)
+
+
 def test_n2sub_element_through_cli(capsys):
     code, out, _ = run_cli(capsys, "classify", "n2sub:3", "--element", "(2,2)")
     data = json.loads(out)
@@ -409,10 +458,13 @@ def _written(spec: str, x) -> str:
     return "{" + ",".join(map(str, x)) + "}"
 
 
-@pytest.mark.parametrize(
-    "spec",
-    ["numerical:3,5,7", "numerical:5,7,9,11", "n2sub:5", "b:c3:1,2", "b:c4:1,2,3", "b:dinf:", "powerN:8", "remarkN:20"],
+# the lazily presented families of the benchmark
+_LOCAL_SPECS = (
+    "numerical:3,5,7", "numerical:5,7,9,11", "n2sub:5", "b:c3:1,2", "b:c4:1,2,3", "b:dinf:", "powerN:8", "remarkN:20",
 )
+
+
+@pytest.mark.parametrize("spec", _LOCAL_SPECS)
 def test_each_family_reads_back_the_elements_it_writes(spec):
     monoid = load_instance(spec).payload.monoid
     sample = monoid.sample_elements()
@@ -579,6 +631,51 @@ def _dumps_or_type_error(dump, obj):
 def test_writer_matches_json_dumps(obj):
     want = _dumps_or_type_error(lambda o: json.dumps(o, indent=2, sort_keys=True), obj)
     assert _dumps_or_type_error(_dumps, obj) == want
+
+
+# One list or tuple object placed at several spots of a document: the writer
+# reuses the text of a container it meets again, which holds only at the same
+# depth.
+_SHARED = st.one_of(
+    st.lists(_DOCUMENTS, min_size=1, max_size=4),
+    st.lists(_DOCUMENTS, min_size=1, max_size=4).map(tuple),
+    st.lists(st.integers(), min_size=1, max_size=5),
+)
+
+
+def _aliased(shared):
+    """Documents holding ``shared`` at any number of spots and depths."""
+    return st.recursive(
+        st.one_of(st.just(shared), _LEAVES),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(st.text(max_size=3), inner, max_size=4),
+        ),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_SHARED, st.data())
+def test_writer_matches_json_dumps_on_aliased_documents(shared, data):
+    doc = data.draw(_aliased(shared))
+    for obj in (
+        doc,
+        [shared, doc, shared],  # the same depth
+        {"a": [shared], "b": shared, "c": (doc, shared)},  # two depths
+        [[shared], shared, [[shared, shared]], [shared]],
+    ):
+        want = _dumps_or_type_error(lambda o: json.dumps(o, indent=2, sort_keys=True), obj)
+        assert _dumps_or_type_error(_dumps, obj) == want
+
+
+@pytest.mark.parametrize("spec", _LOCAL_SPECS)
+def test_classify_profiles_print_json_dumps_of_their_payload(spec, capsys):
+    code, out, _ = run_cli(capsys, "classify", spec, "--profiles")
+    payload = classify_payload(load_instance(spec), None, True)
+    assert code == 0
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -11,12 +11,18 @@ On a finite length set the engine reads the minimal classes off its one
 class-vector census; the dominance-pruned minimal search that it ran there
 before is kept below as a second oracle.
 
+The census walk keys each level by an int vector and builds one step list
+per distinct set of states; the walk it replaced, keyed by count tuples with
+per-class successor masks of every state and one image dict per class, is
+its oracle.
+
 On a finite carrier the automaton numbers its states by element and reads
 its successor masks off the carrier's letter rows; the divisor-indexed
 construction, which any carrier without letter rows gets, is its oracle.
 """
 import json
 import random
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -39,7 +45,9 @@ from premonoids import factorization as fz
 from premonoids.factorization import (
     DivisorAutomaton,
     ElementProfile,
+    _bitset,
     _class_vectors,
+    _image,
     _pairs,
     _witness,
     factorization_alphabet,
@@ -330,6 +338,178 @@ def test_one_class_vector_search_per_column(monkeypatch):
             assert calls.count(True) == finite.count(False), (x, calls)
             finite_columns += sum(finite)
     assert finite_columns > 0
+
+
+# -- the census walk against the tuple-keyed walk ------------------------------------
+
+
+def old_class_succ(auto, cls_of, classes: int) -> list:
+    """``out[c][i]``: the states reached from state i by a letter of class c,
+    for every state."""
+    if classes == 1:
+        return [auto.succ]
+    groups = [[j for j, c in enumerate(cls_of) if c == k] for k in range(classes)]
+    ids = auto._ids
+    rows = [auto.table[i] for i in ids]
+    out = [[_bitset(row[j] for j in group) for row in rows] for group in groups]
+    return out if isinstance(ids, range) else [dict(zip(ids, masks)) for masks in out]
+
+
+def old_dominates(v: tuple, below) -> bool:
+    """``below[c][k]``: the minima with count at most k in class c."""
+    acc = -1
+    for row, k in zip(below, v):
+        acc &= row[k]
+        if not acc:
+            return False
+    return True
+
+
+def old_mark(below, v: tuple, bit: int) -> None:
+    for row, k in zip(below, v):
+        for j in range(k, len(row)):
+            row[j] |= bit
+
+
+def old_class_vectors(auto, cls_of, classes: int, cap: int, minimal: bool = False, masks=None) -> list:
+    """The census walk keyed by count tuples, with one image dict per class;
+    ``masks``, if given, collects the set of states of every vector it
+    extends."""
+    goal = 1 << auto.goal
+    csucc = old_class_succ(auto, cls_of, classes)
+    images: list[dict] = [{} for _ in range(classes)]
+    below = [[0] * (cap + 1) for _ in range(classes)] if minimal else None
+    found: list = []
+    level = {(0,) * classes: 1 << auto.start}
+    for _ in range(cap):
+        nxt: dict = {}
+        for vec, mask in level.items():
+            if masks is not None:
+                masks.add(mask)
+            for c in range(classes):
+                img = images[c].get(mask)
+                if img is None:
+                    img = images[c][mask] = _image(mask, csucc[c])
+                if img:
+                    v = vec[:c] + (vec[c] + 1,) + vec[c + 1:]
+                    nxt[v] = nxt.get(v, 0) | img
+        level = {}
+        for v, mask in nxt.items():
+            if minimal and found and old_dominates(v, below):
+                continue
+            if mask & goal:
+                found.append(v)
+                if minimal:
+                    old_mark(below, v, 1 << (len(found) - 1))
+                    continue
+            level[v] = mask
+        if not level:
+            break
+    return found
+
+
+# a census cap for a column without a finite largest length: the plain walk
+# out to the distinct-prefix bound is exponential in the classes
+PLAIN_CAP = 5
+
+
+def walk_caps(P, x, auto) -> tuple:
+    """(cap, minimal) pairs to compare the walks at: the census out to the
+    largest length, and the minimal search out to the distinct-prefix bound."""
+    lengths = auto.length_set()
+    plain = lengths.finite[-1] if lengths.is_finite and not lengths.is_empty else min(PLAIN_CAP, prefix_bound(P, x))
+    return (plain, False), (prefix_bound(P, x), True)
+
+
+def assert_walks_agree(P, elements) -> int:
+    """Compare both walks on both letter kinds of the elements; returns how
+    many vectors they found."""
+    found = 0
+    for x in elements:
+        for letters in ("irreducibles", "atoms"):
+            auto = DivisorAutomaton(P, x, letters)
+            cls_of, reps = auto.numbering()
+            for cap, minimal in walk_caps(P, x, auto):
+                got = _class_vectors(auto, cls_of, len(reps), cap, minimal=minimal)
+                assert got == old_class_vectors(auto, cls_of, len(reps), cap, minimal), (x, letters, cap, minimal)
+                found += len(got)
+    return found
+
+
+@pytest.mark.parametrize("index", range(len(monoid_pool())))
+def test_walk_matches_tuple_walk_on_the_pool(index):
+    P = _divisibility_premonoid(*monoid_pool()[index])
+    assert_walks_agree(P, range(P.monoid.n))
+
+
+@pytest.mark.parametrize("n", range(1, 49))
+def test_walk_matches_tuple_walk_on_zn(n):
+    P = zn_premonoid(n)
+    assert_walks_agree(P, range(n))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_walk_matches_tuple_walk_on_random_premonoids(seed):
+    P = random_premonoid(random.Random(seed), 6)
+    assert_walks_agree(P, range(P.monoid.n))
+
+
+LOCAL_SPECS = (
+    "numerical:3,5,7", "numerical:5,7,9,11", "n2sub:5", "b:c3:1,2", "b:c4:1,2,3", "b:dinf:", "powerN:8", "remarkN:20",
+)
+
+
+@pytest.mark.parametrize("spec", LOCAL_SPECS)
+def test_walk_matches_tuple_walk_on_family_samples(spec):
+    P = load_instance(spec).payload
+    assert assert_walks_agree(P, P.nonunit_sample()) > 0
+
+
+def _chain(kind: str, n: int) -> Premonoid:
+    op = max if kind == "max" else lambda i, j: min(i + j, n - 1)
+    return _divisibility_premonoid([[op(i, j) for j in range(n)] for i in range(n)], 0)
+
+
+@pytest.mark.parametrize("n", [4, 8, 10, 12])
+@pytest.mark.parametrize("kind", ["max", "capped"])
+def test_walk_matches_tuple_walk_on_chains(kind, n):
+    P = _chain(kind, n)
+    assert assert_walks_agree(P, range(n)) > 0
+
+
+def test_each_set_of_states_gets_its_steps_built_once(monkeypatch):
+    """Per walk, the step lists built are one per distinct set of states the
+    walk extends, and with several classes, class rows are worked out only
+    for the states in them."""
+    built: list = []
+    real = fz._steps
+
+    def counted(mask, rows, weight):
+        built.append((mask, rows))
+        return real(mask, rows, weight)
+
+    monkeypatch.setattr(fz, "_steps", counted)
+    carriers = [(P, range(P.monoid.n)) for P in (zn_premonoid(48), _chain("max", 10), _chain("capped", 10))]
+    carriers += [(P, P.nonunit_sample()) for P in (load_instance(s).payload for s in ("n2sub:5", "numerical:3,5,7"))]
+    walks = 0
+    for P, elements in carriers:
+        for x in elements:
+            for letters in ("irreducibles", "atoms"):
+                auto = DivisorAutomaton(P, x, letters)
+                cls_of, reps = auto.numbering()
+                for cap, minimal in walk_caps(P, x, auto):
+                    built.clear()
+                    _class_vectors(auto, cls_of, len(reps), cap, minimal=minimal)
+                    visited: set = set()
+                    old_class_vectors(auto, cls_of, len(reps), cap, minimal, masks=visited)
+                    masks = Counter(mask for mask, _ in built)
+                    assert set(masks) == visited and set(masks.values()) <= {1}, (x, letters, cap)
+                    rows = built[0][1] if built else None
+                    if isinstance(rows, fz._Lazy):  # several classes: rows of visited states only
+                        walks += 1
+                        assert _bitset(rows) == _bitset(i for m in masks for i in range(m.bit_length()) if m >> i & 1)
+    assert walks > 0
 
 
 # -- the finite construction against the divisor-indexed one --------------------------
