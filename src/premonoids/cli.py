@@ -103,16 +103,23 @@ def _finite_with_preorder(monoid: FiniteMonoid, preorder_spec, spec, labels=None
     return Instance(spec, "finite", Premonoid(monoid, rel), labels=labels)
 
 
+# families ordered by divisibility; they and remarkN fix their preorder, and
+# only zn: and monoid files take --preorder
+_DIVISIBILITY_FAMILIES = ("power", "powerN", "b", "numerical", "n2sub", "matrix", "present")
+
+
 def _load_instance(spec: str, preorder_spec: str | None) -> Instance:
     head, _, rest = spec.partition(":")
+    if head in _DIVISIBILITY_FAMILIES and preorder_spec not in (None, "divisibility"):
+        raise ShapeError(f"{head} instances fix the divisibility preorder")
+    if head == "remarkN" and preorder_spec is not None:
+        raise ShapeError("remarkN instances fix their rule preorder")
     if head == "zn":
         return _finite_with_preorder(fam.make_zn(int(rest)), preorder_spec, spec)
     if head == "power":
         base = FiniteMonoid.from_file(rest)
         if base.n <= 4:
             P, labels = fam.power_premonoid_finite(base)
-            if preorder_spec not in (None, "divisibility"):
-                raise ShapeError("power instances fix the divisibility preorder")
             return Instance(spec, "finite", P, labels=labels, parse_label=fam.PowerMonoid(base).parse)
         return Instance(spec, "local", fam.power_premonoid(base))
     if head == "powerN":
@@ -541,15 +548,9 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--preorder", default=None, help="preorder JSON file, or 'divisibility'")
-        p.add_argument("--format", choices=("json", "text", "dot"), default="json")
-        p.add_argument("--out", default=None)
-
     p_desc = sub.add_parser("describe", help="flags, units, quarks/irreducibles/atoms")
     p_desc.add_argument("instance")
     p_desc.add_argument("--degree", default="2", help="comma-separated degrees, each >= 2")
-    common(p_desc)
 
     p_fact = sub.add_parser("factorize", help="factorizations, length set, minimal classes")
     p_fact.add_argument("instance")
@@ -565,19 +566,22 @@ def main(argv=None) -> int:
         help="minimal atomic classes: minimal overall then restricted to atom "
         "words ('paper'), minimal among atom words ('within'), or both",
     )
-    common(p_fact)
 
     p_cls = sub.add_parser("classify", help="full classification lattice with witnesses")
     p_cls.add_argument("instance")
     p_cls.add_argument("--element", default=None)
     p_cls.add_argument("--profiles", action="store_true")
-    common(p_cls)
 
     p_ver = sub.add_parser("verify", help="run the theorem checks")
     p_ver.add_argument("instances", nargs="*")
     p_ver.add_argument("--random", type=int, default=0, dest="random_count")
     p_ver.add_argument("--seed", type=int, default=0)
-    common(p_ver)
+    for p in (p_desc, p_fact, p_cls):
+        p.add_argument("--preorder", default=None, help="preorder JSON file, or 'divisibility'")
+    for p in (p_desc, p_fact, p_cls, p_ver):
+        dot = ("dot",) if p in (p_desc, p_fact) else ()
+        p.add_argument("--format", choices=("json", "text", *dot), default="json")
+        p.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
     try:

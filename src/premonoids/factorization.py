@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from operator import and_, or_
 
-from .errors import ShapeError
+from .errors import NotComputableError, ShapeError
 from .irreducibles import is_atom, is_irreducible
 from .lengthset import LengthSet
 from .premonoid import Carrier
@@ -191,7 +191,8 @@ class DivisorAutomaton:
         word is longer than its largest length."""
         if self._census is None:
             lengths = self.length_set()
-            assert lengths.is_finite, "an infinite length set has no finite census"
+            if not lengths.is_finite:
+                raise NotComputableError("an infinite length set has no finite census")
             self._census = []
             if not lengths.is_empty:
                 cls_of, reps = self.numbering()

@@ -139,10 +139,8 @@ class PowerMonoid(LocallyFiniteMonoid):
                 found.append(y)
         return tuple(found)
 
-    def sample_elements(self, limit: int | None = None) -> tuple:
-        full = tuple(range(self.base.n))
-        subs = self._id_subsets(full)
-        return tuple(subs[:limit]) if limit else tuple(subs)
+    def sample_elements(self) -> tuple:
+        return tuple(self._id_subsets(tuple(range(self.base.n))))
 
     def parse(self, text: str) -> tuple:
         """A set of base elements written like {1,2}; the identity is added."""
@@ -218,14 +216,9 @@ class ReducedPowerN(LocallyFiniteMonoid):
                     found.append(tuple(sorted(y)))
         return tuple(sorted(set(found)))
 
-    def sample_elements(self, limit: int | None = None) -> tuple:
+    def sample_elements(self) -> tuple:
         pool = range(1, self.sample_max + 1)
-        out = []
-        for r in range(len(pool) + 1):
-            for combo in itertools.combinations(pool, r):
-                out.append(tuple(sorted((0,) + combo)))
-        out = sorted(set(out))
-        return tuple(out[:limit]) if limit else tuple(out)
+        return tuple(sorted((0, *c) for r in range(len(pool) + 1) for c in itertools.combinations(pool, r)))
 
     parse = PowerMonoid.parse  # a set written like {0,1}; 0 is added
 
@@ -330,7 +323,7 @@ class ProductOneMonoid(LocallyFiniteMonoid):
         ]
         return tuple(sorted(found))
 
-    def sample_elements(self, limit: int | None = None, max_size: int = 4) -> tuple:
+    def sample_elements(self, max_size: int = 4) -> tuple:
         vectors = [
             v
             for v in itertools.product(range(max_size + 1), repeat=len(self.support))
@@ -338,8 +331,7 @@ class ProductOneMonoid(LocallyFiniteMonoid):
         ]
         self._fill(vectors)
         one = self.group_identity
-        out = sorted(self._letters(v) for v in vectors if one in self._products[v])
-        return tuple(out[:limit]) if limit else tuple(out)
+        return tuple(sorted(self._letters(v) for v in vectors if one in self._products[v]))
 
     def parse(self, text: str) -> tuple:
         """A multiset of group elements, comma-separated, in any order."""
@@ -403,9 +395,8 @@ class AdditiveNaturals(LocallyFiniteMonoid):
     def divisors(self, x: int) -> tuple:
         return tuple(range(x + 1))
 
-    def sample_elements(self, limit: int | None = None) -> tuple:
-        hi = min(self.cap, limit) if limit else self.cap
-        return tuple(range(hi + 1))
+    def sample_elements(self) -> tuple:
+        return tuple(range(self.cap + 1))
 
     def contains(self, x) -> bool:
         return isinstance(x, int) and x >= 0
@@ -481,11 +472,9 @@ class PlaneSubmonoid(LocallyFiniteMonoid):
                     out.append((i, j))
         return tuple(out)
 
-    def sample_elements(self, limit: int | None = None) -> tuple:
+    def sample_elements(self) -> tuple:
         hi = 2 * self.gen_bound
-        out = [v for v in itertools.product(range(hi + 1), repeat=2) if self.contains(v)]
-        out.sort()
-        return tuple(out[:limit]) if limit else tuple(out)
+        return tuple(sorted(v for v in itertools.product(range(hi + 1), repeat=2) if self.contains(v)))
 
 
 def make_n2_submonoid(gen_bound: int) -> PlaneSubmonoid:
@@ -537,9 +526,8 @@ class NumericalMonoid(LocallyFiniteMonoid):
     def divisors(self, x: int) -> tuple:
         return tuple(y for y in range(x + 1) if self.contains(y) and self.contains(x - y))
 
-    def sample_elements(self, limit: int | None = None) -> tuple:
-        hi = min(self.cap, limit) if limit else self.cap
-        return tuple(x for x in range(hi + 1) if self.contains(x))
+    def sample_elements(self) -> tuple:
+        return tuple(x for x in range(self.cap + 1) if self.contains(x))
 
 
 def make_numerical(generators, cap: int = 60) -> NumericalMonoid:

@@ -3,8 +3,8 @@
 All per-element predicates are decided inside the divisor set of the element:
 any factor of a product equal to x divides x, and so does every prefix of the
 product, so restricting the layered product search to divisors loses nothing.
-This makes the same code path exact for finite carriers and for lazily
-presented ones with certified divisor sets.
+Quarks and irreducibles take the non-units below x from ``strictly_below``, so
+one code path is exact for finite and for lazily presented carriers alike.
 """
 from __future__ import annotations
 
@@ -29,13 +29,15 @@ def is_quark(P: Carrier, a) -> bool:
     return not P.is_unit(a) and not P.strictly_below(a)
 
 
-def _layered_product_hit(P: Carrier, a, factors, s: int) -> bool:
-    """True iff a is a product of k elements of ``factors`` for some 2 <= k <= s.
+def _layered_product_hit(P: Carrier, a, candidates, s: int) -> bool:
+    """True iff a is a product of k of the ``candidates`` for some 2 <= k <= s.
 
-    Layers are pruned to divisors of a: every prefix of a product equal to a
-    divides a, so pruning is lossless for the membership question.
+    Every factor and every prefix of a product equal to a divides a, so the
+    candidates and the layers are cut to divisors of a without loss; a rule
+    order's strict-lower hook may name candidates that do not divide a.
     """
     allowed = frozenset(P.divisors(a))
+    factors = [d for d in candidates if d in allowed]
     op = P.op
     layer = factors
     for _ in range(2, s + 1):
@@ -77,10 +79,7 @@ def is_irreducible(P: Carrier, a, s: int = 2) -> bool:
     _check_degree(s)
     if P.is_unit(a):
         return False
-    factors = [d for d in P.divisors(a) if not P.is_unit(d) and P.lt(d, a)]
-    if not factors:
-        return True
-    return not _layered_product_hit(P, a, factors, s)
+    return not _layered_product_hit(P, a, P.strictly_below(a), s)
 
 
 @_per_premonoid
@@ -93,8 +92,6 @@ def is_atom(P: Carrier, a, s: int = 2) -> bool:
     if not is_irreducible(P, a, s):
         return False
     factors = [d for d in P.divisors(a) if not P.is_unit(d)]
-    if not factors:
-        return True
     return not _layered_product_hit(P, a, factors, s)
 
 
@@ -112,35 +109,36 @@ def atoms(P: Premonoid, s: int = 2) -> tuple:
     return tuple(a for a in P.nonunits() if is_atom(P, a, s))
 
 
+def _unit_images(P: Premonoid, members) -> dict:
+    """Each member a mapped to the set of members u*a*v over preorder units
+    u, v."""
+    units = sorted(P.units())
+    op = P.op
+    images = dict.fromkeys(members)
+    for a in images:
+        lefts = {op(u, a) for u in units}
+        images[a] = {b for b in {op(ua, v) for ua in lefts for v in units} if b in images}
+    return images
+
+
+def _orbits(images: dict) -> tuple[tuple, ...]:
+    """Blocks of the equivalence generated by a ~ b for b in ``images[a]``,
+    sorted and listed by smallest member; the smaller block joins the larger."""
+    block = {a: {a} for a in images}
+    for a, bs in images.items():
+        for b in bs:
+            if block[b] is not block[a]:
+                small, large = sorted((block[a], block[b]), key=len)
+                large |= small
+                for c in small:
+                    block[c] = large
+    return tuple(sorted({tuple(sorted(s)) for s in block.values()}))
+
+
 def unit_orbits(P: Premonoid, members) -> tuple[tuple, ...]:
     """Partition of ``members`` by the equivalence generated by a ~ u*a*v over
     preorder units u, v; blocks sorted and listed by smallest member."""
-    members = sorted(members)
-    index = {a: i for i, a in enumerate(members)}
-    parent = list(range(len(members)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    units = sorted(P.units())
-    op = P.op
-    for a in members:
-        lefts = {op(u, a) for u in units}
-        for b in {op(ua, v) for ua in lefts for v in units}:
-            if b in index:
-                union(index[a], index[b])
-    blocks: dict[int, list] = {}
-    for a in members:
-        blocks.setdefault(find(index[a]), []).append(a)
-    return tuple(tuple(sorted(b)) for _, b in sorted(blocks.items()))
+    return _orbits(_unit_images(P, members))
 
 
 @dataclass(frozen=True)
@@ -190,19 +188,6 @@ class GeneratingSetCertificate:
         }
 
 
-def _orbit_alphabet(P: Premonoid, reps, irr_set) -> tuple:
-    units = sorted(P.units())
-    letters = set()
-    for a in reps:
-        for u in units:
-            ua = P.op(u, a)
-            for v in units:
-                b = P.op(ua, v)
-                if b in irr_set:
-                    letters.add(b)
-    return tuple(sorted(letters))
-
-
 def _coverage_witnesses(P: Premonoid, alphabet, targets):
     """BFS factorization witnesses over the alphabet.
 
@@ -235,25 +220,25 @@ def irreducible_generating_set(P: Premonoid) -> GeneratingSetCertificate:
     """
     if not P.flags().weakly_positive:
         raise NotWeaklyPositiveError("instance is not weakly positive")
-    irr = irreducibles(P, 2)
-    irr_set = frozenset(irr)
+    images = _unit_images(P, irreducibles(P, 2))
     targets = list(P.nonunits())
-    orbits = unit_orbits(P, irr)
-    reps = [block[0] for block in orbits]
-    full_alphabet = _orbit_alphabet(P, reps, irr_set)
-    witnesses, missing = _coverage_witnesses(P, full_alphabet, targets)
+
+    def alphabet(reps) -> tuple:
+        """The irreducibles in the orbits of ``reps``: their unit images."""
+        return tuple(sorted(set().union(*map(images.__getitem__, reps))))
+
+    reps = [block[0] for block in _orbits(images)]
+    witnesses, missing = _coverage_witnesses(P, alphabet(reps), targets)
     if witnesses is None:
         raise NotFactorableError(missing)
     # reverse-delete: drop orbits whose removal keeps every non-unit reachable
     kept = list(reps)
     for rep in sorted(reps, reverse=True):
         trial = [r for r in kept if r != rep]
-        alphabet = _orbit_alphabet(P, trial, irr_set)
-        got, _ = _coverage_witnesses(P, alphabet, targets)
+        got, _ = _coverage_witnesses(P, alphabet(trial), targets)
         if got is not None:
             kept = trial
             witnesses = got
-    alphabet = _orbit_alphabet(P, kept, irr_set)
     return GeneratingSetCertificate(
-        representatives=tuple(kept), alphabet=alphabet, witnesses=witnesses
+        representatives=tuple(kept), alphabet=alphabet(kept), witnesses=witnesses
     )

@@ -25,7 +25,7 @@ class LocallyFiniteMonoid:
     def divisors(self, x) -> tuple:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def sample_elements(self, limit: int | None = None) -> tuple:
+    def sample_elements(self) -> tuple:
         """Deterministic finite sample of the carrier for bounded, clearly
         labeled whole-instance scans."""
         raise NotImplementedError
@@ -48,21 +48,22 @@ class LocallyFiniteMonoid:
         Checks identity/x membership, transitivity of the divisor sets, and
         that each claimed divisor is witnessed by an actual two-sided product
         within the divisor set (sound because cofactors of a divisor of x
-        divide x themselves).
+        divide x themselves). A failed law raises ``AssertionError`` naming
+        it, under ``python -O`` too.
         """
         divs = self.divisors(x)
         dset = set(divs)
-        assert self.identity in dset, f"identity missing from divisors({x!r})"
-        assert x in dset, f"{x!r} missing from its own divisors"
+        if self.identity not in dset:
+            raise AssertionError(f"identity missing from divisors({x!r})")
+        if x not in dset:
+            raise AssertionError(f"{x!r} missing from its own divisors")
         for y in divs:
             for z in self.divisors(y):
-                assert z in dset, f"divisor transitivity fails: {z!r} | {y!r} | {x!r}"
-        pool = divs
+                if z not in dset:
+                    raise AssertionError(f"divisor transitivity fails: {z!r} | {y!r} | {x!r}")
         for y in divs:
-            witnessed = any(
-                self.op(self.op(u, y), v) == x for u in pool for v in pool
-            )
-            assert witnessed, f"no cofactor witness for {y!r} | {x!r}"
+            if not any(self.op(self.op(u, y), v) == x for u in divs for v in divs):
+                raise AssertionError(f"no cofactor witness for {y!r} | {x!r}")
 
 
 class LocalPremonoid:
@@ -85,6 +86,7 @@ class LocalPremonoid:
         self.order = order
         self._strict_lower = strict_lower
         self._divcache: dict = {}
+        self._below: dict = {}  # x -> strictly_below(x)
         self._divsets: dict = {}  # x -> frozenset(divisors(x)), for leq
         self._irrcache: dict = {}  # irreducibles.is_irreducible/is_atom
         if order != "divisibility" and strict_lower is None:
@@ -125,16 +127,18 @@ class LocalPremonoid:
 
     def strictly_below(self, x) -> tuple:
         """The non-units y < x, found among the divisors of x or the
-        certified candidates of the strict-lower hook."""
-        pool = self.divisors(x) if self.order == "divisibility" else self._strict_lower(x)
-        return tuple(y for y in pool if not self.is_unit(y) and self.lt(y, x))
+        certified candidates of the strict-lower hook; worked out once per
+        element."""
+        got = self._below.get(x)
+        if got is None:
+            pool = self.divisors(x) if self.order == "divisibility" else self._strict_lower(x)
+            got = self._below[x] = tuple(y for y in pool if not self.is_unit(y) and self.lt(y, x))
+        return got
 
     heights_of = heights_of  # the one walk of premonoid.heights_of, as a method
 
-    def nonunit_sample(self, limit: int | None = None) -> tuple:
-        return tuple(
-            x for x in self.monoid.sample_elements(limit) if not self.is_unit(x)
-        )
+    def nonunit_sample(self) -> tuple:
+        return tuple(x for x in self.monoid.sample_elements() if not self.is_unit(x))
 
     def bounded_flags(self, sample=None):
         """Compatibility flags decided by quantifier scans over a finite

@@ -147,14 +147,13 @@ class FiniteMonoid:
         return p
 
     def units(self) -> frozenset:
-        """Elements u with uv = vu = identity for some v."""
+        """Elements u with uv = vu = identity for some v: the u whose row
+        holds the identity. In a finite monoid uv = 1 makes y -> vy injective,
+        hence onto, so vw = 1 for some w and u = u(vw) = w: a right inverse
+        is two-sided."""
         if self._units is None:
             e = self.identity
-            found = frozenset(
-                u
-                for u in range(self.n)
-                if any(self.table[u][v] == e and self.table[v][u] == e for v in range(self.n))
-            )
+            found = frozenset(u for u, row in enumerate(self.table) if e in row)
             object.__setattr__(self, "_units", found)
         return self._units
 

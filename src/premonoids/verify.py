@@ -116,6 +116,19 @@ def _scan_weakly_positive(m, rel) -> bool:
     ) and all(leq(x, t[t[a][x]][b]) for x in range(n) for a in range(n) for b in range(n))
 
 
+def _scan_quarks_and_irreducibles(m, rel) -> tuple[set, set]:
+    """The quarks (non-units with no non-unit strictly below them) and the
+    degree-2 irreducibles (non-units that are no product yz of non-units y, z
+    strictly below yz), by their defining scans over the relation and the
+    table. Shares no code with ``irreducibles.py``, which reads the carrier's
+    ``strictly_below``."""
+    t, lt = m.table, rel.lt
+    nonunits = [x for x in range(m.n) if not rel.equiv(x, m.identity)]
+    quarks = {x for x in nonunits if not any(lt(y, x) for y in nonunits)}
+    products = {t[y][z] for y in nonunits for z in nonunits if lt(y, t[y][z]) and lt(z, t[y][z])}
+    return quarks, set(nonunits) - products
+
+
 def _scan_compatible(m, rel, strict: bool) -> bool:
     """ux <= uy and xu <= yu over all u and every pair x <= y, or ux < uy and
     xu < yu over every x < y when ``strict``. Shares no code with
@@ -192,11 +205,13 @@ def check_weak_positivity_consequences(P: Premonoid, rng: random.Random, rounds:
 
 def check_irreducible_structure(P: Premonoid, degrees=(2, 3, 4)) -> CheckResult:
     name = "irreducible-structure"
-    qs = set(quarks_of(P))
+    qs, irr2 = _scan_quarks_and_irreducibles(P.monoid, P.preorder)
     prev_irr = prev_atoms = None
     for s in sorted(degrees):
         irs = set(irreducibles_of(P, s))
         ats = set(atoms_of(P, s))
+        if s == 2 and irs != irr2:
+            return _fail(name, irreducibles_not_by_definition=sorted(irs ^ irr2))
         if not ats <= irs:
             return _fail(name, atoms_not_irreducible=(s, sorted(ats - irs)))
         if not qs <= irs:

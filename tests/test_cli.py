@@ -290,6 +290,60 @@ def test_dot_outputs(capsys):
     assert code == 0 and "digraph layers" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("describe", "numerical:2,3"), "numerical instances fix the divisibility preorder"),
+        (("describe", "present:xy:x2=yx2y:8"), "present instances fix the divisibility preorder"),
+        (("classify", "powerN:3"), "powerN instances fix the divisibility preorder"),
+        (("factorize", "b:c3:1,2", "0,0,0"), "b instances fix the divisibility preorder"),
+        (("describe", "matrix:/nonexistent.json"), "matrix instances fix the divisibility preorder"),
+        (("describe", "remarkN:20"), "remarkN instances fix their rule preorder"),
+    ],
+)
+def test_a_preorder_the_family_would_ignore_is_an_input_error(argv, message, capsys):
+    code, out, err = run_cli(capsys, *argv, "--preorder", "/nonexistent.json")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [("describe", "numerical:2,3"), ("describe", "present:xy:x2=yx2y:8"), ("classify", "powerN:3")]
+)
+def test_divisibility_stays_accepted_where_it_is_the_family_order(argv, capsys):
+    plain = run_cli(capsys, *argv)
+    assert plain[0] == 0
+    assert run_cli(capsys, *argv, "--preorder", "divisibility") == plain
+
+
+def test_remark_order_refuses_divisibility(capsys):
+    code, _, err = run_cli(capsys, "describe", "remarkN:20", "--preorder", "divisibility")
+    assert (code, err) == (2, "error: remarkN instances fix their rule preorder\n")
+
+
+def test_a_preorder_on_a_large_power_base_is_an_input_error(tmp_path, capsys):
+    from premonoids.families import cyclic_group
+
+    mpath = tmp_path / "c5.json"
+    mpath.write_text(json.dumps(cyclic_group(5).to_json()))
+    code, _, err = run_cli(capsys, "describe", f"power:{mpath}", "--preorder", "/nonexistent.json")
+    assert (code, err) == (2, "error: power instances fix the divisibility preorder\n")
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("verify", "zn:4", "--preorder", "/nonexistent.json"), "--preorder"),
+        (("classify", "zn:4", "--format", "dot"), "--format"),
+        (("verify", "zn:4", "--format", "dot"), "--format"),
+    ],
+)
+def test_options_a_command_would_ignore_are_refused(argv, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spec", ["zn:12", "chain", "union4"])
 def test_factorize_dot_matches_the_divisor_indexed_construction(spec, tmp_path, capsys):
     # the CLI's finite carrier numbers automaton states by element; the
