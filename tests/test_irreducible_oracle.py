@@ -249,6 +249,7 @@ ONE_WAY_ORBIT_SEEDS = [2780, 2805, 5453, 7702, 11286, 16328, 18385]
 @pytest.mark.parametrize("seed", ONE_WAY_ORBIT_SEEDS)
 def test_alphabets_are_unit_images_not_whole_orbits(seed):
     P = random_premonoid(random.Random(seed), 6)
+    assert P.flags().weakly_positive
     irr = tuple(a for a in P.nonunits() if old_is_irreducible(P, a, 2))
     assert any(
         set(block) != set(old_orbit_alphabet(P, block[:1], frozenset(irr))) for block in old_unit_orbits(P, irr)
@@ -263,8 +264,8 @@ def test_chains_match_the_old_routines(kind, n):
 
 
 def local_pool(P):
-    """Every y < a divides a under divisibility; the remark order has
-    nothing strictly above a unit but units, so the sample is a pool too."""
+    """Holds every non-unit below a: under divisibility each divides a, and
+    under the remark order there is none."""
     sample = P.monoid.sample_elements()
     return lambda a: set(P.divisors(a)) | set(sample)
 
