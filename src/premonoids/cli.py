@@ -44,7 +44,7 @@ from .premonoid import Premonoid
 from .preorder import divisibility_preorder, preorder_from_json
 from .presentations import presentation_explore
 from .randgen import random_premonoid
-from .verify import CheckResult, verify_suite
+from .verify import verify_local, verify_matrix, verify_presentation, verify_suite
 
 
 class CliError(Exception):
@@ -306,94 +306,10 @@ def classify_payload(instance: Instance, element_text: str | None, with_profiles
         report = classify(P)
     else:
         sample = P.nonunit_sample()
-        report = classify(P, elements=sample, scope=f"{len(sample)} sampled non-units")
+        report = classify(P, elements=sample)
     out = {"instance": instance.spec, **report.to_json(include_profiles=with_profiles)}
     out["diagram_violations"] = [list(v) for v in report.diagram_violations()]
     return out
-
-
-def _verify_local(instance: Instance) -> list[CheckResult]:
-    P = instance.payload
-    sample = P.monoid.sample_elements()
-    try:
-        for x in sample[: min(len(sample), 8)]:
-            P.monoid.check_divisor_laws(x)
-        certificates = CheckResult("divisor-certificates", True, True)
-    except AssertionError as exc:
-        certificates = CheckResult("divisor-certificates", True, False, {"error": str(exc)})
-    nonunits = P.nonunit_sample()
-    violations = classify(P, elements=nonunits, scope="sample").diagram_violations()
-    return [
-        certificates,
-        CheckResult(
-            "classification-diagram",
-            True,
-            not violations,
-            {"violations": [list(v) for v in violations]},
-        ),
-    ]
-
-
-def _snf_self_check(name: str, a) -> tuple:
-    """The check and, when it passed, the self-checked Smith form of ``a``."""
-    try:
-        result = mx.snf(a)
-    except (AssertionError, PremonoidsError) as exc:
-        return CheckResult(name, True, False, {"error": str(exc)}), None
-    return CheckResult(name, True, True), result
-
-
-def _prime_count(values) -> int:
-    """Prime factors of the given positive ints with multiplicity, by trial
-    division of its own: the check below shares no code with the engine."""
-    count = 0
-    for v in values:
-        p = 2
-        while p * p <= v:
-            while v % p == 0:
-                count += 1
-                v //= p
-            p += 1
-        count += v > 1
-    return count
-
-
-def _verify_matrix(instance: Instance, seed: int) -> list[CheckResult]:
-    rng = random.Random(seed)
-    a = instance.payload
-    ls = mx.matrix_length_set(a)  # a singular or too large matrix exits 2 here
-    invariants, certificate = _snf_self_check("snf-invariants", a)
-    checks = [invariants]
-    # U*A*V = D with U, V unimodular, so the invariant factors multiply to |det A|
-    omega = _prime_count(certificate.diagonal) if certificate else None
-    expected = {omega} if omega else set()
-    got = set(ls.members_upto((omega or 0) + 2))
-    checks.append(
-        CheckResult(
-            "length-set-vs-prime-count",
-            True,
-            certificate is not None and got == expected,
-            {"lengths": sorted(got), "prime_count": omega},
-        )
-    )
-    probes = CheckResult("snf-random-probes", True, True)
-    for _ in range(10):
-        n = len(a)
-        b = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
-        if mx.mat_det(b) == 0:
-            continue
-        probes, _ = _snf_self_check("snf-random-probes", b)
-        if not probes.passed:
-            probes.details["matrix"] = [list(row) for row in b]
-            break
-    checks.append(probes)
-    return checks
-
-
-def _verify_presentation(instance: Instance) -> list[CheckResult]:
-    alphabet, relations, bound = instance.payload
-    report = presentation_explore(alphabet, relations, bound)
-    return [CheckResult("bounded-exploration", True, True, report.to_json())]
 
 
 def verify_payload(instances, random_count: int, seed: int) -> tuple[dict, bool]:
@@ -403,11 +319,11 @@ def verify_payload(instances, random_count: int, seed: int) -> tuple[dict, bool]
         if instance.kind == "finite":
             results = verify_suite(instance.payload, seed=seed)
         elif instance.kind == "local":
-            results = _verify_local(instance)
+            results = verify_local(instance.payload)
         elif instance.kind == "matrix":
-            results = _verify_matrix(instance, seed)
+            results = verify_matrix(instance.payload, seed)
         else:
-            results = _verify_presentation(instance)
+            results = verify_presentation(*instance.payload)
         reports.append((spec, results))
     rng = random.Random(seed)
     for idx in range(random_count):
@@ -435,8 +351,11 @@ def _emit(payload, args) -> None:
     else:
         text = _dumps(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out!r}: {exc.strerror}", 2) from exc
     else:
         print(text)
         sys.stdout.flush()  # a closed pipe raises here, inside main, and not at exit

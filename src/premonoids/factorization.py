@@ -706,15 +706,15 @@ def _element_flags(p: ElementProfile) -> dict:
     }
 
 
-def classify(P: Carrier, elements=None, scope: str | None = None) -> Classification:
+def classify(P: Carrier, elements=None) -> Classification:
     """Classification over the given non-units (default: every non-unit of a
     finite carrier).  Vacuously all-true when there are none."""
     if elements is None:
         elements = P.nonunits()
-        scope = scope or f"all {len(elements)} non-units (exhaustive)"
+        scope = f"all {len(elements)} non-units (exhaustive)"
     else:
         elements = tuple(x for x in elements if not P.is_unit(x))
-        scope = scope or f"{len(elements)} sampled non-units"
+        scope = f"{len(elements)} sampled non-units"
     flags = {name: True for name in FLAG_NAMES}
     witnesses: dict = {}
     profiles: dict = {}

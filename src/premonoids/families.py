@@ -37,11 +37,14 @@ def parse_set_text(text: str) -> tuple:
 
 
 def _dihedral_letter(part: str) -> tuple:
-    """The dihedral element r^k s^e written k.e."""
+    """The dihedral element r^k s^e written k.e, with e 0 or 1."""
     k, dot, e = part.partition(".")
     if not dot:
         raise ShapeError(f"dihedral elements are written k.e, got {part.strip()!r}")
-    return (int(k), int(e))
+    letter = (int(k), int(e))
+    if letter[1] not in (0, 1):
+        raise ShapeError(f"the exponent of s is 0 or 1, got {part.strip()!r}")
+    return letter
 
 
 def parse_multiset_text(text: str) -> tuple:
@@ -51,11 +54,22 @@ def parse_multiset_text(text: str) -> tuple:
 
 # -- modular multiplication -------------------------------------------------------
 
+# The largest n of an n x n table family. Time and memory grow as n^2: the
+# table alone took about 0.5 s and 160 MB of peak memory at n = 2048 on a
+# 2-core Xeon. A larger n is refused before anything is allocated.
+TABLE_CAP = 2048
+
+
+def _check_table_size(n: int, what: str) -> None:
+    if n < 1:
+        raise ShapeError(f"{what} must be >= 1")
+    if n > TABLE_CAP:
+        raise ShapeError(f"{what} {n} exceeds the table cap of {TABLE_CAP} elements")
+
 
 def make_zn(n: int) -> FiniteMonoid:
     """Multiplicative monoid of the integers modulo n."""
-    if n < 1:
-        raise ShapeError("modulus must be >= 1")
+    _check_table_size(n, "modulus")
     table = [[(i * j) % n for j in range(n)] for i in range(n)]
     return FiniteMonoid(table, 1 % n, check_associativity=False)
 
@@ -67,8 +81,7 @@ def zn_premonoid(n: int) -> Premonoid:
 
 def cyclic_group(n: int) -> FiniteMonoid:
     """Additive cyclic group of order n (element k plays the role of g^k)."""
-    if n < 1:
-        raise ShapeError("order must be >= 1")
+    _check_table_size(n, "order")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteMonoid(table, 0, check_associativity=False)
 

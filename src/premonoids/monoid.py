@@ -133,9 +133,6 @@ class FiniteMonoid:
 
     # -- basic queries ----------------------------------------------------
 
-    def elements(self) -> range:
-        return range(self.n)
-
     def op(self, x: int, y: int) -> int:
         return self.table[x][y]
 

@@ -40,8 +40,6 @@ class Carrier(Protocol):
 
     def leq(self, a, b) -> bool: ...
 
-    def lt(self, a, b) -> bool: ...
-
     def is_unit(self, a) -> bool: ...
 
     def strictly_below(self, x) -> tuple:

@@ -42,23 +42,23 @@ class PreorderRel:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def from_matrix(cls, matrix, kind: str = "explicit", source=None) -> "PreorderRel":
+    def from_matrix(cls, matrix) -> "PreorderRel":
         n = len(matrix)
         succ = []
         for i, row in enumerate(matrix):
             if len(row) != n:
                 raise ShapeError(f"relation row {i} has length {len(row)}, expected {n}")
             succ.append([j for j, v in enumerate(row) if v])
-        return cls(n, _close(succ), kind=kind, source=source)
+        return cls(n, _close(succ))
 
     @classmethod
-    def from_pairs(cls, n: int, pairs, kind: str = "explicit") -> "PreorderRel":
+    def from_pairs(cls, n: int, pairs) -> "PreorderRel":
         succ: list[list[int]] = [[] for _ in range(n)]
         for a, b in pairs:
             if not (0 <= a < n and 0 <= b < n):
                 raise ShapeError(f"pair ({a}, {b}) out of range")
             succ[a].append(b)
-        return cls(n, _close(succ), kind=kind, source={"pairs": sorted(set(map(tuple, pairs)))})
+        return cls(n, _close(succ), source={"pairs": sorted(set(map(tuple, pairs)))})
 
     @classmethod
     def total(cls, n: int) -> "PreorderRel":
@@ -79,15 +79,14 @@ class PreorderRel:
     def matrix(self) -> list[list[bool]]:
         return [[bool(r >> j & 1) for j in range(self.n)] for r in self.rows]
 
-    def equivalence_classes(self, subset=None) -> list[tuple[int, ...]]:
+    def equivalence_classes(self) -> list[tuple[int, ...]]:
         """Mutual-reachability classes, each sorted, listed by smallest member."""
-        pool = sorted(subset) if subset is not None else list(range(self.n))
         seen: set[int] = set()
         classes = []
-        for a in pool:
+        for a in range(self.n):
             if a in seen:
                 continue
-            cls_ = tuple(b for b in pool if self.equiv(a, b))
+            cls_ = tuple(b for b in range(self.n) if self.equiv(a, b))
             seen.update(cls_)
             classes.append(cls_)
         return classes
@@ -148,17 +147,16 @@ class PreorderRel:
             return {"kind": "phi", "A": sorted(self.source["A"])}
         return {"kind": "matrix", "rel": self.matrix()}
 
-    def condensation_dot(self, labels=None) -> str:
+    def condensation_dot(self) -> str:
         """DOT digraph of the strict order between equivalence classes
         (transitive reduction)."""
         classes = self.equivalence_classes()
         reps = [c[0] for c in classes]
         k = len(classes)
         edge = [[self.lt(reps[i], reps[j]) for j in range(k)] for i in range(k)]
-        fmt = labels if labels is not None else (lambda e: str(e))
         lines = ["digraph strict_order {"]
         for i, c in enumerate(classes):
-            name = "{" + ",".join(fmt(e) for e in c) + "}"
+            name = "{" + ",".join(map(str, c)) + "}"
             lines.append(f'  n{i} [label="{name}"];')
         for i in range(k):
             for j in range(k):

@@ -2,7 +2,9 @@
 
 Each check runs an independent computation of both sides of a theorem
 statement and compares; a failure means an implementation bug (never a
-tolerable outcome) and carries a counterexample payload.
+tolerable outcome) and carries a counterexample payload. ``verify_suite``
+runs the checks of a finite premonoid; ``verify_local``, ``verify_matrix``
+and ``verify_presentation`` those of the other instance kinds.
 """
 from __future__ import annotations
 
@@ -10,7 +12,9 @@ import itertools as it
 import random
 from dataclasses import dataclass, field
 
+from . import matrices as mx
 from . import words as wd
+from .errors import PremonoidsError
 from .irreducibles import (
     atoms as atoms_of,
     irreducibles as irreducibles_of,
@@ -29,6 +33,7 @@ from .factorization import (
 from .monoid import FiniteMonoid
 from .premonoid import Premonoid
 from .preorder import PreorderRel, divisibility_preorder, phi_preorder
+from .presentations import presentation_explore
 
 
 @dataclass
@@ -147,12 +152,7 @@ def _scan_compatible(m, rel, strict: bool) -> bool:
     )
 
 
-def _divisibility_premonoid(P: Premonoid, dp=None) -> Premonoid:
-    """``dp`` when given, else a fresh divisibility premonoid on P's monoid."""
-    return dp if dp is not None else Premonoid(P.monoid, divisibility_preorder(P.monoid))
-
-
-def check_divisibility_premonoid_laws(P: Premonoid, dp=None) -> CheckResult:
+def check_divisibility_premonoid_laws(P: Premonoid, dp: Premonoid) -> CheckResult:
     """Laws tying the monoid structure to its divisibility premonoid: on a
     finite carrier the monoid is Dedekind-finite, so divisibility units are
     the ordinary units and weak positivity always holds; a one-sided duo law
@@ -160,7 +160,6 @@ def check_divisibility_premonoid_laws(P: Premonoid, dp=None) -> CheckResult:
     to strong positivity."""
     name = "divisibility-premonoid-laws"
     m = P.monoid
-    dp = _divisibility_premonoid(P, dp)
     if dp.units() != m.units():
         return _fail(name, div_units=sorted(dp.units()), units=sorted(m.units()))
     if not _scan_weakly_positive(m, dp.preorder):
@@ -175,7 +174,7 @@ def check_divisibility_premonoid_laws(P: Premonoid, dp=None) -> CheckResult:
     return _ok(name)
 
 
-def check_weak_positivity_consequences(P: Premonoid, rng: random.Random, rounds: int = 5) -> CheckResult:
+def check_weak_positivity_consequences(P: Premonoid, rng: random.Random) -> CheckResult:
     """When the instance is weakly positive: preorder units multiply to
     preorder units, non-units absorb two-sided products, and restrictions to
     generated submonoids stay weakly positive."""
@@ -195,7 +194,7 @@ def check_weak_positivity_consequences(P: Premonoid, rng: random.Random, rounds:
             for b in range(m.n):
                 if m.table[m.table[a][x]][b] in units:
                     return _fail(name, nonunit_ideal=(a, x, b))
-    for _ in range(rounds):
+    for _ in range(5):
         seed = [y for y in range(m.n) if rng.random() < 0.4]
         view = P.restrict(m.generated_submonoid(seed))
         if not view.flags().weakly_positive:
@@ -203,11 +202,11 @@ def check_weak_positivity_consequences(P: Premonoid, rng: random.Random, rounds:
     return _ok(name)
 
 
-def check_irreducible_structure(P: Premonoid, degrees=(2, 3, 4)) -> CheckResult:
+def check_irreducible_structure(P: Premonoid) -> CheckResult:
     name = "irreducible-structure"
     qs, irr2 = _scan_quarks_and_irreducibles(P.monoid, P.preorder)
     prev_irr = prev_atoms = None
-    for s in sorted(degrees):
+    for s in (2, 3, 4):
         irs = set(irreducibles_of(P, s))
         ats = set(atoms_of(P, s))
         if s == 2 and irs != irr2:
@@ -227,9 +226,8 @@ def check_irreducible_structure(P: Premonoid, degrees=(2, 3, 4)) -> CheckResult:
     return _ok(name)
 
 
-def check_classification_diagram(P: Premonoid, report=None) -> CheckResult:
+def check_classification_diagram(P: Premonoid, report) -> CheckResult:
     name = "classification-diagram"
-    report = report if report is not None else classify(P)
     violations = report.diagram_violations()
     if violations:
         return _fail(name, violations=list(violations), witnesses=report.witnesses)
@@ -270,12 +268,11 @@ def _sweep_class_count(P, x, alphabet) -> int | None:
     return len(realized)
 
 
-def check_bf_iff_ff(P: Premonoid, report=None) -> CheckResult:
+def check_bf_iff_ff(P: Premonoid, report) -> CheckResult:
     """On a finite carrier the two finiteness readings must agree: the BF
     flags come from the engine's length sets, the FF side from a direct sweep
     of class vectors out to twice the distinct-prefix bound."""
     name = "bf-iff-ff"
-    report = report if report is not None else classify(P)
     for side, letters in (("factorable", "irreducibles"), ("atomic", "atoms")):
         # per element, FF means finitely many classes and at least one
         swept_ff = all(
@@ -287,14 +284,14 @@ def check_bf_iff_ff(P: Premonoid, report=None) -> CheckResult:
     return _ok(name)
 
 
-def check_abstract_bound(P: Premonoid, degrees=(2, 3)) -> CheckResult:
+def check_abstract_bound(P: Premonoid) -> CheckResult:
     """Every non-unit factors into at most s^(height-1) irreducibles of
     degree s, found by bounded layered search."""
     name = "abstract-bound"
     heights = P.heights()
     for x in P.nonunits():
         divs = set(P.divisors(x))
-        for s in degrees:
+        for s in (2, 3):
             alphabet = tuple(a for a in P.divisors(x) if is_irreducible(P, a, s))
             bound = s ** (heights[x] - 1)
             cap = min(bound, prefix_bound(P, x))
@@ -362,13 +359,13 @@ def check_localization_invariance(P: Premonoid, sample=None) -> CheckResult:
     return _ok(name)
 
 
-def check_unit_removal(P: Premonoid, rng: random.Random, rounds: int = 10) -> CheckResult:
+def check_unit_removal(P: Premonoid, rng: random.Random) -> CheckResult:
     """For product-closed Q and any A, the submonoid generated by Q*A*Q sits
     inside Q together with the submonoid generated by Q*(A minus Q)*Q."""
     name = "unit-removal-closure"
     m = P.monoid
     n = m.n
-    for _ in range(rounds):
+    for _ in range(10):
         seed = [x for x in range(n) if rng.random() < 0.4]
         q = m.generated_submonoid(seed)
         a = frozenset(x for x in range(n) if rng.random() < 0.5)
@@ -381,7 +378,7 @@ def check_unit_removal(P: Premonoid, rng: random.Random, rounds: int = 10) -> Ch
     return _ok(name)
 
 
-def check_duo_inclusion(P: Premonoid, rng: random.Random, rounds: int = 8) -> CheckResult:
+def check_duo_inclusion(P: Premonoid, rng: random.Random) -> CheckResult:
     """Left duo law: a product of principal two-sided ideals lands in the
     left ideal of any increasing subproduct."""
     name = "duo-pseudo-commutativity"
@@ -390,7 +387,7 @@ def check_duo_inclusion(P: Premonoid, rng: random.Random, rounds: int = 8) -> Ch
         return _skip(name, "instance is not left duo")
     n = m.n
     carrier = frozenset(range(n))
-    for _ in range(rounds):
+    for _ in range(8):
         k = rng.randint(1, 4)
         xs = [rng.randrange(n) for _ in range(k)]
         product_of_ideals = frozenset({m.identity})
@@ -410,13 +407,13 @@ def check_duo_inclusion(P: Premonoid, rng: random.Random, rounds: int = 8) -> Ch
     return _ok(name)
 
 
-def check_restriction_units(P: Premonoid, rng: random.Random, rounds: int = 6) -> CheckResult:
+def check_restriction_units(P: Premonoid, rng: random.Random) -> CheckResult:
     """Units of a restricted premonoid are the restricted units."""
     name = "restriction-units"
     m = P.monoid
     n = m.n
     masks = []
-    for _ in range(rounds):
+    for _ in range(6):
         seed = [x for x in range(n) if rng.random() < 0.4]
         masks.append(m.generated_submonoid(seed))
         masks.append(m.divisor_closed_closure(rng.randrange(n)))
@@ -429,13 +426,13 @@ def check_restriction_units(P: Premonoid, rng: random.Random, rounds: int = 6) -
     return _ok(name)
 
 
-def check_divisor_closed_restriction(P: Premonoid, rng: random.Random, rounds: int = 5) -> CheckResult:
+def check_divisor_closed_restriction(P: Premonoid, rng: random.Random) -> CheckResult:
     """Restriction to a divisor-closed submonoid preserves the irreducible and
     atom sets, and restricting a divisibility relation is again divisibility."""
     name = "divisor-closed-restriction"
     m = P.monoid
     irr, atoms = set(irreducibles_of(P, 2)), set(atoms_of(P, 2))
-    for _ in range(rounds):
+    for _ in range(5):
         x = rng.randrange(m.n)
         mask = m.divisor_closed_closure(x)
         view = P.restrict(mask)
@@ -454,13 +451,12 @@ def check_divisor_closed_restriction(P: Premonoid, rng: random.Random, rounds: i
     return _ok(name)
 
 
-def check_acyclic_collapse(P: Premonoid, dp=None) -> CheckResult:
+def check_acyclic_collapse(P: Premonoid, dp: Premonoid) -> CheckResult:
     """In an acyclic monoid, divisibility-irreducibles, -atoms and -quarks
     all coincide."""
     name = "acyclic-collapse"
     if not P.monoid.structure_flags().acyclic:
         return _skip(name, "monoid is not acyclic")
-    dp = _divisibility_premonoid(P, dp)
     a = set(atoms_of(dp, 2))
     i = set(irreducibles_of(dp, 2))
     q = set(quarks_of(dp))
@@ -469,43 +465,44 @@ def check_acyclic_collapse(P: Premonoid, dp=None) -> CheckResult:
     return _ok(name)
 
 
-def check_dedekind_bf_acyclic(P: Premonoid, div_report=None) -> CheckResult:
+def check_dedekind_bf_acyclic(P: Premonoid, dp: Premonoid) -> CheckResult:
     """A finite (hence Dedekind-finite) monoid with finite divisibility length
-    sets everywhere must be acyclic."""
+    sets everywhere must be acyclic. BF is read off the length sets of the
+    non-units of the divisibility premonoid ``dp``: each nonempty and finite."""
     name = "dedekind-bf-acyclic"
-    report = div_report if div_report is not None else classify(_divisibility_premonoid(P))
-    if report["BF-factorable"] and not P.monoid.structure_flags().acyclic:
-        return _fail(name, flags=dict(report.flags))
+    if P.monoid.structure_flags().acyclic:
+        return _ok(name)
+    lengths = {x: length_set(dp, x) for x in dp.nonunits()}
+    if all(not ls.is_empty and ls.is_finite for ls in lengths.values()):
+        return _fail(name, lengths={x: ls.to_json() for x, ls in lengths.items()})
     return _ok(name)
 
 
-def check_factorable_on_finite(P: Premonoid, report=None) -> CheckResult:
+def check_factorable_on_finite(P: Premonoid, report) -> CheckResult:
     """Finite carriers always admit factorizations for every non-unit."""
     name = "factorable-on-finite"
-    report = report if report is not None else classify(P)
     if not report["factorable"]:
         return _fail(name, witness=report.witnesses.get("factorable"))
     return _ok(name)
 
 
-def check_strongly_positive_ff_atomic(P: Premonoid, report=None) -> CheckResult:
+def check_strongly_positive_ff_atomic(P: Premonoid, report) -> CheckResult:
     name = "strongly-positive-ff-atomic"
     if not P.flags().strongly_positive:
         return _skip(name, "instance is not strongly positive")
-    report = report if report is not None else classify(P)
     if not report["FF-atomic"]:
         return _fail(name, witness=report.witnesses.get("FF-atomic"))
     return _ok(name)
 
 
-def check_phi_roundtrip(P: Premonoid, rng: random.Random, rounds: int = 4, dp=None) -> CheckResult:
+def check_phi_roundtrip(P: Premonoid, rng: random.Random, dp: Premonoid) -> CheckResult:
     """Generators become exactly the quarks and the irreducibles of the
     shortest-product-length pullback order, and everything they generate is a
     non-unit for it."""
     name = "phi-roundtrip"
     m = P.monoid
-    candidates = [set(atoms_of(_divisibility_premonoid(P, dp), 2))]
-    for _ in range(rounds):
+    candidates = [set(atoms_of(dp, 2))]
+    for _ in range(4):
         candidates.append(
             {x for x in range(m.n) if x != m.identity and rng.random() < 0.5}
         )
@@ -525,13 +522,13 @@ def check_phi_roundtrip(P: Premonoid, rng: random.Random, rounds: int = 4, dp=No
     return _ok(name)
 
 
-def check_shuffle_oracle(P: Premonoid, rng: random.Random, rounds: int = 300) -> CheckResult:
+def check_shuffle_oracle(P: Premonoid, rng: random.Random) -> CheckResult:
     """Class-multiset fast path against the literal injective-matching oracle."""
     name = "shuffle-oracle"
     n = P.monoid.n
     leq = P.preorder.leq
     rep = wd.class_reps(leq, range(n))
-    for _ in range(rounds):
+    for _ in range(300):
         u = tuple(rng.randrange(n) for _ in range(rng.randint(0, 5)))
         v = tuple(rng.randrange(n) for _ in range(rng.randint(0, 5)))
         fast = wd.shuffle_leq(rep, u, v)
@@ -543,13 +540,13 @@ def check_shuffle_oracle(P: Premonoid, rng: random.Random, rounds: int = 300) ->
     return _ok(name)
 
 
-def check_pullback_isomorphism(P: Premonoid, rng: random.Random, rounds: int = 4) -> CheckResult:
+def check_pullback_isomorphism(P: Premonoid, rng: random.Random) -> CheckResult:
     """Relabeling by a monoid isomorphism maps quark/irreducible/atom sets to
     their images."""
     name = "pullback-isomorphism"
     m = P.monoid
     n = m.n
-    for _ in range(rounds):
+    for _ in range(4):
         perm = list(range(n))
         rng.shuffle(perm)
         table = [[0] * n for _ in range(n)]
@@ -592,13 +589,13 @@ def minimal_words_by_multiset(leq, words) -> list:
     return [w for w, k in zip(words, keys) if k in minimal]
 
 
-def check_minimal_brute_force(P: Premonoid, max_carrier: int = 6) -> CheckResult:
+def check_minimal_brute_force(P: Premonoid) -> CheckResult:
     """Brute-force enumeration beyond the certified bound: same minimal
     classes, none longer than the bound."""
     name = "minimal-brute-force"
     n = P.monoid.n
-    if n > max_carrier:
-        return _skip(name, f"carrier {n} above brute-force limit {max_carrier}")
+    if n > 6:
+        return _skip(name, f"carrier {n} above brute-force limit 6")
     for x in P.nonunits():
         alphabet = factorization_alphabet(P, x, "irreducibles")
         bound = prefix_bound(P, x)
@@ -640,27 +637,26 @@ def check_length_set_agreement(P: Premonoid, sample=None) -> CheckResult:
     return _ok(name)
 
 
-def check_higman_probe(P: Premonoid, rng: random.Random, terms: int = 60) -> CheckResult:
+def check_higman_probe(P: Premonoid, rng: random.Random) -> CheckResult:
     """Long random word sequences over a small alphabet always contain an
     increasing embedding pair."""
     name = "higman-probe"
     n = P.monoid.n
     letters = tuple(range(min(n, 3)))
     seq = [
-        tuple(rng.choice(letters) for _ in range(rng.randint(0, 6))) for _ in range(terms)
+        tuple(rng.choice(letters) for _ in range(rng.randint(0, 6))) for _ in range(60)
     ]
     hit = wd.erdos_rado_scan(seq, lambda a, b: a == b)
     if hit is None:
-        return _fail(name, sequence_length=terms)
+        return _fail(name, sequence_length=len(seq))
     return _ok(name, pair=hit[:2])
 
 
 def verify_suite(P: Premonoid, seed: int = 0) -> list[CheckResult]:
     """Run every applicable check on one finite premonoid."""
     rng = random.Random(seed)
-    dp = P if P.preorder.kind == "divisibility" else _divisibility_premonoid(P)
+    dp = P if P.preorder.kind == "divisibility" else Premonoid(P.monoid, divisibility_preorder(P.monoid))
     report = classify(P)
-    div_report = report if dp is P else classify(dp)
     results = [
         check_preorder_laws(P),
         check_flag_implications(P),
@@ -676,10 +672,10 @@ def verify_suite(P: Premonoid, seed: int = 0) -> list[CheckResult]:
         check_restriction_units(P, rng),
         check_divisor_closed_restriction(P, rng),
         check_acyclic_collapse(P, dp),
-        check_dedekind_bf_acyclic(P, div_report),
+        check_dedekind_bf_acyclic(P, dp),
         check_factorable_on_finite(P, report),
         check_strongly_positive_ff_atomic(P, report),
-        check_phi_roundtrip(P, rng, dp=dp),
+        check_phi_roundtrip(P, rng, dp),
         check_shuffle_oracle(P, rng),
         check_pullback_isomorphism(P, rng),
         check_minimal_brute_force(P),
@@ -687,3 +683,77 @@ def verify_suite(P: Premonoid, seed: int = 0) -> list[CheckResult]:
         check_higman_probe(P, rng),
     ]
     return results
+
+
+def verify_local(P) -> list[CheckResult]:
+    """Checks on a lazily presented carrier, over its deterministic sample:
+    the certified divisor sets of the first eight sample elements, and the
+    classification diagram over the sampled non-units."""
+    try:
+        for x in P.monoid.sample_elements()[:8]:
+            P.monoid.check_divisor_laws(x)
+        certificates = _ok("divisor-certificates")
+    except AssertionError as exc:
+        certificates = _fail("divisor-certificates", error=str(exc))
+    violations = classify(P, elements=P.nonunit_sample()).diagram_violations()
+    diagram = _fail if violations else _ok
+    return [certificates, diagram("classification-diagram", violations=[list(v) for v in violations])]
+
+
+def _snf_self_check(name: str, a) -> tuple:
+    """The check and, when it passed, the self-checked Smith form of ``a``."""
+    try:
+        result = mx.snf(a)
+    except (AssertionError, PremonoidsError) as exc:
+        return _fail(name, error=str(exc)), None
+    return _ok(name), result
+
+
+def _prime_count(values) -> int:
+    """Prime factors of the given positive ints with multiplicity, by trial
+    division of its own: the check below shares no code with the engine."""
+    count = 0
+    for v in values:
+        p = 2
+        while p * p <= v:
+            while v % p == 0:
+                count += 1
+                v //= p
+            p += 1
+        count += v > 1
+    return count
+
+
+def verify_matrix(a, seed: int) -> list[CheckResult]:
+    """Checks on a nonsingular integer matrix: its self-checked Smith form,
+    its length set against the prime count of the invariant factors, and the
+    Smith forms of ten seeded random probes. Raises the engine's error on a
+    singular or too large matrix."""
+    rng = random.Random(seed)
+    ls = mx.matrix_length_set(a)
+    invariants, certificate = _snf_self_check("snf-invariants", a)
+    # U*A*V = D with U, V unimodular, so the invariant factors multiply to |det A|
+    omega = _prime_count(certificate.diagonal) if certificate else None
+    expected = {omega} if omega else set()
+    got = set(ls.members_upto((omega or 0) + 2))
+    length_check = (_ok if certificate is not None and got == expected else _fail)(
+        "length-set-vs-prime-count", lengths=sorted(got), prime_count=omega
+    )
+    probes = _ok("snf-random-probes")
+    n = len(a)
+    for _ in range(10):
+        b = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
+        if mx.mat_det(b) == 0:
+            continue
+        probes, _ = _snf_self_check("snf-random-probes", b)
+        if not probes.passed:
+            probes.details["matrix"] = [list(row) for row in b]
+            break
+    return [invariants, length_check, probes]
+
+
+def verify_presentation(alphabet: str, relations, bound: int) -> list[CheckResult]:
+    """The bounded exploration of a presentation, reported as evidence: it
+    certifies nothing, so it always passes."""
+    report = presentation_explore(alphabet, relations, bound)
+    return [_ok("bounded-exploration", **report.to_json())]

@@ -28,9 +28,6 @@ class ProtocolOnly:
     def leq(self, a, b) -> bool:
         return self._carrier.leq(a, b)
 
-    def lt(self, a, b) -> bool:
-        return self._carrier.lt(a, b)
-
     def is_unit(self, a) -> bool:
         return self._carrier.is_unit(a)
 

@@ -167,7 +167,7 @@ def test_acceptance_03_diagram_fuzzing():
         assert report.diagram_violations() == (), name
     for name, LP in local_builtins():
         sample = LP.nonunit_sample()
-        report = classify(LP, elements=sample, scope=name)
+        report = classify(LP, elements=sample)
         assert report.diagram_violations() == (), name
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, elapsed
@@ -177,11 +177,11 @@ def test_acceptance_03_diagram_fuzzing():
 def test_acceptance_04_abstract_factorization_bound():
     failures = []
     for i, P in enumerate(_hundred_random_premonoids()):
-        res = check_abstract_bound(P, degrees=(2, 3))
+        res = check_abstract_bound(P)
         if not res.passed:
             failures.append((f"random[{i}]", res.details))
     for name, P in finite_builtins():
-        res = check_abstract_bound(P, degrees=(2, 3))
+        res = check_abstract_bound(P)
         if not res.passed:
             failures.append((name, res.details))
     for name, LP in local_builtins():

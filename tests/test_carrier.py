@@ -101,8 +101,8 @@ def carrier_members() -> set:
     return {name for name in vars(Carrier) if not name.startswith("_")} | set(Carrier.__annotations__)
 
 
-def test_the_protocol_declares_seven_queries():
-    members = {"identity", "op", "divisors", "leq", "lt", "is_unit", "strictly_below"}
+def test_the_protocol_declares_six_queries():
+    members = {"identity", "op", "divisors", "leq", "is_unit", "strictly_below"}
     assert carrier_members() == members
     assert {name for name in dir(ProtocolOnly) if not name.startswith("_")} == members
 

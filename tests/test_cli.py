@@ -240,6 +240,20 @@ def test_product_one_support_outside_the_group_exits_2(spec, capsys):
     assert err.startswith("error: ") and "support letter" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec", ["zn:100000", "b:c100000:1"])
+def test_table_families_past_the_cap_exit_2_before_building(spec, capsys, monkeypatch):
+    """The size is checked before the n x n table is allocated, so a huge
+    modulus or group order is refused at once."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a table past the cap reached FiniteMonoid")
+
+    monkeypatch.setattr(FiniteMonoid, "__init__", refuse)
+    code, out, err = run_cli(capsys, "describe", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "table cap of 2048" in err and "Traceback" not in err
+
+
 def test_product_one_elements_need_no_recursion(capsys):
     """Product-one sets are filled bottom-up over count vectors, so a
     1200-letter element takes no frame per letter."""
@@ -370,6 +384,14 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["n"] == 4
 
 
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_out_to_an_unwritable_path_is_a_labelled_error(where, tmp_path, capsys):
+    target = tmp_path if where == "directory" else tmp_path / "absent" / "x.json"
+    code, out, err = run_cli(capsys, "describe", "zn:4", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {str(target)!r}: ") and "Traceback" not in err
+
+
 def test_text_format(capsys):
     code, out, _ = run_cli(capsys, "describe", "zn:4", "--format", "text")
     assert code == 0
@@ -472,6 +494,15 @@ def test_dihedral_text_rejects_bare_integers(capsys):
     assert code == 3 and out == "" and "k.e" in err
     code, out, err = run_cli(capsys, "describe", "b:dinf:0.1,1")
     assert code == 2 and out == "" and "k.e" in err
+
+
+def test_dihedral_exponents_are_0_or_1(capsys):
+    """r s^2 is r in the group, but the product XORs exponents, so an
+    exponent past 1 would give wrong answers instead of an error."""
+    code, out, err = run_cli(capsys, "describe", "b:dinf:1.2")
+    assert code == 2 and out == "" and "0 or 1" in err and "Traceback" not in err
+    code, out, err = run_cli(capsys, "factorize", "b:dinf:", "0.1,0.-1")
+    assert code == 3 and out == "" and "0 or 1" in err and "Traceback" not in err
 
 
 # ints, dihedral k.e pairs, or a mix, as a bare list, a tuple or a set

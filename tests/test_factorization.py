@@ -127,7 +127,7 @@ def test_classification_vacuous_on_groups():
 def test_remark_premonoid_separates_the_two_minimal_atomic_readings():
     P = make_remark_premonoid(8)
     sample = [x for x in range(1, 9)]
-    report = classify(P, elements=sample, scope="1..8")
+    report = classify(P, elements=sample)
     # one atom (the unit step), so atomic factorizations are unique
     assert report["UF-atomic"] and report["FF-atomic"] and report["BF-atomic"]
     assert report["UmF-atomic-within"]

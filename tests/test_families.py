@@ -323,7 +323,7 @@ def test_remark_premonoid_classification_flags():
     assert P.is_unit(0) and not P.is_unit(1)
     assert [m for m in range(1, 10) if is_quark(P, m)] == list(range(1, 10))
     assert [m for m in range(1, 10) if is_atom(P, m)] == [1]
-    report = classify(P, elements=range(1, 8), scope="1..7")
+    report = classify(P, elements=range(1, 8))
     assert report["FF-factorable"] and not report["UF-factorable"]
     assert report["UF-atomic"]
     assert report.diagram_violations() == ()
@@ -394,7 +394,7 @@ def test_numerical_23():
 def test_numerical_classification_ff_atomic():
     lp = numerical_premonoid((2, 3), cap=24)
     sample = tuple(x for x in lp.nonunit_sample() if x <= 20)
-    report = classify(lp, elements=sample, scope="members <= 20")
+    report = classify(lp, elements=sample)
     assert report["FF-atomic"] and report["FF-factorable"]
     assert report["BF-atomic"]
     assert report.diagram_violations() == ()

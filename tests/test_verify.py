@@ -111,16 +111,50 @@ def test_bf_iff_ff_does_not_trust_the_engine_length_sets(monkeypatch):
     """The FF side is swept independently, so a wrong length set in the
     engine makes the check fail instead of agreeing with itself."""
     import premonoids.factorization as fz
-    from premonoids import LengthSet
+    from premonoids import LengthSet, classify
     from premonoids.verify import check_bf_iff_ff
 
     P = zn_premonoid(8)
-    assert check_bf_iff_ff(P).passed
+    assert check_bf_iff_ff(P, classify(P)).passed
     # the powers of 2 in Z_8 have unboundedly long factorizations; claim otherwise
     monkeypatch.setattr(fz, "length_set", lambda P, x, **kw: LengthSet.of(1))
-    result = check_bf_iff_ff(P)
+    result = check_bf_iff_ff(P, classify(P))
     assert not result.passed
     assert result.details["side"] == "factorable"
+
+
+def test_suite_classifies_each_carrier_once(monkeypatch):
+    """The suite classifies P once and hands the report to every check that
+    reads it; a non-divisibility preorder adds no classification of the
+    divisibility premonoid."""
+    import premonoids.verify as vf
+
+    real = vf.classify
+    calls = []
+    monkeypatch.setattr(vf, "classify", lambda P, *args: calls.append(P) or real(P, *args))
+    rng = random.Random(11)
+    carriers = [zn_premonoid(8)] + [random_premonoid(rng) for _ in range(12)]
+    assert any(P.preorder.kind != "divisibility" for P in carriers)
+    for P in carriers:
+        calls.clear()
+        verify_suite(P, seed=0)
+        assert calls == [P]
+
+
+def test_dedekind_bf_acyclic_reads_the_length_sets(monkeypatch):
+    """BF is read off the divisibility length sets, so length sets that
+    claim every non-unit of Z_8 is a single letter make the check fail: Z_8
+    is not acyclic."""
+    import premonoids.verify as vf
+    from premonoids import LengthSet
+
+    P = zn_premonoid(8)
+    assert not P.monoid.structure_flags().acyclic
+    assert vf.check_dedekind_bf_acyclic(P, P).passed
+    monkeypatch.setattr(vf, "length_set", lambda P, x, **kw: LengthSet.of(1))
+    result = vf.check_dedekind_bf_acyclic(P, P)
+    assert not result.passed
+    assert set(result.details["lengths"]) == set(P.nonunits())
 
 
 def test_divisibility_laws_do_not_trust_the_kernel_ideal_masks(monkeypatch):
@@ -133,13 +167,13 @@ def test_divisibility_laws_do_not_trust_the_kernel_ideal_masks(monkeypatch):
     from premonoids.verify import check_divisibility_premonoid_laws
 
     P = zn_premonoid(8)
-    assert check_divisibility_premonoid_laws(P).passed
+    assert check_divisibility_premonoid_laws(P, P).passed
     # drop 0 = 0 * 2 * 1 from the ideal of 2; the units stay as they are
     wrong = tuple(m & ~1 if x == 2 else m for x, m in enumerate(P.monoid.ideal_masks()))
     monkeypatch.setattr(FiniteMonoid, "ideal_masks", lambda self: wrong)
     with pytest.raises(NotComputableError, match="not reflexive and transitive"):
         Premonoid(P.monoid, divisibility_preorder(P.monoid)).flags()
-    result = check_divisibility_premonoid_laws(P)
+    result = check_divisibility_premonoid_laws(P, Premonoid(P.monoid, divisibility_preorder(P.monoid)))
     assert not result.passed
     assert result.details == {"weakly_positive": False}
 
@@ -162,7 +196,7 @@ def test_divisibility_laws_do_not_use_the_generating_pair_scan(monkeypatch):
         monkeypatch.setattr(module, "generating_pairs", refuse)
     monkeypatch.setattr(premonoids.premonoid, "compatibility", refuse)
     for P in carriers:
-        assert check_divisibility_premonoid_laws(P).passed
+        assert check_divisibility_premonoid_laws(P, Premonoid(P.monoid, divisibility_preorder(P.monoid))).passed
 
 
 def test_localization_check_renames_through_to_parent(monkeypatch):
