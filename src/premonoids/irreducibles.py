@@ -3,12 +3,14 @@
 All per-element predicates are decided inside the divisor set of the element:
 any factor of a product equal to x divides x, and so does every prefix of the
 product, so restricting the layered product search to divisors loses nothing.
+On a finite carrier degree 2 reads the carrier's inverse table rows instead.
 Quarks and irreducibles take the non-units below x from ``strictly_below``, so
 one code path is exact for finite and for lazily presented carriers alike.
 """
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -34,8 +36,15 @@ def _layered_product_hit(P: Carrier, a, candidates, s: int) -> bool:
 
     Every factor and every prefix of a product equal to a divides a, so the
     candidates and the layers are cut to divisors of a without loss; a rule
-    order's strict-lower hook may name candidates that do not divide a.
+    order's strict-lower hook may name candidates that do not divide a. Each
+    layer multiplies every product by every factor, so a degree-2 test costs
+    |factors|^2 products. :func:`_product_hit` sends degree 2 on a finite
+    carrier to :func:`_pair_product_hit` instead; this search serves degrees
+    3 and up and lazily presented carriers, and is the test oracle of the
+    degree-2 path.
     """
+    if not candidates:
+        return False
     allowed = frozenset(P.divisors(a))
     factors = [d for d in candidates if d in allowed]
     op = P.op
@@ -53,6 +62,26 @@ def _layered_product_hit(P: Carrier, a, candidates, s: int) -> bool:
             return False
         layer = nxt
     return False
+
+
+def _pair_product_hit(P: Premonoid, a: int, candidates) -> bool:
+    """True iff a = b*c for some ``candidates`` b and c, read off the inverse
+    rows of a finite carrier: one mask test per candidate b.
+
+    Both factors of a product equal to a divide a, so candidates that do not
+    divide a need no filter; their rows simply hold no column for a.
+    """
+    mask = 0
+    for d in candidates:
+        mask |= 1 << d
+    return any(P.inverse_row(b).get(a, 0) & mask for b in candidates)
+
+
+def _product_hit(P: Carrier, a, candidates, s: int) -> bool:
+    """True iff a is a product of k of the ``candidates`` for some 2 <= k <= s."""
+    if s == 2 and hasattr(P, "inverse_row"):
+        return _pair_product_hit(P, a, candidates)
+    return _layered_product_hit(P, a, candidates, s)
 
 
 def _per_premonoid(decide):
@@ -79,7 +108,7 @@ def is_irreducible(P: Carrier, a, s: int = 2) -> bool:
     _check_degree(s)
     if P.is_unit(a):
         return False
-    return not _layered_product_hit(P, a, P.strictly_below(a), s)
+    return not _product_hit(P, a, P.strictly_below(a), s)
 
 
 @_per_premonoid
@@ -92,7 +121,7 @@ def is_atom(P: Carrier, a, s: int = 2) -> bool:
     if not is_irreducible(P, a, s):
         return False
     factors = [d for d in P.divisors(a) if not P.is_unit(d)]
-    return not _layered_product_hit(P, a, factors, s)
+    return not _product_hit(P, a, factors, s)
 
 
 def quarks(P: Premonoid) -> tuple:
@@ -217,6 +246,20 @@ def irreducible_generating_set(P: Premonoid) -> GeneratingSetCertificate:
 
     Requires weak positivity; raises NotFactorableError (with a witness) if
     even the full orbit family cannot reach some non-unit.
+
+    The orbits are thinned by reverse-delete: each is dropped in turn, and the
+    drop is kept when every non-unit stays reachable. A trial is decided
+    without its search when the dropped orbit's unit images hold an
+    irreducible a whose preorder class is {a}, by this lemma: under weak
+    positivity such an a lies in the submonoid generated by a set A' of
+    irreducibles only if a is in A'. Sketch: divisors lie below what they
+    divide, and a product with a non-unit factor is a non-unit. Take a
+    shortest word over A' with product a; if it has k >= 2 letters, then
+    a = p*c with p and c non-units and p, c <= a. Irreducibility forces p ~ a
+    or c ~ a, so c = a, or else p = a comes from a shorter word. The orbits
+    are disjoint, so a is in no other orbit's images and the trial fails. A
+    failed trial changes neither the kept orbits nor the witnesses, so the
+    certificate is the one of the full reverse-delete.
     """
     if not P.flags().weakly_positive:
         raise NotWeaklyPositiveError("instance is not weakly positive")
@@ -231,9 +274,13 @@ def irreducible_generating_set(P: Premonoid) -> GeneratingSetCertificate:
     witnesses, missing = _coverage_witnesses(P, alphabet(reps), targets)
     if witnesses is None:
         raise NotFactorableError(missing)
+    rows = P.preorder.rows
+    class_size = Counter(rows)  # the members of a class share their up-set row
     # reverse-delete: drop orbits whose removal keeps every non-unit reachable
     kept = list(reps)
     for rep in sorted(reps, reverse=True):
+        if any(class_size[rows[a]] == 1 for a in images[rep]):
+            continue  # the lemma: the trial cannot reach that a
         trial = [r for r in kept if r != rep]
         got, _ = _coverage_witnesses(P, alphabet(trial), targets)
         if got is not None:

@@ -123,7 +123,9 @@ class LocalPremonoid:
 
     def is_unit(self, a) -> bool:
         e = self.identity
-        return self.leq(a, e) and self.leq(e, a)
+        if self.order == "divisibility":
+            return self.leq(a, e)  # e divides every element, so e <= a holds
+        return self.order(a, e) and self.order(e, a)
 
     def strictly_below(self, x) -> tuple:
         """The non-units y < x, found among the divisors of x or the

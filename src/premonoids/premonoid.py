@@ -10,7 +10,9 @@ factorization engines are written against; :class:`Premonoid` implements it
 for finite carriers, and lazily presented carriers plug into the same
 machinery through :class:`premonoids.localfinite.LocalPremonoid`. Beyond the
 protocol, :meth:`Premonoid.letter_rows` lets the factorization engine read
-successor masks off the table instead of multiplying.
+successor masks off the table instead of multiplying, and
+:meth:`Premonoid.inverse_row` lets the irreducibility engine read the
+factorizations of an element into two factors off a row.
 """
 from __future__ import annotations
 
@@ -132,7 +134,7 @@ class Premonoid:
     """Finite carrier: a FiniteMonoid together with a PreorderRel."""
 
     __slots__ = ("monoid", "preorder", "_units", "_nonunits", "_heights", "_flags", "_irrcache",
-                 "_letter_rows")
+                 "_letter_rows", "_inverse_rows")
 
     def __init__(self, monoid: FiniteMonoid, preorder: PreorderRel):
         if monoid.n != preorder.n:
@@ -147,6 +149,7 @@ class Premonoid:
         object.__setattr__(self, "_flags", None)
         object.__setattr__(self, "_irrcache", {})  # irreducibles.is_irreducible/is_atom
         object.__setattr__(self, "_letter_rows", {})  # letter kind -> (rows, folded letters)
+        object.__setattr__(self, "_inverse_rows", {})  # b -> inverse_row(b), per carrier
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Premonoid is immutable")
@@ -222,6 +225,20 @@ class Premonoid:
                 folded.add(a)
                 rows[:] = map(or_, rows, map(lshift, repeat(1), map(itemgetter(a), table)))
         return rows
+
+    def inverse_row(self, b: int) -> dict:
+        """Each value v of table row b mapped to the mask of the columns c
+        with b*c = v; built on first use, one pass over the row.
+
+        The rows live on this carrier and die with it: a cache keyed by
+        carrier identity would hand a short-lived carrier's rows to a later
+        one that reuses its id."""
+        row = self._inverse_rows.get(b)
+        if row is None:
+            row = self._inverse_rows[b] = {}
+            for c, v in enumerate(self.monoid.table[b]):
+                row[v] = row.get(v, 0) | 1 << c
+        return row
 
     # -- derived data ----------------------------------------------------------
 

@@ -13,7 +13,15 @@ below the element.
 
 ``FiniteMonoid.units`` reads "the identity lies in row u"; the two-sided
 inverse scan it replaced is its oracle.
+
+On a finite carrier degree 2 reads the carrier's inverse rows; both layered
+product searches, the engine's and the old one, are its oracles. The
+generating set skips the reverse-delete trials whose dropped orbit holds an
+irreducible alone in its preorder class; the full reverse-delete is its
+oracle, and the pools include weakly positive carriers where a trial is
+skipped and ones where an orbit with non-singleton classes is dropped.
 """
+import importlib
 import random
 import sys
 from collections import Counter
@@ -37,9 +45,11 @@ from premonoids import (
 from premonoids import verify
 from premonoids.cli import describe_payload, load_instance
 from premonoids.families import make_numerical, zn_premonoid
-from premonoids.irreducibles import GeneratingSetCertificate
+from premonoids.irreducibles import GeneratingSetCertificate, _layered_product_hit, _pair_product_hit
 from premonoids.localfinite import LocalPremonoid
 from premonoids.randgen import monoid_pool, random_monoid, random_premonoid
+
+irreducibles_module = importlib.import_module("premonoids.irreducibles")
 
 DEGREES = (2, 3, 4)
 LOCAL_SPECS = (
@@ -193,8 +203,19 @@ def assert_elements_match(P, elements, pool) -> None:
             assert is_atom(P, a, s) == old_is_atom(P, a, s), (a, s)
 
 
+def assert_pairs_match(P) -> None:
+    """The inverse-row test against both layered searches, on each element's
+    strictly-below list and on all non-units, most of which do not divide it."""
+    for a in range(P.monoid.n):
+        for candidates in (P.strictly_below(a), P.nonunits()):
+            want = old_layered_product_hit(P, a, candidates, 2)
+            assert _pair_product_hit(P, a, candidates) == want, (a, candidates)
+            assert _layered_product_hit(P, a, candidates, 2) == want, (a, candidates)
+
+
 def assert_finite_matches(P) -> None:
     assert P.monoid.units() == old_units(P.monoid)
+    assert_pairs_match(P)
     everything = range(P.monoid.n)
     assert_elements_match(P, everything, lambda a: everything)
     for s in DEGREES:
@@ -230,14 +251,36 @@ def test_random_premonoids_match_the_old_routines(seed):
     assert_finite_matches(random_premonoid(random.Random(seed), 6))
 
 
-def test_random_premonoids_reach_the_generating_set_and_other_orders():
+def count_coverage_searches(monkeypatch) -> list:
+    """The alphabets of the generating set's reachability searches, in order."""
+    alphabets = []
+    real = irreducibles_module._coverage_witnesses
+
+    def counted(P, alphabet, targets):
+        alphabets.append(alphabet)
+        return real(P, alphabet, targets)
+
+    monkeypatch.setattr(irreducibles_module, "_coverage_witnesses", counted)
+    return alphabets
+
+
+def test_random_premonoids_reach_the_generating_set_and_other_orders(monkeypatch):
     """The drawn premonoids include non-divisibility orders, and weakly
-    positive ones whose generating set is built."""
+    positive ones whose generating set is built: some skip a reverse-delete
+    trial, and some drop an orbit."""
+    searches = count_coverage_searches(monkeypatch)
     kinds = Counter()
     for seed in range(100):
         P = random_premonoid(random.Random(seed), 6)
         kinds[P.preorder.kind != "divisibility", P.flags().weakly_positive] += 1
+        if P.flags().weakly_positive and P.monoid.n > 1:
+            searches.clear()
+            cert = irreducible_generating_set(P)
+            orbits = len(unit_orbits(P, irreducibles_module.irreducibles(P)))
+            kinds["skipped"] += len(searches) < orbits + 1
+            kinds["dropped"] += len(cert.representatives) < orbits
     assert kinds[True, True] and kinds[True, False] and kinds[False, True]
+    assert kinds["skipped"] and kinds["dropped"]
 
 
 # weakly positive premonoids with a preorder unit that is no monoid unit: some
@@ -257,10 +300,34 @@ def test_alphabets_are_unit_images_not_whole_orbits(seed):
     assert_finite_matches(P)
 
 
+# weakly positive premonoids whose reverse-delete drops an orbit; its
+# irreducibles share their preorder classes, so its trial is not skipped
+# (found by scanning seeds 0..299)
+DROPPED_ORBIT_SEEDS = [33, 79, 162, 233, 243, 244, 250, 266, 270, 285]
+
+
+@pytest.mark.parametrize("seed", DROPPED_ORBIT_SEEDS)
+def test_dropped_orbits_match_the_full_reverse_delete(seed):
+    P = random_premonoid(random.Random(seed), 6)
+    cert = irreducible_generating_set(P)
+    assert len(cert.representatives) < len(unit_orbits(P, irreducibles_module.irreducibles(P)))
+    assert_finite_matches(P)
+
+
 @pytest.mark.parametrize("n", [4, 8, 10, 12])
 @pytest.mark.parametrize("kind", ["max", "capped"])
 def test_chains_match_the_old_routines(kind, n):
     assert_finite_matches(_chain(kind, n))
+
+
+@pytest.mark.parametrize("n", [12, 60])
+def test_a_max_chain_generating_set_searches_once(n, monkeypatch):
+    """Every non-unit of a max chain is an irreducible alone in its class, so
+    every reverse-delete trial is skipped and only the first search runs."""
+    searches = count_coverage_searches(monkeypatch)
+    P = _chain("max", n)
+    assert irreducible_generating_set(P) == old_generating_set(P)
+    assert len(searches) == 1
 
 
 def local_pool(P):
@@ -274,6 +341,28 @@ def local_pool(P):
 def test_family_samples_match_the_old_routines(spec):
     P = load_instance(spec).payload
     assert_elements_match(P, P.monoid.sample_elements(), local_pool(P))
+
+
+@pytest.mark.parametrize("spec", LOCAL_SPECS)
+def test_local_units_match_the_two_sided_definition(spec):
+    """Under divisibility a unit is read as a divisor of the identity alone."""
+    P = load_instance(spec).payload
+    e = P.identity
+    for x in P.monoid.sample_elements():
+        assert P.is_unit(x) == (P.leq(x, e) and P.leq(e, x)), x
+
+
+def test_an_empty_candidate_list_asks_for_no_divisors():
+    """Under the remark order nothing lies strictly below a non-unit, so the
+    layered search answers before it reads the divisors."""
+    P = load_instance("remarkN:20").payload
+    asked = []
+    real = P.divisors
+    P.divisors = lambda x: asked.append(x) or real(x)
+    for x in P.nonunit_sample():
+        for s in DEGREES:
+            assert is_irreducible(P, x, s)
+    assert not asked
 
 
 @given(st.integers(0, 2**32 - 1))
