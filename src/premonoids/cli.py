@@ -94,13 +94,13 @@ def load_instance(spec: str, preorder_spec: str | None = None) -> Instance:
         raise CliError(f"cannot load instance {spec!r}: {exc}", 2) from exc
 
 
-def _finite_with_preorder(monoid: FiniteMonoid, preorder_spec, spec, labels=None) -> Instance:
+def _finite_with_preorder(monoid: FiniteMonoid, preorder_spec, spec) -> Instance:
     if preorder_spec in (None, "divisibility"):
         rel = divisibility_preorder(monoid)
     else:
         with open(preorder_spec, "r", encoding="utf-8") as fh:
             rel = preorder_from_json(json.load(fh), monoid=monoid)
-    return Instance(spec, "finite", Premonoid(monoid, rel), labels=labels)
+    return Instance(spec, "finite", Premonoid(monoid, rel))
 
 
 # families ordered by divisibility; they and remarkN fix their preorder, and

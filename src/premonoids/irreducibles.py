@@ -10,7 +10,6 @@ one code path is exact for finite and for lazily presented carriers alike.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -192,7 +191,7 @@ def irreducible_report(P: Premonoid, degrees=(2,)) -> IrreducibleReport:
         _check_degree(s)
     irr_by = {s: irreducibles(P, s) for s in degrees}
     atm_by = {s: atoms(P, s) for s in degrees}
-    base = irr_by.get(2, irreducibles(P, 2))
+    base = irr_by[2] if 2 in irr_by else irreducibles(P, 2)
     return IrreducibleReport(
         quarks=quarks(P),
         irreducibles_by_degree=irr_by,
@@ -218,22 +217,13 @@ class GeneratingSetCertificate:
 
 
 def _coverage_witnesses(P: Premonoid, alphabet, targets):
-    """BFS factorization witnesses over the alphabet.
+    """Factorization witnesses over the alphabet: the words of
+    ``P.monoid.shortest_words``, first shortest in the alphabet's order.
 
     Returns (witnesses, None) covering every target, or (None, missing) with
     the first unreachable target.
     """
-    words = {P.identity: ()}
-    frontier = [P.identity]
-    while frontier:
-        fresh = []
-        for p in frontier:
-            for a in alphabet:
-                q = P.op(p, a)
-                if q not in words:
-                    words[q] = words[p] + (a,)
-                    fresh.append(q)
-        frontier = fresh
+    words = P.monoid.shortest_words(alphabet)
     for x in targets:
         if x not in words:
             return None, x
@@ -274,12 +264,11 @@ def irreducible_generating_set(P: Premonoid) -> GeneratingSetCertificate:
     witnesses, missing = _coverage_witnesses(P, alphabet(reps), targets)
     if witnesses is None:
         raise NotFactorableError(missing)
-    rows = P.preorder.rows
-    class_size = Counter(rows)  # the members of a class share their up-set row
+    alone = {block[0] for block in P.preorder.equivalence_classes() if len(block) == 1}
     # reverse-delete: drop orbits whose removal keeps every non-unit reachable
     kept = list(reps)
     for rep in sorted(reps, reverse=True):
-        if any(class_size[rows[a]] == 1 for a in images[rep]):
+        if not alone.isdisjoint(images[rep]):
             continue  # the lemma: the trial cannot reach that a
         trial = [r for r in kept if r != rep]
         got, _ = _coverage_witnesses(P, alphabet(trial), targets)

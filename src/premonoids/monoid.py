@@ -195,34 +195,37 @@ class FiniteMonoid:
         t = self.table
         return frozenset(t[x][y] for x in a for y in b)
 
-    def generated_submonoid(self, seed) -> frozenset:
-        """Least subset containing seed and the identity, closed under products."""
-        closed = set(seed)
-        closed.add(self.identity)
-        frontier = set(closed)
+    def shortest_words(self, alphabet) -> dict:
+        """Each element of the submonoid generated by ``alphabet`` mapped to
+        the first shortest word over it with that product: a breadth-first
+        walk from the identity (the empty word) that extends words on the
+        right, element by element as reached, letters in the order given."""
+        alphabet = tuple(alphabet)  # read once per element, so any iterable
         t = self.table
-        while frontier:
-            fresh = set()
-            for x in closed:
-                for y in frontier:
-                    fresh.add(t[x][y])
-                    fresh.add(t[y][x])
-            frontier = fresh - closed
-            closed |= frontier
-        return frozenset(closed)
+        words = {self.identity: ()}
+        queue = [self.identity]  # grows while it is read: a first-in first-out queue
+        for p in queue:
+            for a in alphabet:
+                q = t[p][a]
+                if q not in words:
+                    words[q] = words[p] + (a,)
+                    queue.append(q)
+        return words
+
+    def generated_submonoid(self, seed) -> frozenset:
+        """Least subset containing seed and the identity, closed under
+        products: the key set of :meth:`shortest_words`."""
+        return frozenset(self.shortest_words(seed))
 
     def divisor_closed_closure(self, x: int) -> frozenset:
         """Least divisor-closed submonoid containing x.
 
         Alternates divisor closure and product closure until the set is a
-        fixpoint of both.
+        fixpoint of both; each y is among its own divisors.
         """
         current = frozenset({x})
         while True:
-            with_divs = set(current)
-            for y in current:
-                with_divs.update(self.divisors(y))
-            closed = self.generated_submonoid(with_divs)
+            closed = self.generated_submonoid(set().union(*map(self.divisors, current)))
             if closed == current:
                 return closed
             current = closed

@@ -80,28 +80,18 @@ class PreorderRel:
         return [[bool(r >> j & 1) for j in range(self.n)] for r in self.rows]
 
     def equivalence_classes(self) -> list[tuple[int, ...]]:
-        """Mutual-reachability classes, each sorted, listed by smallest member."""
-        seen: set[int] = set()
-        classes = []
-        for a in range(self.n):
-            if a in seen:
-                continue
-            cls_ = tuple(b for b in range(self.n) if self.equiv(a, b))
-            seen.update(cls_)
-            classes.append(cls_)
-        return classes
+        """Mutual-reachability classes, each sorted, listed by smallest member:
+        the elements with equal up-set rows, as a <= a puts a in its own row."""
+        classes: dict[int, list[int]] = {}
+        for a, row in enumerate(self.rows):
+            classes.setdefault(row, []).append(a)
+        return list(map(tuple, classes.values()))
 
     def restrict(self, elements) -> "PreorderRel":
-        """Relation restricted to a sorted subset, reindexed densely."""
-        order = tuple(sorted(elements))
-        rows = []
-        for a in order:
-            bits = 0
-            for j, b in enumerate(order):
-                if self.leq(a, b):
-                    bits |= 1 << j
-            rows.append(bits)
-        return PreorderRel(len(order), tuple(rows), kind="explicit", source={"restricted_from": self.kind})
+        """Relation restricted to a subset, reindexed densely in sorted
+        order: the pullback along the sorted inclusion."""
+        rows = pullback_preorder(sorted(elements), self).rows
+        return PreorderRel(len(rows), rows, kind="explicit", source={"restricted_from": self.kind})
 
     def strict_is_acyclic(self) -> bool:
         """The strict part of a preorder is transitive and irreflexive, hence
@@ -174,20 +164,15 @@ def divisibility_preorder(monoid: FiniteMonoid) -> PreorderRel:
 
 
 def pullback_preorder(phi, codomain: PreorderRel, kind: str = "pullback") -> PreorderRel:
-    """x below y iff phi(x) below phi(y) in the codomain."""
+    """x below y iff phi(x) below phi(y) in the codomain: bit phi(y) of the
+    codomain row of phi(x)."""
     phi = tuple(phi)
     for v in phi:
         if not 0 <= v < codomain.n:
             raise ShapeError(f"phi value {v} outside codomain carrier")
-    n = len(phi)
-    rows = []
-    for a in range(n):
-        bits = 0
-        for b in range(n):
-            if codomain.leq(phi[a], phi[b]):
-                bits |= 1 << b
-        rows.append(bits)
-    return PreorderRel(n, tuple(rows), kind=kind, source={"phi": phi, "codomain": codomain})
+    ups = [codomain.rows[v] for v in phi]
+    rows = [sum(1 << y for y, v in enumerate(phi) if up >> v & 1) for up in ups]
+    return PreorderRel(len(phi), rows, kind=kind, source={"phi": phi, "codomain": codomain})
 
 
 def natural_order_rel(size: int) -> PreorderRel:
@@ -204,31 +189,19 @@ def phi_preorder(monoid: FiniteMonoid, generators) -> tuple[PreorderRel, tuple[i
 
     phi(x) is the least k >= 1 such that x is a product of k elements of the
     generator set, for non-identity x reachable from the generators; every
-    other element (the identity included) gets 0.  The resulting preorder is
-    strongly artinian by construction.
+    other element (the identity included) gets 0: the word lengths of
+    ``monoid.shortest_words``. The resulting preorder is strongly artinian by
+    construction.
     """
-    gens = frozenset(generators)
+    gens = sorted(set(generators))
     if monoid.identity in gens:
         raise ShapeError("generator set must not contain the identity")
-    n = monoid.n
-    phi = [0] * n
-    assigned = {monoid.identity}
-    layer = gens
-    k = 1
-    # once a layer introduces nothing new, no later layer can either
-    while True:
-        fresh = layer - assigned
-        if not fresh:
-            break
-        for x in fresh:
-            phi[x] = k
-        assigned |= fresh
-        layer = frozenset(monoid.table[p][a] for p in layer for a in gens)
-        k += 1
-    levels = max(phi) + 1
-    rel = pullback_preorder(phi, natural_order_rel(levels), kind="phi")
-    object.__setattr__(rel, "source", {"A": sorted(gens), "phi": tuple(phi)})
-    return rel, tuple(phi)
+    phi = [0] * monoid.n
+    for x, word in monoid.shortest_words(gens).items():
+        phi[x] = len(word)
+    phi = tuple(phi)
+    rows = pullback_preorder(phi, natural_order_rel(max(phi) + 1)).rows
+    return PreorderRel(monoid.n, rows, kind="phi", source={"A": gens, "phi": phi}), phi
 
 
 def preorder_from_json(data: dict, monoid: FiniteMonoid | None = None) -> PreorderRel:

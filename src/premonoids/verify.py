@@ -90,16 +90,27 @@ def check_preorder_laws(P: Premonoid) -> CheckResult:
 
 
 def check_flag_implications(P: Premonoid) -> CheckResult:
+    """The compatibility and duo flags against this module's scans of their
+    definitions, then implications between flags that are computed apart."""
     name = "flag-implications"
     f = P.flags()
-    s = P.monoid.structure_flags()
+    m, rel, carrier = P.monoid, P.preorder, range(P.monoid.n)
+    s = m.structure_flags()
+    preordered = _scan_compatible(m, rel, strict=False)
+    strongly = preordered and _scan_compatible(m, rel, strict=True)
+    bottom = all(rel.leq(m.identity, x) for x in carrier)  # 1 <= x
+    left = [m.set_product(carrier, (a,)) for a in carrier]  # the ideals Sa
+    right = [m.set_product((a,), carrier) for a in carrier]  # and aS
     rules = [
-        ("strongly_positive->positive", not f.strongly_positive or f.positive),
-        ("positive->preordered", not f.positive or f.preordered),
+        ("preordered-scan", f.preordered == preordered),
+        ("strongly_preordered-scan", f.strongly_preordered == strongly),
+        ("positive-scan", f.positive == (preordered and bottom)),
+        ("strongly_positive-scan", f.strongly_positive == (strongly and bottom)),
+        ("weakly_positive-scan", f.weakly_positive == _scan_weakly_positive(m, rel)),
+        ("left_duo-scan", s.left_duo == all(map(frozenset.issubset, right, left))),
+        ("right_duo-scan", s.right_duo == all(map(frozenset.issubset, left, right))),
         ("strongly_positive->weakly_positive", not f.strongly_positive or f.weakly_positive),
         ("positive->weakly_positive", not f.positive or f.weakly_positive),
-        ("strongly_preordered->preordered", not f.strongly_preordered or f.preordered),
-        ("duo-conjunction", s.duo == (s.left_duo and s.right_duo)),
         ("acyclic->unit_cancellative", not s.acyclic or s.unit_cancellative),
         ("unit_cancellative->dedekind", not s.unit_cancellative or s.dedekind_finite),
         ("left_duo->dedekind", not s.left_duo or s.dedekind_finite),

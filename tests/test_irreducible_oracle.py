@@ -48,6 +48,7 @@ from premonoids.families import make_numerical, zn_premonoid
 from premonoids.irreducibles import GeneratingSetCertificate, _layered_product_hit, _pair_product_hit
 from premonoids.localfinite import LocalPremonoid
 from premonoids.randgen import monoid_pool, random_monoid, random_premonoid
+from test_kernel_oracle import old_coverage_witnesses
 
 irreducibles_module = importlib.import_module("premonoids.irreducibles")
 
@@ -139,24 +140,6 @@ def old_orbit_alphabet(P, reps, irr_set) -> tuple:
     return tuple(sorted(letters))
 
 
-def old_coverage(P, alphabet, targets):
-    words = {P.identity: ()}
-    frontier = [P.identity]
-    while frontier:
-        fresh = []
-        for p in frontier:
-            for a in alphabet:
-                q = P.op(p, a)
-                if q not in words:
-                    words[q] = words[p] + (a,)
-                    fresh.append(q)
-        frontier = fresh
-    for x in targets:
-        if x not in words:
-            return None, x
-    return {x: words[x] for x in targets}, None
-
-
 def old_generating_set(P) -> GeneratingSetCertificate:
     if not P.flags().weakly_positive:
         raise NotWeaklyPositiveError("instance is not weakly positive")
@@ -164,13 +147,13 @@ def old_generating_set(P) -> GeneratingSetCertificate:
     irr_set = frozenset(irr)
     targets = list(P.nonunits())
     reps = [block[0] for block in old_unit_orbits(P, irr)]
-    witnesses, missing = old_coverage(P, old_orbit_alphabet(P, reps, irr_set), targets)
+    witnesses, missing = old_coverage_witnesses(P, old_orbit_alphabet(P, reps, irr_set), targets)
     if witnesses is None:
         raise NotFactorableError(missing)
     kept = list(reps)
     for rep in sorted(reps, reverse=True):
         trial = [r for r in kept if r != rep]
-        got, _ = old_coverage(P, old_orbit_alphabet(P, trial, irr_set), targets)
+        got, _ = old_coverage_witnesses(P, old_orbit_alphabet(P, trial, irr_set), targets)
         if got is not None:
             kept = trial
             witnesses = got

@@ -7,7 +7,15 @@ scan over all pairs (the kernel scans only generating pairs), the
 triple-loop associativity check, and the recursive heights and strict-order
 DFS. They share nothing with the kernel but the table and the
 preorder's ``leq``/``lt``.
+
+``FiniteMonoid.shortest_words`` is the one walk over a generated submonoid;
+the loops it replaced are kept as oracles: the two-sided closure rounds of
+``generated_submonoid``, the layer loop of ``phi_preorder`` and the coverage
+search of the generating set. So are the row-building ``restrict`` that the
+pullback along the sorted inclusion replaced, and the ``equiv`` scan that
+grouping by up-set row replaced in ``equivalence_classes``.
 """
+import itertools
 import random
 
 import pytest
@@ -26,7 +34,8 @@ from premonoids import (
 )
 from premonoids.bitrows import close, generating_pairs
 from premonoids.families import powerset_premonoid, zn_premonoid
-from premonoids.preorder import natural_order_rel, pullback_preorder
+from premonoids.irreducibles import _coverage_witnesses
+from premonoids.preorder import natural_order_rel, phi_preorder, pullback_preorder
 from premonoids.randgen import monoid_pool, random_premonoid
 
 
@@ -448,3 +457,174 @@ def test_generating_pairs_refuse_relations_that_are_not_preorders(succ, reflexiv
     else:
         with pytest.raises(ValueError):
             generating_pairs(rows)
+
+
+# -- the generated-submonoid walk, restriction and classes --------------------------
+
+
+def old_generated_submonoid(m, seed) -> frozenset:
+    """The two-sided closure rounds: everything closed so far times the last
+    round's fresh elements, on both sides, until a round adds nothing."""
+    closed = set(seed)
+    closed.add(m.identity)
+    frontier = set(closed)
+    t = m.table
+    while frontier:
+        fresh = set()
+        for x in closed:
+            for y in frontier:
+                fresh.add(t[x][y])
+                fresh.add(t[y][x])
+        frontier = fresh - closed
+        closed |= frontier
+    return frozenset(closed)
+
+
+def old_phi(m, generators) -> tuple:
+    """The layer loop: layer k holds every product of k generators, and an
+    element gets the first k whose layer holds it (the identity gets 0)."""
+    gens = frozenset(generators)
+    phi = [0] * m.n
+    assigned = {m.identity}
+    layer = gens
+    k = 1
+    while True:
+        fresh = layer - assigned
+        if not fresh:
+            break
+        for x in fresh:
+            phi[x] = k
+        assigned |= fresh
+        layer = frozenset(m.table[p][a] for p in layer for a in gens)
+        k += 1
+    return tuple(phi)
+
+
+def old_coverage_witnesses(P, alphabet, targets):
+    """The coverage search over ``P.op``: a breadth-first walk that keeps the
+    first word reaching each element, then (witnesses, None) covering every
+    target or (None, missing) with the first target not reached."""
+    words = {P.identity: ()}
+    frontier = [P.identity]
+    while frontier:
+        fresh = []
+        for p in frontier:
+            for a in alphabet:
+                q = P.op(p, a)
+                if q not in words:
+                    words[q] = words[p] + (a,)
+                    fresh.append(q)
+        frontier = fresh
+    for x in targets:
+        if x not in words:
+            return None, x
+    return {x: words[x] for x in targets}, None
+
+
+def old_restrict(rel, elements) -> tuple:
+    """Rows and source of the restriction, built bit by bit over the sorted
+    subset."""
+    order = tuple(sorted(elements))
+    rows = []
+    for a in order:
+        bits = 0
+        for j, b in enumerate(order):
+            if rel.leq(a, b):
+                bits |= 1 << j
+        rows.append(bits)
+    return tuple(rows), {"restricted_from": rel.kind}
+
+
+def old_equivalence_classes(rel) -> list:
+    seen: set = set()
+    classes = []
+    for a in range(rel.n):
+        if a in seen:
+            continue
+        block = tuple(b for b in range(rel.n) if rel.equiv(a, b))
+        seen.update(block)
+        classes.append(block)
+    return classes
+
+
+def walk_alphabets(m, rng) -> list:
+    """Every single non-identity letter, the divisors of each element in
+    sorted order, and random sets of letters in random order."""
+    letters = [a for a in range(m.n) if a != m.identity]
+    alphabets = [(a,) for a in letters] + [m.divisors(x) for x in range(m.n)]
+    for _ in range(6):
+        alphabets.append(tuple(rng.sample(letters, rng.randint(0, len(letters)))))
+    return alphabets
+
+
+def assert_walk_matches(P, seed: int = 0) -> None:
+    """Generated submonoids, shortest words, phi, restriction, classes and
+    coverage witnesses against the old loops, over ``walk_alphabets``."""
+    m, rel, e = P.monoid, P.preorder, P.identity
+    targets = list(P.nonunits())
+    assert rel.equivalence_classes() == old_equivalence_classes(rel)
+    for alphabet in walk_alphabets(m, random.Random(seed)):
+        closed = old_generated_submonoid(m, alphabet)
+        assert m.generated_submonoid(alphabet) == closed, alphabet
+        words = m.shortest_words(alphabet)
+        assert all(m.product(word) == x for x, word in words.items()), alphabet
+        assert words == old_coverage_witnesses(m, alphabet, closed)[0], alphabet
+        got = _coverage_witnesses(P, alphabet, targets)
+        assert got == old_coverage_witnesses(P, alphabet, targets), alphabet
+        gens = [a for a in alphabet if a != e]
+        phi_rel, phi = phi_preorder(m, gens)
+        want = old_phi(m, gens)
+        assert phi == want, gens
+        assert (phi_rel.kind, phi_rel.source) == ("phi", {"A": sorted(set(gens)), "phi": want})
+        assert phi_rel.rows == tuple(sum(1 << y for y in range(m.n) if want[x] <= want[y]) for x in range(m.n))
+        assert phi_rel.equivalence_classes() == old_equivalence_classes(phi_rel)
+        for subset in (closed, set(alphabet) | {e}):
+            restricted = rel.restrict(subset)
+            assert (restricted.rows, restricted.source) == old_restrict(rel, subset), subset
+            assert restricted.equivalence_classes() == old_equivalence_classes(restricted)
+    for x in range(m.n):
+        assert m.germ_submonoid(x) == old_generated_submonoid(m, m.divisors(x)), x
+    assert m.generated_submonoid(iter(targets)) == old_generated_submonoid(m, targets)
+
+
+@pytest.mark.parametrize("index", range(len(monoid_pool())))
+def test_monoid_pool_walk_matches_oracle(index):
+    m = FiniteMonoid(*monoid_pool()[index])
+    assert_walk_matches(Premonoid(m, divisibility_preorder(m)), index)
+
+
+def transformation_monoid(points: int) -> tuple:
+    """Every map of 0..points-1 into itself, a map being the tuple of its
+    images, under "f then g": a non-commutative monoid, where a walk that
+    multiplied on the wrong side would record words of other elements.
+    Returns (table, identity)."""
+    maps = list(itertools.product(range(points), repeat=points))
+    index = {f: i for i, f in enumerate(maps)}
+    table = [[index[tuple(g[y] for y in f)] for g in maps] for f in maps]
+    return table, index[tuple(range(points))]
+
+
+def test_transformation_monoid_walk_matches_oracle():
+    m = FiniteMonoid(*transformation_monoid(3))
+    assert not m.structure_flags().commutative
+    assert_walk_matches(Premonoid(m, divisibility_preorder(m)))
+
+
+@pytest.mark.parametrize("n", range(1, 49))
+def test_zn_walk_matches_oracle(n):
+    assert_walk_matches(zn_premonoid(n), n)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("kind", ["max", "capped"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+def test_chain_walk_matches_oracle(n, kind, reverse):
+    m = FiniteMonoid(*chain_table(n, kind, reverse))
+    for rel in chain_preorders(m):
+        assert_walk_matches(Premonoid(m, rel), n)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_random_premonoid_walk_matches_oracle(seed):
+    assert_walk_matches(random_premonoid(random.Random(seed), 6), seed)

@@ -1,6 +1,7 @@
-"""Every name a module of the package imports is used in that module, and
-every private module-level function or class is referenced somewhere in the
-package.
+"""Every name a module of the package imports is used in that module, every
+private module-level function or class is referenced somewhere in the
+package, and ``object.__setattr__`` sets attributes of ``self`` only, so no
+code patches an immutable object after it is built.
 
 ``__init__.py`` is exempt from the import scan: its imports are the package's
 public surface.
@@ -81,3 +82,28 @@ def test_every_private_helper_is_referenced_in_the_package():
         if name not in referenced
     ]
     assert dead == []
+
+
+def setattr_on_others(source: str) -> list[str]:
+    """``object.__setattr__`` calls whose first argument is not ``self``: each
+    patches an object that is already built, past its immutability guard."""
+    return [
+        f"line {node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+        and not (node.args and isinstance(node.args[0], ast.Name) and node.args[0].id == "self")
+    ]
+
+
+def test_the_scan_sees_a_patched_immutable():
+    source = "object.__setattr__(self, 'a', 1)\nobject.__setattr__(rel, 'b', 2)\nsetattr(rel, 'c', 3)\n"
+    assert setattr_on_others(source) == ["line 2"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_patches_an_object_after_it_is_built(module):
+    assert setattr_on_others((PACKAGE / module).read_text()) == []

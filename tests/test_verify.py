@@ -293,3 +293,28 @@ def test_verify_stdout_is_pinned(argv, capsys):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_DIGESTS[argv]
+
+
+@pytest.mark.parametrize(
+    "owner, flag",
+    [("premonoid", f) for f in ("preordered", "strongly_preordered", "positive", "strongly_positive", "weakly_positive")]
+    + [("monoid", f) for f in ("left_duo", "right_duo")],
+)
+def test_flag_implications_scan_each_flag_itself(owner, flag, monkeypatch):
+    """Each compatibility and duo flag is compared with the check's own scan
+    of its definition, so flipping any one of them alone fails the check on
+    that flag's rule, whichever way it is flipped."""
+    import dataclasses
+
+    from premonoids.verify import check_flag_implications
+
+    for P in (zn_premonoid(8), random_premonoid(random.Random(5), 6)):
+        assert check_flag_implications(P).passed
+        cls, method = (Premonoid, "flags") if owner == "premonoid" else (FiniteMonoid, "structure_flags")
+        real = getattr(P if owner == "premonoid" else P.monoid, method)()
+        wrong = dataclasses.replace(real, **{flag: not getattr(real, flag)})
+        monkeypatch.setattr(cls, method, lambda self: wrong)
+        result = check_flag_implications(P)
+        monkeypatch.undo()
+        assert not result.passed
+        assert f"{flag}-scan" in result.details["violated"]
