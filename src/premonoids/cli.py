@@ -39,6 +39,7 @@ from .irreducibles import (
     is_irreducible,
     is_quark,
 )
+from .localfinite import LocalPremonoid
 from .monoid import FiniteMonoid
 from .premonoid import Premonoid
 from .preorder import divisibility_preorder, preorder_from_json
@@ -90,7 +91,7 @@ def load_instance(spec: str, preorder_spec: str | None = None) -> Instance:
         return _load_instance(spec, preorder_spec)
     except PremonoidsError as exc:
         raise CliError(str(exc), 2) from exc
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError) as exc:
         raise CliError(f"cannot load instance {spec!r}: {exc}", 2) from exc
 
 
@@ -135,7 +136,7 @@ def _load_instance(spec: str, preorder_spec: str | None) -> Instance:
             monoid = fam.make_product_one(fam.cyclic_group(order), exponents)
         else:
             raise ShapeError(f"unknown group spec {group_spec!r}")
-        return Instance(spec, "local", fam.product_one_premonoid(monoid))
+        return Instance(spec, "local", LocalPremonoid(monoid))
     if head == "numerical":
         gens = [int(g) for g in rest.split(",")]
         return Instance(spec, "local", fam.numerical_premonoid(gens))
@@ -233,13 +234,13 @@ def describe_payload(instance: Instance, degrees) -> dict:
             "irreducible_generating_set": gen_set,
         }
     sample = P.monoid.sample_elements()
-    nonunits = [x for x in sample if not P.is_unit(x)]
+    nonunits = P.nonunit_sample()
     payload = {
         "instance": instance.spec,
         "kind": "locally-finite",
         "scope": f"sample of {len(sample)} elements",
         "sample_units": _fmt_labels(instance, [x for x in sample if P.is_unit(x)]),
-        "premonoid_flags": P.bounded_flags(sample[: min(len(sample), 12)]).to_json(),
+        "premonoid_flags": P.bounded_flags(sample[:12]).to_json(),
         "quarks": _fmt_labels(instance, [x for x in nonunits if is_quark(P, x)]),
         "heights": {
             str(_fmt_label(instance, x)): h for x, h in sorted(P.heights_of(nonunits).items())

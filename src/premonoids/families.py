@@ -160,10 +160,6 @@ class PowerMonoid(LocallyFiniteMonoid):
         return self.element(parse_set_text(text))
 
 
-def make_power_monoid(base: FiniteMonoid) -> PowerMonoid:
-    return PowerMonoid(base)
-
-
 def power_premonoid(base: FiniteMonoid) -> LocalPremonoid:
     return LocalPremonoid(PowerMonoid(base))
 
@@ -234,10 +230,6 @@ class ReducedPowerN(LocallyFiniteMonoid):
         return tuple(sorted((0, *c) for r in range(len(pool) + 1) for c in itertools.combinations(pool, r)))
 
     parse = PowerMonoid.parse  # a set written like {0,1}; 0 is added
-
-
-def make_reduced_power_N(cap: int) -> ReducedPowerN:
-    return ReducedPowerN(cap)
 
 
 def reduced_power_N_premonoid(cap: int) -> LocalPremonoid:
@@ -386,10 +378,6 @@ def make_product_one_dihedral(support=((0, 1), (1, 0))) -> ProductOneMonoid:
     )
 
 
-def product_one_premonoid(monoid: ProductOneMonoid) -> LocalPremonoid:
-    return LocalPremonoid(monoid)
-
-
 # -- the naturals with the zero-versus-positive preorder ----------------------------------
 
 
@@ -490,10 +478,6 @@ class PlaneSubmonoid(LocallyFiniteMonoid):
         return tuple(sorted(v for v in itertools.product(range(hi + 1), repeat=2) if self.contains(v)))
 
 
-def make_n2_submonoid(gen_bound: int) -> PlaneSubmonoid:
-    return PlaneSubmonoid(gen_bound)
-
-
 def n2_premonoid(gen_bound: int) -> LocalPremonoid:
     return LocalPremonoid(PlaneSubmonoid(gen_bound))
 
@@ -541,10 +525,6 @@ class NumericalMonoid(LocallyFiniteMonoid):
 
     def sample_elements(self) -> tuple:
         return tuple(x for x in range(self.cap + 1) if self.contains(x))
-
-
-def make_numerical(generators, cap: int = 60) -> NumericalMonoid:
-    return NumericalMonoid(generators, cap)
 
 
 def numerical_premonoid(generators, cap: int = 60) -> LocalPremonoid:

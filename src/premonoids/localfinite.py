@@ -142,7 +142,7 @@ class LocalPremonoid:
     def nonunit_sample(self) -> tuple:
         return tuple(x for x in self.monoid.sample_elements() if not self.is_unit(x))
 
-    def bounded_flags(self, sample=None):
+    def bounded_flags(self, sample):
         """Compatibility flags decided by quantifier scans over a finite
         sample S of the carrier; the verdicts are labeled as bounded evidence,
         not certificates.  Each x in S has its |S|^2 sandwich products uxv
@@ -156,8 +156,6 @@ class LocalPremonoid:
         conditions are certified: divisor sets are finite, so strictly
         descending divisibility chains from x live inside the finite set of
         divisors of x and cannot repeat."""
-        if sample is None:
-            sample = self.monoid.sample_elements()
         sample = tuple(sample)
         leq = self.leq
         op = self.op

@@ -199,12 +199,15 @@ def snf(a: Matrix) -> SnfResult:
 
 # -- prime bookkeeping ----------------------------------------------------------------
 
+# Trial division runs to sqrt|det|; a larger |det| raises DetTooLargeError.
+DET_BOUND = 10**12
 
-def factor_multiset(value: int, det_bound: int = 10**12) -> tuple:
+
+def factor_multiset(value: int) -> tuple:
     """Prime factors of |value| with multiplicity, via trial division."""
     value = abs(value)
-    if value > det_bound:
-        raise DetTooLargeError(f"|det| = {value} exceeds bound {det_bound}")
+    if value > DET_BOUND:
+        raise DetTooLargeError(f"|det| = {value} exceeds bound {DET_BOUND}")
     primes = []
     d = 2
     while d * d <= value:
@@ -239,13 +242,13 @@ class MatrixDivisorClasses:
         }
 
 
-def matrix_divisor_classes(a: Matrix, det_bound: int = 10**12) -> MatrixDivisorClasses:
+def matrix_divisor_classes(a: Matrix) -> MatrixDivisorClasses:
     a = mat(a)
     det = mat_det(a)
     if det == 0:
         raise SingularMatrixError("matrix must have nonzero determinant")
     n = len(a)
-    primes = factor_multiset(det, det_bound)
+    primes = factor_multiset(det)
     distinct = sorted(set(primes))
     splits_per_prime = []
     for p in distinct:
@@ -290,11 +293,11 @@ def matrix_is_irreducible(b: Matrix) -> bool:
     return len(factor_multiset(mat_det(mat(b)))) == 1
 
 
-def matrix_length_set(a: Matrix, det_bound: int = 10**12) -> LengthSet:
+def matrix_length_set(a: Matrix) -> LengthSet:
     """Exact set of lengths of factorizations of A into irreducible matrices:
     {Omega(|det A|)}, and {0} for a unit."""
     a = mat(a)
     det = mat_det(a)
     if det == 0:
         raise SingularMatrixError("matrix must have nonzero determinant")
-    return LengthSet.of(len(factor_multiset(det, det_bound)))
+    return LengthSet.of(len(factor_multiset(det)))

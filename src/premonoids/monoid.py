@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter, or_
 
 from .bitrows import indices
@@ -85,7 +85,7 @@ class FiniteMonoid:
             raise ShapeError("empty multiplication table")
         if not (
             all(map(n.__eq__, map(len, rows)))
-            and all(map(isinstance, chain.from_iterable(rows), repeat(int)))
+            and {int}.issuperset(map(type, chain.from_iterable(rows)))
             and set(range(n)).issuperset(chain.from_iterable(rows))
         ):
             # rescan entry by entry for the first fault
@@ -93,9 +93,9 @@ class FiniteMonoid:
                 if len(row) != n:
                     raise ShapeError(f"row {i} has length {len(row)}, expected {n}")
                 for j, v in enumerate(row):
-                    if not isinstance(v, int) or not 0 <= v < n:
+                    if type(v) is not int or not 0 <= v < n:
                         raise ShapeError(f"entry ({i}, {j}) = {v!r} is not an element index")
-        if not isinstance(identity, int) or not 0 <= identity < n:
+        if type(identity) is not int or not 0 <= identity < n:
             raise ShapeError(f"identity {identity!r} is not an element index")
         for x in range(n):
             if rows[identity][x] != x or rows[x][identity] != x:
@@ -312,18 +312,22 @@ class FiniteMonoid:
         }
 
     @classmethod
-    def from_json(cls, data: dict, **kwargs) -> "FiniteMonoid":
+    def from_json(cls, data: dict) -> "FiniteMonoid":
         try:
             n = data["n"]
             table = data["table"]
             identity = data["identity"]
         except (TypeError, KeyError) as exc:
             raise ShapeError(f"monoid JSON missing field: {exc}") from exc
+        if type(n) is not int:
+            raise ShapeError(f"declared n = {n!r} is not an integer")
+        if not (isinstance(table, list) and all(isinstance(row, list) for row in table)):
+            raise ShapeError("monoid JSON table must be a list of rows")
         if len(table) != n:
             raise ShapeError(f"declared n = {n} but table has {len(table)} rows")
-        return cls(table, identity, **kwargs)
+        return cls(table, identity)
 
     @classmethod
-    def from_file(cls, path, **kwargs) -> "FiniteMonoid":
+    def from_file(cls, path) -> "FiniteMonoid":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh), **kwargs)
+            return cls.from_json(json.load(fh))

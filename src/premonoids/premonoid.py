@@ -301,7 +301,7 @@ class Premonoid:
         """Restriction to a product-closed subset containing the identity."""
         sub_monoid, to_parent = self.monoid.submonoid(elements)
         sub_rel = self.preorder.restrict(to_parent)
-        return SubPremonoid(sub_monoid, sub_rel, self, to_parent)
+        return SubPremonoid(sub_monoid, sub_rel, to_parent)
 
     def divisor_closed_localization(self, x: int) -> "SubPremonoid":
         return self.restrict(self.monoid.divisor_closed_closure(x))
@@ -314,13 +314,11 @@ class SubPremonoid(Premonoid):
     """A restricted premonoid with ``to_parent``, the map of its elements
     into its parent's."""
 
-    __slots__ = ("parent", "to_parent", "_to_sub")
+    __slots__ = ("to_parent",)
 
-    def __init__(self, monoid, preorder, parent: Premonoid, to_parent: tuple):
+    def __init__(self, monoid, preorder, to_parent: tuple):
         super().__init__(monoid, preorder)
-        object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "to_parent", to_parent)
-        object.__setattr__(self, "_to_sub", {p: i for i, p in enumerate(to_parent)})
 
     def from_parent(self, p) -> int:
-        return self._to_sub[p]
+        return self.to_parent.index(p)

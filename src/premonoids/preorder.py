@@ -43,11 +43,16 @@ class PreorderRel:
 
     @classmethod
     def from_matrix(cls, matrix) -> "PreorderRel":
+        """A square list of rows of 0, 1, true or false."""
+        if not isinstance(matrix, (list, tuple)):
+            raise ShapeError("relation must be a list of rows")
         n = len(matrix)
         succ = []
         for i, row in enumerate(matrix):
-            if len(row) != n:
-                raise ShapeError(f"relation row {i} has length {len(row)}, expected {n}")
+            if not isinstance(row, (list, tuple)) or len(row) != n:
+                raise ShapeError(f"relation row {i} is not a list of length {n}")
+            if not ({bool, int}.issuperset(map(type, row)) and {0, 1}.issuperset(row)):
+                raise ShapeError(f"relation row {i} has an entry other than 0, 1, true or false")
             succ.append([j for j, v in enumerate(row) if v])
         return cls(n, _close(succ))
 
@@ -163,16 +168,16 @@ def divisibility_preorder(monoid: FiniteMonoid) -> PreorderRel:
     return PreorderRel(monoid.n, monoid.ideal_masks(), kind="divisibility")
 
 
-def pullback_preorder(phi, codomain: PreorderRel, kind: str = "pullback") -> PreorderRel:
+def pullback_preorder(phi, codomain: PreorderRel) -> PreorderRel:
     """x below y iff phi(x) below phi(y) in the codomain: bit phi(y) of the
     codomain row of phi(x)."""
     phi = tuple(phi)
     for v in phi:
-        if not 0 <= v < codomain.n:
-            raise ShapeError(f"phi value {v} outside codomain carrier")
+        if type(v) is not int or not 0 <= v < codomain.n:
+            raise ShapeError(f"phi value {v!r} outside codomain carrier")
     ups = [codomain.rows[v] for v in phi]
     rows = [sum(1 << y for y, v in enumerate(phi) if up >> v & 1) for up in ups]
-    return PreorderRel(len(phi), rows, kind=kind, source={"phi": phi, "codomain": codomain})
+    return PreorderRel(len(phi), rows, kind="pullback", source={"phi": phi, "codomain": codomain})
 
 
 def natural_order_rel(size: int) -> PreorderRel:
@@ -193,7 +198,11 @@ def phi_preorder(monoid: FiniteMonoid, generators) -> tuple[PreorderRel, tuple[i
     ``monoid.shortest_words``. The resulting preorder is strongly artinian by
     construction.
     """
-    gens = sorted(set(generators))
+    gens = tuple(generators)
+    for g in gens:
+        if type(g) is not int or not 0 <= g < monoid.n:
+            raise ShapeError(f"generator {g!r} is not an element index")
+    gens = sorted(set(gens))
     if monoid.identity in gens:
         raise ShapeError("generator set must not contain the identity")
     phi = [0] * monoid.n
@@ -205,6 +214,11 @@ def phi_preorder(monoid: FiniteMonoid, generators) -> tuple[PreorderRel, tuple[i
 
 
 def preorder_from_json(data: dict, monoid: FiniteMonoid | None = None) -> PreorderRel:
+    if not isinstance(data, dict):
+        raise ShapeError("preorder JSON must be an object")
+    for key in ("phi", "A"):
+        if not isinstance(data.get(key, []), list):
+            raise ShapeError(f"preorder JSON {key} must be a list")
     kind = data.get("kind")
     if kind == "divisibility":
         if monoid is None:

@@ -12,7 +12,8 @@ import itertools
 import random
 from functools import lru_cache
 
-from .monoid import FiniteMonoid
+from .families import cyclic_group, make_zn
+from .monoid import FiniteMonoid, _first_nonassociative
 from .premonoid import Premonoid
 from .preorder import PreorderRel, divisibility_preorder, phi_preorder, pullback_preorder, natural_order_rel
 
@@ -23,32 +24,14 @@ def tiny_monoid_tables() -> tuple:
     found = [((0,),)]
     for free in itertools.product(range(2), repeat=1):
         table = ((0, 1), (1, free[0]))
-        if _is_associative(table):
+        if _first_nonassociative(table) is None:
             found.append(table)
     for free in itertools.product(range(3), repeat=4):
         a, b, c, d = free
         table = ((0, 1, 2), (1, a, b), (2, c, d))
-        if _is_associative(table):
+        if _first_nonassociative(table) is None:
             found.append(table)
     return tuple(found)
-
-
-def _is_associative(table) -> bool:
-    n = len(table)
-    return all(
-        table[table[x][y]][z] == table[x][table[y][z]]
-        for x in range(n)
-        for y in range(n)
-        for z in range(n)
-    )
-
-
-def _zn_table(n: int) -> tuple:
-    return tuple(tuple((i * j) % n for j in range(n)) for i in range(n))
-
-
-def _cyclic_table(n: int) -> tuple:
-    return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
 
 
 def _max_chain_table(n: int) -> tuple:
@@ -73,12 +56,12 @@ def monoid_pool() -> tuple:
     """Deterministic pool of small monoids (table, identity)."""
     pool = [(t, 0) for t in tiny_monoid_tables()]
     for n in (4, 5, 6, 8, 9):
-        pool.append((_zn_table(n), 1))
+        pool.append((make_zn(n).table, 1))
     for n in (4, 5, 6):
-        pool.append((_cyclic_table(n), 0))
+        pool.append((cyclic_group(n).table, 0))
         pool.append((_max_chain_table(n), 0))
         pool.append((_capped_add_table(n), 0))
-    c2 = _cyclic_table(2)
+    c2 = cyclic_group(2).table
     chain2 = _max_chain_table(2)
     pool.append(_direct_product(c2, 0, c2, 0))
     pool.append(_direct_product(c2, 0, chain2, 0))
@@ -93,7 +76,8 @@ def monoid_pool() -> tuple:
     return tuple(pool)
 
 
-def _relabel(table, identity, perm) -> tuple:
+def relabel(table, identity, perm) -> tuple:
+    """The table and identity renamed by the permutation ``perm``."""
     n = len(table)
     new = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -140,7 +124,7 @@ def _random_tiny_table(rng: random.Random):
                 if i != e and j != e:
                     rows[i][j] = rng.randrange(n)
         table = tuple(tuple(r) for r in rows)
-        if _is_associative(table):
+        if _first_nonassociative(table) is None:
             return table, e
     return None
 
@@ -158,7 +142,7 @@ def random_monoid(rng: random.Random, max_size: int = 6) -> FiniteMonoid:
     table, identity = got
     perm = list(range(len(table)))
     rng.shuffle(perm)
-    table, identity = _relabel(table, identity, perm)
+    table, identity = relabel(table, identity, perm)
     return FiniteMonoid(table, identity)
 
 

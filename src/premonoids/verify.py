@@ -34,6 +34,7 @@ from .monoid import FiniteMonoid
 from .premonoid import Premonoid
 from .preorder import PreorderRel, divisibility_preorder, phi_preorder
 from .presentations import presentation_explore
+from .randgen import relabel
 
 
 @dataclass
@@ -560,11 +561,7 @@ def check_pullback_isomorphism(P: Premonoid, rng: random.Random) -> CheckResult:
     for _ in range(4):
         perm = list(range(n))
         rng.shuffle(perm)
-        table = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                table[perm[i]][perm[j]] = perm[m.table[i][j]]
-        m2 = FiniteMonoid(table, perm[m.identity])
+        m2 = FiniteMonoid(*relabel(m.table, m.identity, perm))
         rows = [0] * n
         for a in range(n):
             for b in range(n):

@@ -26,17 +26,16 @@ from premonoids import irreducibles as irreducibles_of
 from premonoids import quarks as quarks_of
 from premonoids.factorization import factorization_alphabet, prefix_bound
 from premonoids.families import (
+    NumericalMonoid,
+    ReducedPowerN,
     cyclic_group,
-    make_numerical,
     make_product_one,
-    make_reduced_power_N,
     make_remark_premonoid,
     make_zn,
     n2_premonoid,
     numerical_premonoid,
     power_premonoid_finite,
     powerset_premonoid,
-    product_one_premonoid,
     reduced_power_N_premonoid,
     zn_premonoid,
 )
@@ -100,8 +99,8 @@ def local_builtins():
         ("remarkN:8", make_remark_premonoid(8)),
         ("numerical:2,3", numerical_premonoid((2, 3), cap=20)),
         ("powerN:9", reduced_power_N_premonoid(9)),
-        ("b:c2:1", product_one_premonoid(make_product_one(cyclic_group(2), (1,)))),
-        ("b:c3:1,2", product_one_premonoid(make_product_one(cyclic_group(3), (1, 2)))),
+        ("b:c2:1", LocalPremonoid(make_product_one(cyclic_group(2), (1,)))),
+        ("b:c3:1,2", LocalPremonoid(make_product_one(cyclic_group(3), (1, 2)))),
         ("n2sub:4", n2_premonoid(4)),
     ]
 
@@ -294,12 +293,12 @@ def test_acceptance_09_snf():
 
 
 def test_acceptance_10_power_monoid():
-    from premonoids.families import make_power_monoid
+    from premonoids.families import PowerMonoid
 
     bases = [FiniteMonoid(t, 0) for t in tiny_monoid_tables()]
     assert any(len(t) == 3 for t in tiny_monoid_tables())
     for base in bases:
-        pm = make_power_monoid(base)
+        pm = PowerMonoid(base)
         for x in pm.sample_elements():
             assert len(pm.divisors(x)) <= 2 ** (len(x) - 1), (base.table, x)
         P, labels = power_premonoid_finite(base)
@@ -315,7 +314,7 @@ def test_acceptance_10_power_monoid():
 
 def test_acceptance_11_product_one_c3():
     monoid = make_product_one(cyclic_group(3), (1, 2))
-    lp = product_one_premonoid(monoid)
+    lp = LocalPremonoid(monoid)
 
     def product_one(ms):
         return product_one_by_orderings(lambda a, b: (a + b) % 3, 0, ms)

@@ -224,6 +224,88 @@ def test_matrix_files_never_produce_a_traceback(payload):
             assert "Traceback" not in err.getvalue()
 
 
+# Documents for the preorder and monoid file readers; keys lean toward the ones
+# they look up, values toward near misses of the shapes they accept.
+_FILE_KEYS = st.sampled_from(["kind", "rel", "phi", "A", "codomain", "n", "table", "identity"]) | st.text(max_size=2)
+_FILE_LEAVES = st.one_of(
+    st.sampled_from(["phi", "pullback", "matrix", "divisibility", "x", "0"]),
+    st.integers(-2, 5),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False, max_value=5, min_value=-2),
+)
+_FILE_DOCS = st.recursive(
+    _FILE_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_FILE_KEYS, inner, max_size=4),
+    max_leaves=16,
+)
+
+
+def _file_commands(path) -> list:
+    return [
+        ["describe", "zn:4", "--preorder", str(path)],
+        ["describe", str(path)],
+        ["describe", f"power:{path}"],
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FILE_DOCS)
+def test_preorder_and_monoid_files_never_produce_a_traceback(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.json"
+        path.write_text(json.dumps(doc))
+        for argv in _file_commands(path):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2), (doc, argv, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+
+
+_BAD_PREORDERS = [
+    {"kind": "phi", "A": [99]},
+    {"kind": "phi", "A": ["a"]},
+    {"kind": "phi", "A": 5},
+    {"kind": "phi", "A": [-1]},
+    {"kind": "pullback", "phi": [0, 1.5, 0, 0], "codomain": {"kind": "matrix", "rel": [[1, 1], [0, 1]]}},
+    {"kind": "matrix", "rel": 5},
+    {"kind": "matrix", "rel": [["x", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+    {"kind": "matrix", "rel": [["0", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+    [{"kind": "divisibility"}],
+]
+_BAD_MONOIDS = [
+    {"n": 2, "table": 5, "identity": 0},
+    {"n": 2, "table": [[0, 1], 5], "identity": 0},
+    {"n": 2, "table": [[0, 1], [1, 0]], "identity": False},
+    {"n": 2, "table": [[0, True], [True, 0]], "identity": 0},
+    {"n": "2", "table": [[0, 1], [1, 0]], "identity": 0},
+]
+
+
+@pytest.mark.parametrize(
+    "doc, argvs",
+    [(doc, _file_commands("F")[:1]) for doc in _BAD_PREORDERS]
+    + [(doc, _file_commands("F")[1:]) for doc in _BAD_MONOIDS],
+)
+def test_malformed_preorder_and_monoid_files_exit_2(doc, argvs, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F").write_text(json.dumps(doc))
+    for argv in argvs:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", (argv, err)
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_files_nested_past_the_recursion_limit_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F").write_text('{"kind": "pullback", "codomain": ' * 5000 + "{}" + "}" * 5000)
+    for argv in _file_commands("F"):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", (argv, err)
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_describe_product_one(capsys):
     code, out, _ = run_cli(capsys, "describe", "b:c3:1,2")
     data = json.loads(out)
@@ -630,7 +712,7 @@ def test_verify_matrix_length_check_catches_a_wrong_engine(fault, tmp_path, caps
         monkeypatch.setattr(mx, "matrix_length_set", lambda a: premonoids.LengthSet.of(3, 4))
     else:
         real = mx.factor_multiset
-        monkeypatch.setattr(mx, "factor_multiset", lambda v, det_bound=10**12: real(v, det_bound)[1:])
+        monkeypatch.setattr(mx, "factor_multiset", lambda v: real(v)[1:])
     code, out, _ = run_cli(capsys, "verify", f"matrix:{mpath}")
     assert code == 4
     checks = {c["name"]: c for c in json.loads(out)["reports"][0]["checks"]}

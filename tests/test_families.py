@@ -17,21 +17,20 @@ from premonoids import (
 from premonoids import irreducibles as irreducibles_of
 from premonoids.families import (
     AdditiveNaturals,
+    NumericalMonoid,
+    PlaneSubmonoid,
+    PowerMonoid,
+    ReducedPowerN,
     cyclic_group,
     dihedral_mul,
-    make_n2_submonoid,
-    make_numerical,
-    make_power_monoid,
     make_product_one,
     make_product_one_dihedral,
-    make_reduced_power_N,
     make_remark_premonoid,
     make_zn,
     n2_premonoid,
     numerical_premonoid,
     power_premonoid,
     power_premonoid_finite,
-    product_one_premonoid,
     zn_premonoid,
 )
 from premonoids.localfinite import LocalPremonoid
@@ -58,7 +57,7 @@ def test_zn_family_examples():
 
 
 def test_power_monoid_c2():
-    pm = make_power_monoid(cyclic_group(2))
+    pm = PowerMonoid(cyclic_group(2))
     assert pm.sample_elements() == ((0,), (0, 1))
     assert pm.op((0, 1), (0, 1)) == (0, 1)
     assert pm.divisors((0, 1)) == ((0,), (0, 1))
@@ -66,14 +65,14 @@ def test_power_monoid_c2():
 
 def test_power_monoid_divisor_bound():
     for base in (cyclic_group(2), cyclic_group(3), make_zn(3)):
-        pm = make_power_monoid(base)
+        pm = PowerMonoid(base)
         for x in pm.sample_elements():
             assert len(pm.divisors(x)) <= 2 ** (len(x) - 1)
 
 
 def test_power_monoid_divisor_certificates():
     for base in (cyclic_group(3), make_zn(3)):
-        pm = make_power_monoid(base)
+        pm = PowerMonoid(base)
         for x in pm.sample_elements():
             pm.check_divisor_laws(x)
 
@@ -123,18 +122,18 @@ def test_power_premonoid_structure_flags():
 
 
 def test_reduced_power_N_setwise_sum():
-    pn = make_reduced_power_N(6)
+    pn = ReducedPowerN(6)
     assert pn.op((0, 1), (0, 1)) == (0, 1, 2)
     assert pn.op((0, 5), (0, 4)) == (0, 4, 5, 9)
     with pytest.raises(CapExceededError):
         pn.element((0, 9))
     with pytest.raises(CapExceededError):
-        make_reduced_power_N(0)
+        ReducedPowerN(0)
 
 
 def test_reduced_power_N_double_cover_identity():
     # X + [0, max X] equals (2*max X) copies of {0,1}
-    pn = make_reduced_power_N(20)
+    pn = ReducedPowerN(20)
     rng = random.Random(2)
     for _ in range(15):
         members = {0} | {rng.randint(1, 5) for _ in range(rng.randint(0, 4))}
@@ -152,7 +151,7 @@ def test_reduced_power_N_double_cover_identity():
 
 
 def test_reduced_power_N_pair_sets_are_atoms():
-    lp = LocalPremonoid(make_reduced_power_N(12))
+    lp = LocalPremonoid(ReducedPowerN(12))
     for a in range(1, 7):
         assert is_atom(lp, (0, a))
     assert not is_atom(lp, (0, 1, 2))  # {0,1} + {0,1}
@@ -161,7 +160,7 @@ def test_reduced_power_N_pair_sets_are_atoms():
 
 
 def test_reduced_power_N_divisor_bound():
-    pn = make_reduced_power_N(10)
+    pn = ReducedPowerN(10)
     for x in ((0, 1), (0, 1, 2), (0, 2, 3), (0, 1, 2, 3)):
         assert len(pn.divisors(x)) <= 2 ** (len(x) - 1)
 
@@ -171,14 +170,14 @@ def test_reduced_power_N_divisor_bound():
 
 def test_product_one_c2():
     b = make_product_one(cyclic_group(2), (1,))
-    lp = product_one_premonoid(b)
+    lp = LocalPremonoid(b)
     atoms_found = [x for x in b.sample_elements(max_size=4) if x and is_atom(lp, x)]
     assert atoms_found == [(1, 1)]
 
 
 def test_product_one_c3_atoms():
     b = make_product_one(cyclic_group(3), (1, 2))
-    lp = product_one_premonoid(b)
+    lp = LocalPremonoid(b)
     atoms_found = [x for x in b.sample_elements(max_size=6) if x and is_atom(lp, x)]
     assert atoms_found == [(1, 1, 1), (1, 2), (2, 2, 2)]
 
@@ -217,7 +216,7 @@ def test_product_one_divisors_are_product_one_complement_pairs():
 
 def test_product_one_c3_scrambled_divisor_example():
     b = make_product_one(cyclic_group(3), (1, 2))
-    lp = product_one_premonoid(b)
+    lp = LocalPremonoid(b)
     x = (1, 1, 1, 2, 2, 2)
     atom_divs = [d for d in b.divisors(x) if d and is_atom(lp, d)]
     assert atom_divs == [(1, 1, 1), (1, 2), (2, 2, 2)]
@@ -236,7 +235,7 @@ def test_dihedral_group_law():
 
 def test_dihedral_product_one_atoms_and_division():
     b = make_product_one_dihedral()
-    lp = product_one_premonoid(b)
+    lp = LocalPremonoid(b)
     alpha, tau = (1, 0), (0, 1)
     u1 = b.element((alpha, alpha, tau, tau))
     for n in range(1, 5):
@@ -339,7 +338,7 @@ def test_additive_naturals_divisors():
 
 
 def test_n2_membership_oracle():
-    n2 = make_n2_submonoid(5)
+    n2 = PlaneSubmonoid(5)
     assert n2.contains((0, 0))
     assert n2.contains((1, 1)) and n2.contains((1, 5))
     assert not n2.contains((1, 0)) and not n2.contains((0, 1))
@@ -349,7 +348,7 @@ def test_n2_membership_oracle():
 def test_n2_diagonal_identity():
     # every multiple of (1,1) splits into a pair of extreme generators, so the
     # divisor-closed closure of (1,1) keeps swallowing new generators
-    n2 = make_n2_submonoid(6)
+    n2 = PlaneSubmonoid(6)
     for m in range(2, 8):
         total = (0, 0)
         for _ in range(m):
@@ -359,7 +358,7 @@ def test_n2_diagonal_identity():
 
 
 def test_n2_atom_count_growth():
-    n2 = make_n2_submonoid(6)
+    n2 = PlaneSubmonoid(6)
     lp = n2_premonoid(6)
 
     def atoms_dividing(v):
@@ -382,7 +381,7 @@ def test_n2_atoms_are_the_generators():
 
 
 def test_numerical_23():
-    nm = make_numerical((2, 3))
+    nm = NumericalMonoid((2, 3))
     lp = numerical_premonoid((2, 3))
     assert [x for x in nm.sample_elements() if 0 < x <= 12 and is_atom(lp, x)] == [2, 3]
     assert length_set(lp, 7) == __import__("premonoids").LengthSet.of(3)
@@ -431,12 +430,12 @@ def _minus(x, g):
 @pytest.mark.parametrize("gens", [(2, 3), (3, 5, 7), (4, 6), (1,), (6, 10, 15), (5, 8), (7,)])
 def test_numerical_membership_matches_the_recursive_definition(gens):
     memo: dict = {}
-    fresh = make_numerical(gens)
+    fresh = NumericalMonoid(gens)
     for x in range(-3, 90):
         expected = x >= 0 and recursive_member(gens, x, memo)
         assert fresh.contains(x) == expected, x
     # the memo is filled bottom-up, so asking the largest first agrees too
-    descending = make_numerical(gens)
+    descending = NumericalMonoid(gens)
     assert [descending.contains(x) for x in range(89, -4, -1)] == [
         fresh.contains(x) for x in range(89, -4, -1)
     ]
@@ -444,7 +443,7 @@ def test_numerical_membership_matches_the_recursive_definition(gens):
 
 @pytest.mark.parametrize("bound", [2, 3, 4, 5])
 def test_n2_membership_matches_the_recursive_definition(bound):
-    n2 = make_n2_submonoid(bound)
+    n2 = PlaneSubmonoid(bound)
     memo: dict = {}
     for a, b in itertools.product(range(-2, 22), repeat=2):
         expected = a >= 0 and b >= 0 and recursive_member(n2.generators, (a, b), memo)
@@ -452,7 +451,7 @@ def test_n2_membership_matches_the_recursive_definition(bound):
 
 
 def test_membership_of_far_elements_does_not_recurse():
-    assert make_numerical((2, 3)).contains(100000)
-    assert not make_numerical((4, 6)).contains(100001)
-    assert make_n2_submonoid(3).contains((400, 400))
-    assert not make_n2_submonoid(3).contains((400, 1300))
+    assert NumericalMonoid((2, 3)).contains(100000)
+    assert not NumericalMonoid((4, 6)).contains(100001)
+    assert PlaneSubmonoid(3).contains((400, 400))
+    assert not PlaneSubmonoid(3).contains((400, 1300))

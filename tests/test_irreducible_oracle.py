@@ -44,7 +44,7 @@ from premonoids import (
 )
 from premonoids import verify
 from premonoids.cli import describe_payload, load_instance
-from premonoids.families import make_numerical, zn_premonoid
+from premonoids.families import NumericalMonoid, zn_premonoid
 from premonoids.irreducibles import GeneratingSetCertificate, _layered_product_hit, _pair_product_hit
 from premonoids.localfinite import LocalPremonoid
 from premonoids.randgen import monoid_pool, random_monoid, random_premonoid
@@ -393,7 +393,7 @@ def test_each_local_element_is_filtered_once_across_describe(spec):
 def natural_order_numerical(generators) -> LocalPremonoid:
     """A numerical monoid under the order of the integers: its strict-lower
     hook names every smaller member, most of which do not divide."""
-    monoid = make_numerical(generators)
+    monoid = NumericalMonoid(generators)
     return LocalPremonoid(
         monoid,
         order=lambda a, b: a <= b,
@@ -423,7 +423,7 @@ def test_a_hook_naming_non_divisors_multiplies_divisors_only():
 
 
 def test_carriers_on_the_same_elements_keep_their_own_lists():
-    divisibility = LocalPremonoid(make_numerical((3, 5, 7)))
+    divisibility = LocalPremonoid(NumericalMonoid((3, 5, 7)))
     natural = natural_order_numerical((3, 5, 7))
     for x in divisibility.monoid.sample_elements():
         for P in (divisibility, natural):

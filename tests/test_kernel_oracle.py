@@ -14,6 +14,10 @@ the loops it replaced are kept as oracles: the two-sided closure rounds of
 search of the generating set. So are the row-building ``restrict`` that the
 pullback along the sorted inclusion replaced, and the ``equiv`` scan that
 grouping by up-set row replaced in ``equivalence_classes``.
+
+The random generator's own table builders are kept too: its triple-loop
+associativity test, its Z_n and cyclic tables (now ``make_zn`` and
+``cyclic_group``), and the relabel loop of the pullback-isomorphism check.
 """
 import itertools
 import random
@@ -36,7 +40,16 @@ from premonoids.bitrows import close, generating_pairs
 from premonoids.families import powerset_premonoid, zn_premonoid
 from premonoids.irreducibles import _coverage_witnesses
 from premonoids.preorder import natural_order_rel, phi_preorder, pullback_preorder
-from premonoids.randgen import monoid_pool, random_premonoid
+from premonoids.monoid import _first_nonassociative
+from premonoids.randgen import (
+    _capped_add_table,
+    _direct_product,
+    _max_chain_table,
+    monoid_pool,
+    random_premonoid,
+    relabel,
+    tiny_monoid_tables,
+)
 
 
 def oracle_principal_ideal(m, x) -> frozenset:
@@ -216,7 +229,7 @@ def oracle_shape_fault(table):
         if len(row) != n:
             return f"row {i} has length {len(row)}, expected {n}"
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:
                 return f"entry ({i}, {j}) = {v!r} is not an element index"
     return None
 
@@ -628,3 +641,85 @@ def test_chain_walk_matches_oracle(n, kind, reverse):
 @settings(max_examples=100, deadline=None)
 def test_random_premonoid_walk_matches_oracle(seed):
     assert_walk_matches(random_premonoid(random.Random(seed), 6), seed)
+
+
+def old_is_associative(table) -> bool:
+    n = len(table)
+    return all(
+        table[table[x][y]][z] == table[x][table[y][z]]
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+    )
+
+
+def old_zn_table(n: int) -> tuple:
+    return tuple(tuple((i * j) % n for j in range(n)) for i in range(n))
+
+
+def old_cyclic_table(n: int) -> tuple:
+    return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+
+
+def old_relabel(table, identity, perm) -> tuple:
+    n = len(table)
+    new = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            new[perm[i]][perm[j]] = perm[table[i][j]]
+    return new, perm[identity]
+
+
+def old_tiny_monoid_tables() -> tuple:
+    found = [((0,),)]
+    for (a,) in itertools.product(range(2), repeat=1):
+        table = ((0, 1), (1, a))
+        if old_is_associative(table):
+            found.append(table)
+    for a, b, c, d in itertools.product(range(3), repeat=4):
+        table = ((0, 1, 2), (1, a, b), (2, c, d))
+        if old_is_associative(table):
+            found.append(table)
+    return tuple(found)
+
+
+def old_monoid_pool() -> tuple:
+    pool = [(t, 0) for t in old_tiny_monoid_tables()]
+    for n in (4, 5, 6, 8, 9):
+        pool.append((old_zn_table(n), 1))
+    for n in (4, 5, 6):
+        pool.append((old_cyclic_table(n), 0))
+        pool.append((_max_chain_table(n), 0))
+        pool.append((_capped_add_table(n), 0))
+    c2 = old_cyclic_table(2)
+    chain2 = _max_chain_table(2)
+    pool.append(_direct_product(c2, 0, c2, 0))
+    pool.append(_direct_product(c2, 0, chain2, 0))
+    pool.append(_direct_product(chain2, 0, _capped_add_table(3), 0))
+    maps = list(itertools.product(range(2), repeat=2))
+    index = {m: i for i, m in enumerate(maps)}
+    table = tuple(tuple(index[tuple(f[g[x]] for x in range(2))] for g in maps) for f in maps)
+    pool.append((table, index[(0, 1)]))
+    return tuple(pool)
+
+
+def test_pools_match_the_old_builders():
+    assert tiny_monoid_tables() == old_tiny_monoid_tables()
+    assert monoid_pool() == old_monoid_pool()
+
+
+def test_associativity_matches_the_triple_loop_on_every_tiny_table():
+    for n in (1, 2, 3):
+        for entries in itertools.product(range(n), repeat=n * n):
+            table = tuple(entries[i * n : (i + 1) * n] for i in range(n))
+            assert (_first_nonassociative(table) is None) == old_is_associative(table), table
+
+
+def test_relabel_matches_the_old_loop():
+    rng = random.Random(0)
+    for table, identity in monoid_pool():
+        for _ in range(20):
+            perm = list(range(len(table)))
+            rng.shuffle(perm)
+            new, e = old_relabel(table, identity, perm)
+            assert relabel(table, identity, perm) == (tuple(map(tuple, new)), e)

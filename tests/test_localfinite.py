@@ -5,10 +5,10 @@ import pytest
 from premonoids import NotComputableError, is_atom, is_irreducible
 from premonoids.cli import load_instance
 from premonoids.families import (
+    NumericalMonoid,
+    ReducedPowerN,
     cyclic_group,
-    make_numerical,
     make_product_one,
-    make_reduced_power_N,
     make_remark_premonoid,
     power_premonoid,
 )
@@ -19,8 +19,8 @@ def all_local_premonoids():
     return [
         power_premonoid(cyclic_group(2)),
         power_premonoid(cyclic_group(3)),
-        LocalPremonoid(make_reduced_power_N(9)),
-        LocalPremonoid(make_numerical((2, 3))),
+        LocalPremonoid(ReducedPowerN(9)),
+        LocalPremonoid(NumericalMonoid((2, 3))),
         LocalPremonoid(make_product_one(cyclic_group(3), (1, 2))),
         make_remark_premonoid(8),
     ]
@@ -28,7 +28,7 @@ def all_local_premonoids():
 
 def test_rule_preorders_need_a_strict_lower_hook():
     with pytest.raises(NotComputableError):
-        LocalPremonoid(make_numerical((2, 3)), order=lambda a, b: a <= b)
+        LocalPremonoid(NumericalMonoid((2, 3)), order=lambda a, b: a <= b)
 
 
 def test_divisor_certificates_across_families():
@@ -65,7 +65,7 @@ def test_prefix_products_of_factorizations_divide_the_target():
 
 
 def test_units_are_detected_locally():
-    lp = LocalPremonoid(make_numerical((2, 3)))
+    lp = LocalPremonoid(NumericalMonoid((2, 3)))
     assert lp.is_unit(0) and not lp.is_unit(2)
     rp = make_remark_premonoid(5)
     assert rp.is_unit(0) and not rp.is_unit(1)
@@ -79,7 +79,7 @@ def test_local_divisibility_leq_matches_divisor_sets():
 
 
 def test_bounded_flags_on_divisibility_families():
-    lp = LocalPremonoid(make_numerical((2, 3)))
+    lp = LocalPremonoid(NumericalMonoid((2, 3)))
     flags = lp.bounded_flags([x for x in lp.monoid.sample_elements() if x <= 8])
     assert flags.preordered and flags.positive and flags.weakly_positive
     assert flags.strongly_positive  # commutative + cancellative + reduced
@@ -88,7 +88,7 @@ def test_bounded_flags_on_divisibility_families():
 
 
 def test_degree_predicates_work_locally():
-    lp = LocalPremonoid(make_numerical((2, 3)))
+    lp = LocalPremonoid(NumericalMonoid((2, 3)))
     assert is_atom(lp, 2) and is_atom(lp, 3)
     assert not is_atom(lp, 4)
     assert is_irreducible(lp, 2, 3) and not is_irreducible(lp, 6, 3)
@@ -160,7 +160,7 @@ def test_non_transitive_rule_order_is_refused():
     0 ~ 4): the generating pairs cannot stand for it, so the scan refuses
     instead of giving a verdict."""
     lp = LocalPremonoid(
-        make_numerical((2, 3)),
+        NumericalMonoid((2, 3)),
         order=lambda a, b: abs(a - b) <= 2,
         strict_lower=lambda x: (),
     )
@@ -171,7 +171,7 @@ def test_non_transitive_rule_order_is_refused():
 
 def test_non_reflexive_rule_order_is_refused():
     lp = LocalPremonoid(
-        make_numerical((2, 3)), order=lambda a, b: a < b, strict_lower=lambda x: ()
+        NumericalMonoid((2, 3)), order=lambda a, b: a < b, strict_lower=lambda x: ()
     )
     with pytest.raises(NotComputableError, match="not reflexive and transitive"):
         lp.bounded_flags((0, 2, 3))

@@ -175,7 +175,7 @@ def test_matrix_length_sets():
     assert matrix_length_set(diag(2, 2)) == LengthSet.of(2)
     assert matrix_length_set(diag(1, 10007)) == LengthSet.of(1)
     with pytest.raises(DetTooLargeError):
-        matrix_length_set(diag(1, 10007), det_bound=10000)
+        matrix_length_set(diag(1, 10**12 + 39))
 
 
 def test_matrix_length_set_matches_prime_count():

@@ -6,7 +6,7 @@ determinant, decide its irreducibility before it is known to divide, and
 divide through ``matrix_oracles.solve_left`` (the adjugate, then exact
 division by the determinant). Divisors come from a scan of
 ``range(1, value + 1)``. They share nothing with the program but ``mat``,
-``mat_det``, ``solve_left`` and ``factor_multiset`` (for ``det_bound``).
+``mat_det``, ``solve_left`` and ``factor_multiset`` (for ``DET_BOUND``).
 The oracle costs about |det|^2 forms on 3x3 matrices, so the 3x3 sweep stops
 at |det| <= 64.
 """
@@ -82,7 +82,7 @@ def oracle_matrix_is_irreducible(b) -> bool:
     return True
 
 
-def oracle_matrix_length_set(a, det_bound: int = 10**12) -> LengthSet:
+def oracle_matrix_length_set(a) -> LengthSet:
     """Exact set of lengths of factorizations of A into irreducible matrices.
 
     Peels irreducible left divisors in canonical lower-triangular form and
@@ -92,7 +92,7 @@ def oracle_matrix_length_set(a, det_bound: int = 10**12) -> LengthSet:
     det = mat_det(a)
     if det == 0:
         raise SingularMatrixError("matrix must have nonzero determinant")
-    factor_multiset(det, det_bound)  # enforce the bound before recursing
+    factor_multiset(det)  # enforce the bound before recursing
     n = len(a)
     memo: dict = {}
 

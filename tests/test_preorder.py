@@ -166,6 +166,13 @@ def test_phi_preorder_all_nonunits_of_zn9():
         phi_preorder(m, [1])  # identity not allowed
 
 
+@pytest.mark.parametrize("bad", [-1, 9, 99, "a", 2.0, True, [2]])
+def test_phi_preorder_takes_element_indices_only(bad):
+    """-1 is not read as the last element, nor True as element 1."""
+    with pytest.raises(ShapeError):
+        phi_preorder(make_zn(9), [2, bad])
+
+
 def test_pullback_via_isomorphism_maps_irreducibles():
     from premonoids import atoms, irreducibles, quarks
     from premonoids.monoid import FiniteMonoid

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, every
 private module-level function or class is referenced somewhere in the
-package, and ``object.__setattr__`` sets attributes of ``self`` only, so no
-code patches an immutable object after it is built.
+package, ``object.__setattr__`` sets attributes of ``self`` only, so no
+code patches an immutable object after it is built, and no module-level
+function only forwards its parameters to another callable.
 
 ``__init__.py`` is exempt from the import scan: its imports are the package's
 public surface.
@@ -107,3 +108,47 @@ def test_the_scan_sees_a_patched_immutable():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_module_patches_an_object_after_it_is_built(module):
     assert setattr_on_others((PACKAGE / module).read_text()) == []
+
+
+def forwarders(source: str) -> list[str]:
+    """Module-level functions whose body, docstring aside, is one ``return
+    f(...)`` passing the function's own parameters unchanged and in order:
+    each is a second name for ``f``."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = node.body
+        if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]
+        if len(body) != 1 or not isinstance(body[0], ast.Return) or not isinstance(body[0].value, ast.Call):
+            continue
+        call = body[0].value
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        passed = [v.id for v in call.args if isinstance(v, ast.Name)]
+        passed += [k.arg for k in call.keywords if isinstance(k.value, ast.Name) and k.value.id == k.arg]
+        plain = len(passed) == len(call.args) + len(call.keywords)
+        if plain and a.vararg is None and a.kwarg is None and passed == params:
+            found.append(node.name)
+    return found
+
+
+def test_the_scan_sees_a_forwarder():
+    source = (
+        "def a(x, y=1):\n    return f(x, y)\n"
+        "def b(x):\n    '''doc'''\n    return m.F(x=x)\n"
+        "def c(x, y):\n    return f(y, x)\n"
+        "def d(x):\n    return f(g(x))\n"
+        "def e(x):\n    return f(x, 2)\n"
+        "def h():\n    return f()\n"
+        "def k(x):\n    y = x\n    return f(x)\n"
+    )
+    assert forwarders(source) == ["a", "b", "h"]
+
+
+def test_no_module_function_only_forwards():
+    found = [
+        f"{p.name}: {name}" for p in sorted(PACKAGE.glob("*.py")) for name in forwarders(p.read_text())
+    ]
+    assert found == []
