@@ -169,14 +169,23 @@ def divisibility_preorder(monoid: FiniteMonoid) -> PreorderRel:
 
 
 def pullback_preorder(phi, codomain: PreorderRel) -> PreorderRel:
-    """x below y iff phi(x) below phi(y) in the codomain: bit phi(y) of the
-    codomain row of phi(x)."""
+    """x below y iff phi(x) below phi(y) in the codomain: the row of x is the
+    union of the fibres of phi over the codomain row of phi(x), worked out
+    once per distinct value of phi."""
     phi = tuple(phi)
-    for v in phi:
+    fibres: dict[int, int] = {}  # codomain element -> mask of its preimage
+    for y, v in enumerate(phi):
         if type(v) is not int or not 0 <= v < codomain.n:
             raise ShapeError(f"phi value {v!r} outside codomain carrier")
-    ups = [codomain.rows[v] for v in phi]
-    rows = [sum(1 << y for y, v in enumerate(phi) if up >> v & 1) for up in ups]
+        fibres[v] = fibres.get(v, 0) | 1 << y
+    row_of = {}
+    for v in fibres:
+        up, row = codomain.rows[v], 0
+        for w, fibre in fibres.items():
+            if up >> w & 1:
+                row |= fibre
+        row_of[v] = row
+    rows = list(map(row_of.__getitem__, phi))
     return PreorderRel(len(phi), rows, kind="pullback", source={"phi": phi, "codomain": codomain})
 
 

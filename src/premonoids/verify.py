@@ -319,13 +319,21 @@ def check_abstract_bound(P: Premonoid) -> CheckResult:
     return _ok(name)
 
 
-def _profile_signature(P, x, name=lambda a: a):
-    """The factorization data of x in P, with every element renamed by
-    ``name``."""
-    prof = element_profile(P, x)
+def _profile_signature(P, prof, name=lambda a: a):
+    """The factorization data of ``prof.element`` in P, read off its profile
+    ``prof``, with every element renamed by ``name``. When every irreducible
+    divisor is an atom the two alphabets give one automaton, so the atom
+    words are the words; two carriers whose alphabets differ already differ
+    at ``irr_divs`` or ``atom_divs``, which come first."""
+    x = prof.element
     horizon = min(prefix_bound(P, x), 5)
     word = lambda w: tuple(map(name, w))
     classes = lambda cs: tuple((tuple((name(c), m) for c, m in v), word(w)) for v, w in cs)
+    words = tuple(map(word, enumerate_factorizations(P, x, horizon)))
+    if prof.atom_divisors != prof.irreducible_divisors:
+        atom_words = tuple(map(word, enumerate_factorizations(P, x, horizon, letters="atoms")))
+    else:
+        atom_words = words
     return {
         "irr_divs": word(prof.irreducible_divisors),
         "atom_divs": word(prof.atom_divisors),
@@ -334,30 +342,31 @@ def _profile_signature(P, x, name=lambda a: a):
         "minimal": classes(prof.minimal),
         "minimal_within": classes(prof.minimal_atomic_within),
         "minimal_literal": classes(prof.minimal_atomic_literal),
-        "words": tuple(map(word, enumerate_factorizations(P, x, horizon))),
-        "atom_words": tuple(map(word, enumerate_factorizations(P, x, horizon, letters="atoms"))),
+        "words": words,
+        "atom_words": atom_words,
     }
 
 
-def check_localization_invariance(P: Premonoid, sample=None) -> CheckResult:
+def check_localization_invariance(P: Premonoid, sample=None, report=None) -> CheckResult:
     """Factorization data of x agrees whether computed in the whole carrier,
     in the divisor-closed closure of x, or in the submonoid generated by the
     divisors of x. A view's data are renamed into the carrier through
     ``view.to_parent``; that map is increasing, so every order the engine
     reports (sorted divisors, vectors and classes, least witnesses) carries
-    over."""
+    over. ``report``, when given, is ``classify(P)``, and the whole carrier's
+    profiles are read from it."""
     name = "localization-invariance"
     sample = sample if sample is not None else P.nonunits()
     for x in sample:
         if P.is_unit(x):
             continue
-        base = _profile_signature(P, x)
+        base = _profile_signature(P, report.profiles[x] if report is not None else element_profile(P, x))
         for view_name, view in (
             ("divisor-closed", P.divisor_closed_localization(x)),
             ("germ", P.germ_localization(x)),
         ):
-            lx = view.from_parent(x)
-            local = _profile_signature(view, lx, view.to_parent.__getitem__)
+            prof = element_profile(view, view.from_parent(x))
+            local = _profile_signature(view, prof, view.to_parent.__getitem__)
             for key in base:
                 if base[key] != local[key]:
                     return _fail(
@@ -535,14 +544,25 @@ def check_phi_roundtrip(P: Premonoid, rng: random.Random, dp: Premonoid) -> Chec
 
 
 def check_shuffle_oracle(P: Premonoid, rng: random.Random) -> CheckResult:
-    """Class-multiset fast path against the literal injective-matching oracle."""
+    """Class-multiset fast path against the literal injective-matching oracle.
+
+    A word is a length below 6 and that many letters below n, each drawn by
+    ``rng._randbelow``: ``randint(0, 5)`` and ``randrange(n)`` both come down
+    to that one call, so the words are theirs, draw for draw. Both sides are
+    deterministic, so a pair drawn again is not tested again; its words are
+    still drawn, which keeps the stream of the later checks."""
     name = "shuffle-oracle"
     n = P.monoid.n
     leq = P.preorder.leq
     rep = wd.class_reps(leq, range(n))
+    below = rng._randbelow
+    tested = set()
     for _ in range(300):
-        u = tuple(rng.randrange(n) for _ in range(rng.randint(0, 5)))
-        v = tuple(rng.randrange(n) for _ in range(rng.randint(0, 5)))
+        u = tuple(map(below, [n] * below(6)))
+        v = tuple(map(below, [n] * below(6)))
+        if (u, v) in tested:
+            continue
+        tested.add((u, v))
         fast = wd.shuffle_leq(rep, u, v)
         slow = wd.shuffle_leq_matching(leq, u, v)
         if fast != slow:
@@ -674,7 +694,7 @@ def verify_suite(P: Premonoid, seed: int = 0) -> list[CheckResult]:
         check_classification_diagram(P, report),
         check_bf_iff_ff(P, report),
         check_abstract_bound(P),
-        check_localization_invariance(P),
+        check_localization_invariance(P, report=report),
         check_unit_removal(P, rng),
         check_duo_inclusion(P, rng),
         check_restriction_units(P, rng),

@@ -73,14 +73,15 @@ def shuffle_leq_matching(leq, u, v) -> bool:
 
     Kuhn's augmenting-path matching on the bipartite graph u-positions vs
     v-positions; exact, used to cross-check the class-multiset fast path.
+    Positions of u holding the same letter share one adjacency list.
     """
     nu, nv = len(u), len(v)
     if nu > nv:
         return False
-    adj = [
-        [j for j in range(nv) if leq(u[i], v[j]) and leq(v[j], u[i])]
-        for i in range(nu)
-    ]
+    if not u:
+        return True
+    partners = {a: [j for j, b in enumerate(v) if leq(a, b) and leq(b, a)] for a in set(u)}
+    adj = list(map(partners.__getitem__, u))
     match_v = [-1] * nv
 
     def augment(i: int, seen: list[bool]) -> bool:

@@ -1,8 +1,11 @@
 """Pairwise brute-force oracles for minimal factorizations, shared by the tests.
 
-``pairwise_minimal_words`` compares every pair of words with the literal
-matching order, as ``verify.check_minimal_brute_force`` did before it grouped
-the words by letter multiset; ``vector_leq`` is the sub-multiset comparison
+``position_matching`` is the literal matching order with one adjacency list
+per position of the left word, as ``words.shuffle_leq_matching`` built it
+before it shared one list between the positions of a letter;
+``pairwise_minimal_words`` compares every pair of words with it, as
+``verify.check_minimal_brute_force`` did before it grouped the words by
+letter multiset; ``vector_leq`` is the sub-multiset comparison
 of two class vectors; ``longest_bad_sequence`` searches all bad sequences of
 a tiny universe and ``random_left_duo_monoid`` draws random monoids until one
 is left duo; ``product_one_by_orderings`` tries every ordering of a multiset
@@ -11,7 +14,7 @@ of group elements. No code of the library calls these.
 import itertools
 
 from premonoids.randgen import random_monoid
-from premonoids.words import embed_increasing, shuffle_leq_matching
+from premonoids.words import embed_increasing
 
 
 def brute_words(P, x, max_len, alphabet):
@@ -27,6 +30,31 @@ def brute_words(P, x, max_len, alphabet):
     return out
 
 
+def position_matching(leq, u, v) -> bool:
+    """Kuhn's augmenting-path matching of the positions of u into those of v,
+    position i adjacent to position j when u[i] and v[j] are mutually
+    comparable under ``leq``."""
+    nu, nv = len(u), len(v)
+    if nu > nv:
+        return False
+    adj = [
+        [j for j in range(nv) if leq(u[i], v[j]) and leq(v[j], u[i])]
+        for i in range(nu)
+    ]
+    match_v = [-1] * nv
+
+    def augment(i: int, seen: list[bool]) -> bool:
+        for j in adj[i]:
+            if not seen[j]:
+                seen[j] = True
+                if match_v[j] < 0 or augment(match_v[j], seen):
+                    match_v[j] = i
+                    return True
+        return False
+
+    return all(augment(i, [False] * nv) for i in range(nu))
+
+
 def pairwise_minimal_words(leq, words, against=None):
     """The words of ``words`` that no word of ``against`` (default: ``words``)
     lies strictly below under the literal matching order."""
@@ -35,8 +63,8 @@ def pairwise_minimal_words(leq, words, against=None):
         w
         for w in words
         if not any(
-            shuffle_leq_matching(leq, v, w)
-            and not shuffle_leq_matching(leq, w, v)
+            position_matching(leq, v, w)
+            and not position_matching(leq, w, v)
             for v in against
         )
     ]

@@ -723,3 +723,54 @@ def test_relabel_matches_the_old_loop():
             rng.shuffle(perm)
             new, e = old_relabel(table, identity, perm)
             assert relabel(table, identity, perm) == (tuple(map(tuple, new)), e)
+
+
+def old_pullback_rows(phi, codomain) -> tuple:
+    """Rows of the pullback, one step per pair: bit y of row x when phi(x) is
+    below phi(y) in the codomain."""
+    return tuple(
+        sum(1 << y for y, w in enumerate(phi) if codomain.leq(v, w)) for v in phi
+    )
+
+
+def assert_pullback_matches(phi, codomain) -> None:
+    rel = pullback_preorder(phi, codomain)
+    assert rel.rows == old_pullback_rows(phi, codomain), phi
+    assert (rel.n, rel.kind, rel.source) == (len(phi), "pullback", {"phi": tuple(phi), "codomain": codomain})
+
+
+def pullback_maps(n: int, rng) -> list:
+    """The identity, a constant, the reverse, sorted subsets (restrictions)
+    and random maps, into a carrier of size n."""
+    maps = [tuple(range(n)), (0,) * n, tuple(range(n - 1, -1, -1)), ()]
+    for _ in range(6):
+        maps.append(tuple(sorted(rng.sample(range(n), rng.randint(0, n)))))
+        maps.append(tuple(rng.randrange(n) for _ in range(rng.randint(0, 2 * n))))
+    return maps
+
+
+@pytest.mark.parametrize("index", range(len(monoid_pool())))
+def test_pullback_matches_the_pair_loop_on_the_pool(index):
+    m = FiniteMonoid(*monoid_pool()[index])
+    codomain = divisibility_preorder(m)
+    for phi in pullback_maps(m.n, random.Random(index)):
+        assert_pullback_matches(phi, codomain)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 12, 30, 64])
+def test_pullback_matches_the_pair_loop_on_zn_restrictions(n):
+    P = zn_premonoid(n)
+    rel = P.preorder
+    for x in range(n):
+        for subset in (P.monoid.divisor_closed_closure(x), P.monoid.germ_submonoid(x)):
+            assert_pullback_matches(tuple(sorted(subset)), rel)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_pullback_matches_the_pair_loop_on_drawn_maps(data):
+    n = data.draw(st.integers(1, 9))
+    matrix = data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n))
+    codomain = PreorderRel.from_matrix(matrix)
+    phi = data.draw(st.lists(st.integers(0, n - 1), max_size=12))
+    assert_pullback_matches(phi, codomain)

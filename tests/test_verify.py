@@ -318,3 +318,129 @@ def test_flag_implications_scan_each_flag_itself(owner, flag, monkeypatch):
         monkeypatch.undo()
         assert not result.passed
         assert f"{flag}-scan" in result.details["violated"]
+
+
+def old_check_shuffle_oracle(P, rng):
+    """``check_shuffle_oracle`` as it drew its words through ``randint`` and
+    ``randrange`` and tested every pair, repeats included."""
+    import premonoids.words as wd
+    from premonoids.verify import CheckResult
+
+    name = "shuffle-oracle"
+    n = P.monoid.n
+    leq = P.preorder.leq
+    rep = wd.class_reps(leq, range(n))
+    for _ in range(300):
+        u = tuple(rng.randrange(n) for _ in range(rng.randint(0, 5)))
+        v = tuple(rng.randrange(n) for _ in range(rng.randint(0, 5)))
+        fast = wd.shuffle_leq(rep, u, v)
+        slow = wd.shuffle_leq_matching(leq, u, v)
+        if fast != slow:
+            return CheckResult(name, True, False, {"u": u, "v": v, "fast": fast, "slow": slow})
+        if fast and wd.shuffle_leq(rep, v, u) is False and not len(u) < len(v):
+            return CheckResult(name, True, False, {"strict_length": (u, v)})
+    return CheckResult(name, True, True, {})
+
+
+def _pool_premonoids():
+    for table, identity in monoid_pool():
+        m = FiniteMonoid(table, identity)
+        yield Premonoid(m, divisibility_preorder(m))
+
+
+def _shuffle_carriers():
+    rng = random.Random(23)
+    return list(_pool_premonoids()) + [random_premonoid(rng) for _ in range(200)]
+
+
+def test_randbelow_is_the_draw_of_randrange_and_randint():
+    """``check_shuffle_oracle`` draws through ``Random._randbelow``, which
+    must give the numbers, and leave the state, of the public calls."""
+    for seed in range(5):
+        a, b = random.Random(seed), random.Random(seed)
+        for n in range(1, 65):
+            assert [a._randbelow(n) for _ in range(20)] == [b.randrange(n) for _ in range(20)]
+            assert a._randbelow(6) == b.randint(0, 5)
+        assert a.getstate() == b.getstate()
+
+
+def test_shuffle_oracle_keeps_the_stream_and_the_verdicts():
+    """Same result and same generator state after the check as with the old
+    draws and no skipped pairs, on the pool and on 200 random carriers; a
+    check that skipped a repeat before drawing all of it would leave another
+    state, and so would change every later check of the suite."""
+    from premonoids.verify import check_shuffle_oracle
+
+    for index, P in enumerate(_shuffle_carriers()):
+        new_rng, old_rng = random.Random(index), random.Random(index)
+        assert check_shuffle_oracle(P, new_rng) == old_check_shuffle_oracle(P, old_rng), index
+        assert new_rng.getstate() == old_rng.getstate(), index
+
+
+def test_shuffle_oracle_reports_the_first_failing_pair_as_before(monkeypatch):
+    """With a fast path that compares letters instead of classes both checks
+    fail on the same pair."""
+    from collections import Counter
+
+    import premonoids.words as wd
+    from premonoids.verify import check_shuffle_oracle
+
+    monkeypatch.setattr(wd, "shuffle_leq", lambda rep, u, v: not Counter(u) - Counter(v))
+    failed = 0
+    for index, P in enumerate(_shuffle_carriers()[:60]):
+        new = check_shuffle_oracle(P, random.Random(index))
+        assert new == old_check_shuffle_oracle(P, random.Random(index)), index
+        failed += not new.passed
+    assert failed > 5
+
+
+def test_localization_check_reads_the_report_profiles():
+    """The whole carrier's profiles read from ``classify(P)`` give the result
+    that computing them afresh gives."""
+    from premonoids import classify
+    from premonoids.verify import check_localization_invariance
+
+    for P in _pool_premonoids():
+        report = classify(P)
+        assert check_localization_invariance(P, report=report) == check_localization_invariance(P)
+
+
+def test_profile_signature_atom_words_are_the_enumerated_atom_words():
+    """When the two alphabets agree the signature reuses the words for the
+    atom words; they must be the words that enumeration over atoms gives."""
+    from premonoids.factorization import element_profile, enumerate_factorizations
+    from premonoids.verify import _profile_signature
+
+    kinds = set()
+    carriers = list(_pool_premonoids()) + [random_premonoid(random.Random(s)) for s in range(40)]
+    for P in carriers:
+        for x in P.nonunits():
+            prof = element_profile(P, x)
+            horizon = min(prefix_bound(P, x), 5)
+            atom_words = tuple(enumerate_factorizations(P, x, horizon, letters="atoms"))
+            assert _profile_signature(P, prof)["atom_words"] == atom_words, (P, x)
+            kinds.add(prof.atom_divisors == prof.irreducible_divisors)
+    assert kinds == {True, False}
+
+
+def test_localization_check_fails_on_a_wrong_view_profile(monkeypatch):
+    """A view profile that differs from the whole carrier's fails the check,
+    whether the whole carrier's profiles come from the report or not."""
+    import dataclasses
+
+    import premonoids.verify as vf
+    from premonoids import LengthSet, classify
+    from premonoids.premonoid import SubPremonoid
+
+    P = zn_premonoid(12)
+    report = classify(P)
+    real = vf.element_profile
+
+    def wrong(C, x):
+        prof = real(C, x)
+        return dataclasses.replace(prof, lengths=LengthSet.of(99)) if isinstance(C, SubPremonoid) else prof
+
+    monkeypatch.setattr(vf, "element_profile", wrong)
+    for result in (vf.check_localization_invariance(P, report=report), vf.check_localization_invariance(P)):
+        assert not result.passed
+        assert (result.details["view"], result.details["field"]) == ("divisor-closed", "lengths")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from hypothesis import given, settings
@@ -11,9 +12,12 @@ from premonoids import (
     shuffle_leq_matching,
 )
 from premonoids.families import make_zn, zn_premonoid
+from premonoids.monoid import FiniteMonoid
+from premonoids.preorder import divisibility_preorder
+from premonoids.randgen import random_premonoid
 from premonoids.words import class_reps, embed_increasing
 
-from brute_force import longest_bad_sequence
+from brute_force import longest_bad_sequence, position_matching
 
 
 def test_pi_examples():
@@ -54,6 +58,38 @@ def test_shuffle_fast_path_matches_matching_oracle(data):
     fast = shuffle_leq(class_reps(rel.leq, range(n)), u, v)
     assert shuffle_leq(class_reps(rel.leq, u + v), u, v) == fast
     assert fast == shuffle_leq_matching(rel.leq, u, v)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_matching_per_letter_matches_matching_per_position(data):
+    """Positions holding one letter share an adjacency list; the answer is
+    the one of a list per position, on words with repeated letters."""
+    P = random_premonoid(random.Random(data.draw(st.integers(0, 2**32 - 1))), 6)
+    letters = st.integers(0, P.monoid.n - 1)
+    u = tuple(data.draw(st.lists(letters, max_size=6)))
+    v = tuple(data.draw(st.lists(letters, max_size=6)))
+    leq = P.preorder.leq
+    assert shuffle_leq_matching(leq, u, v) == position_matching(leq, u, v)
+    assert shuffle_leq_matching(leq, v, u) == position_matching(leq, v, u)
+
+
+def test_matching_needs_both_directions_on_a_chain():
+    """On the max chain divisibility is the total order 0 <= 1 <= ... and no
+    two letters are mutually comparable, so a matching that tested only
+    leq(a, b) would put (0,) below (1,)."""
+    n = 5
+    m = FiniteMonoid([[max(a, b) for b in range(n)] for a in range(n)], 0)
+    leq = divisibility_preorder(m).leq
+    assert leq(0, 1) and not leq(1, 0)
+    assert not shuffle_leq_matching(leq, (0,), (1,))
+    assert not shuffle_leq_matching(leq, (0, 0), (1, 0))
+    assert shuffle_leq_matching(leq, (0, 3), (3, 1, 0))
+    assert shuffle_leq_matching(leq, (), ())
+    words = [w for k in range(4) for w in itertools.product(range(n), repeat=k)]
+    for u in words:
+        for v in words:
+            assert shuffle_leq_matching(leq, u, v) == position_matching(leq, u, v), (u, v)
 
 
 def test_strict_shuffle_implies_shorter():
