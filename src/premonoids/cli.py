@@ -440,7 +440,12 @@ def _dumps(obj) -> str:
                 chunks[-1] = close_list
         written[key] = start, len(chunks)
 
-    write(obj, 0)
+    try:
+        write(obj, 0)
+    finally:
+        # write reaches itself through its closure; without this the cycle
+        # keeps chunks and written alive until a full collection
+        del write
     return "".join(chunks)
 
 

@@ -316,13 +316,25 @@ def _pairs(counts: tuple, reps) -> tuple:
 
 def _class_vectors(auto: DivisorAutomaton, cls_of, classes: int, cap: int, minimal: bool = False) -> list:
     """Class vectors of total at most ``cap`` realized by words with product x,
-    in order of total.
+    in order of total (with ``minimal``, the vectors of one total in
+    increasing order).
 
     Level k maps each vector of total k to the set of products of its words,
     all divisors of x. With ``minimal`` only the minimal vectors come out: a
     vector that dominates a realized one is dropped and a realized vector is
     not extended, so every realized survivor is minimal (by Dickson's lemma
     only the minimal generators of a monoid ideal matter).
+
+    The minimal walk also cuts, once it has a minimum. After a level's
+    realized vectors are recorded, each other vector v of it loses the states
+    that cannot reach x, and is dropped when none are left, or when v plus
+    the least count of each class on a path to x from the states left (see
+    :func:`_cut`) has total above ``cap`` or dominates a minimum. This is
+    exact: every realized extension of v continues from one of those states,
+    so it is at least that vector. The cut is built at most once per walk,
+    after its first minimum, at the first level whose size, kept out to
+    ``cap``, would make the rest of the walk cost about as much as the
+    build; a walk that is about to end never builds it.
 
     Inside the walk a vector is one int whose digit c in base ``cap + 1`` is
     the count of class c, so a letter of class c adds ``weight[c]``; its
@@ -336,10 +348,11 @@ def _class_vectors(auto: DivisorAutomaton, cls_of, classes: int, cap: int, minim
     rows = auto.succ if classes == 1 else _Lazy(lambda i: _class_row(auto.table[i], cls_of, classes))
     steps: dict = {}
     goal = 1 << auto.goal
-    below = _below([cap] * classes) if minimal else None
+    above = _above([cap] * classes) if minimal else None
+    cut = None
     found: list = []
     level = {0: 1 << auto.start}
-    for _ in range(cap):
+    for total in range(1, cap + 1):
         nxt: dict = {}
         for vec, mask in level.items():
             step = steps.get(mask)
@@ -349,15 +362,45 @@ def _class_vectors(auto: DivisorAutomaton, cls_of, classes: int, cap: int, minim
                 v = vec + w
                 nxt[v] = nxt.get(v, 0) | img
         level = {}
+        met = []
+        full = (1 << len(found)) - 1
         for v, mask in nxt.items():
-            if minimal and found and _dominates(_digits(v, weight, base), below):
+            if minimal and found and _dominates(_digits(v, weight, base), above, full):
                 continue
             if mask & goal:
-                found.append(tuple(_digits(v, weight, base)))
+                met.append(tuple(_digits(v, weight, base)))
                 if minimal:
-                    _mark(below, found[-1], 1 << (len(found) - 1))
                     continue
             level[v] = mask
+        if minimal:
+            # the cut changes which vector of a total is met first, so the
+            # minima of one total come out in increasing order; two distinct
+            # vectors of one total never dominate each other, so they are
+            # marked once the level is done
+            met.sort()
+            for m in met:
+                _mark(above, m, full + 1)
+                full += full + 1
+        found += met
+        # A one-class walk ends at its first minimum, so only several classes
+        # get here. Were the levels to keep this size, the rest of the walk
+        # would make len(level) * classes vectors per level, each costing about
+        # a product per class, as its digits are read for the dominance test;
+        # the build takes about a product per letter for each state whose
+        # class rows are not worked out yet.
+        if minimal and found and level and cut is None:
+            build = (len(auto.states) - len(rows)) * len(auto.alphabet) + len(auto.states) * classes
+            if (cap - total) * len(level) * classes * classes >= build:
+                cut = _cut(auto, rows, weight)
+        if cut is not None:
+            kept = {}
+            for v, mask in level.items():
+                entry = cut[mask]
+                if entry is not None:
+                    live, inc, extra = entry
+                    if total + extra <= cap and not (extra and _dominates(_digits(v + inc, weight, base), above, full)):
+                        kept[v] = live
+            level = kept
         if not level:
             break
     return found
@@ -393,27 +436,97 @@ def _digits(v: int, weight, base: int):
     return map(base.__rmod__, map(v.__floordiv__, weight))
 
 
-# Dominance against a growing list of minima: ``below[c][k]`` is the bitmask
-# of the minima with count at most k in class c, so a vector dominates a
-# minimum exactly when the AND of these masks over its counts is nonzero.
-# Row c runs up to the largest count of class c that is ever tested.
+def _cut(auto: DivisorAutomaton, rows, weight) -> _Lazy:
+    """For each set of states, looked up on first use: None when none of them
+    can reach x, else (live, inc, extra) with ``live`` the states that can,
+    ``inc`` the least number of class-c letters on a path from ``live`` to x
+    at digit c, and ``extra`` the total of ``inc``.
+
+    Built once per walk, by sweeps over the states that can reach x: first
+    those states themselves, over the successor masks; then, per class c, a
+    0-1 breadth-first search back from x in which a class-c letter costs 1
+    and any other letter 0, giving ``layers[j]``, the states with a path to
+    x through at most j letters of class c. A class whose first layer holds
+    every such state never adds to ``inc`` and is left out.
+    """
+    goal = auto.goal
+    live, _ = _close([i for i in auto._ids if i != goal], auto.succ, 1 << goal)
+    states = [i for i in auto._ids if live >> i & 1 and i != goal]
+    # multi[s]: the states that letters of two classes or more lead to from s;
+    # a letter of a class other than c then leads from s to those of
+    # ``succ[s] & ~own[s] | own[s] & multi[s]``, own[s] being its class-c row
+    multi = {}
+    for s in states:
+        seen = both = 0
+        for img in rows[s]:
+            both |= seen & img
+            seen |= img
+        multi[s] = both
+    counted = []
+    for c, w in enumerate(weight):
+        own = {s: rows[s][c] for s in states}
+        free = {s: auto.succ[s] & ~own[s] | own[s] & multi[s] for s in states}
+        reached, pending = _close(states, free, 1 << goal)
+        layers = [reached]
+        while pending:
+            reached |= _bitset(s for s in pending if own[s] & reached)
+            reached, pending = _close(pending, free, reached)
+            layers.append(reached)
+        if len(layers) > 1:
+            counted.append((w, layers))
+
+    def entry(mask):
+        mask &= live
+        if not mask:
+            return None
+        inc = extra = 0
+        for w, layers in counted:
+            j = 0
+            while not mask & layers[j]:
+                j += 1
+            inc += w * j
+            extra += j
+        return mask, inc, extra
+
+    return _Lazy(entry)
 
 
-def _below(tops) -> list:
+def _close(pending: list, step, reached: int) -> tuple:
+    """``reached`` grown by each of the ``pending`` states with a path into
+    it along the ``step`` masks, and the pending states left out."""
+    while True:
+        left = len(pending)
+        for s in pending:
+            if step[s] & reached:
+                reached |= 1 << s
+        pending = [s for s in pending if not reached >> s & 1]
+        if len(pending) == left:
+            return reached, pending
+
+
+# Dominance against a growing list of minima: ``above[c][k]`` is the bitmask
+# of the minima with count above k in class c, and row c runs up to the
+# largest count of class c that is ever tested. A vector dominates a minimum
+# exactly when that minimum is in none of the rows at its counts, so marking a
+# minimum costs its total.
+
+
+def _above(tops) -> list:
     return [[0] * (top + 1) for top in tops]
 
 
-def _mark(below, v: tuple, bit: int) -> None:
-    for row, k in zip(below, v):
-        for j in range(k, len(row)):
+def _mark(above, v: tuple, bit: int) -> None:
+    for row, k in zip(above, v):
+        for j in range(k):
             row[j] |= bit
 
 
-def _dominates(v, below) -> bool:
-    acc = -1
-    for row, k in zip(below, v):
-        acc &= row[k]
-        if not acc:
+def _dominates(v, above, full: int) -> bool:
+    """Whether v dominates one of the minima whose bits make up ``full``."""
+    acc = 0
+    for row, k in zip(above, v):
+        acc |= row[k]
+        if acc == full:
             return False
     return True
 
@@ -423,11 +536,11 @@ def _census_minima(vectors) -> list:
     below another has a smaller total, and two distinct vectors of equal
     total are never ordered, so each vector is tested only against the
     minima before it."""
-    below = _below(map(max, zip(*vectors)))
+    above = _above(map(max, zip(*vectors)))
     out: list = []
     for v in vectors:
-        if not _dominates(v, below):
-            _mark(below, v, 1 << len(out))
+        if not _dominates(v, above, (1 << len(out)) - 1):
+            _mark(above, v, 1 << len(out))
             out.append(v)
     return out
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import inspect
 import io
@@ -859,6 +860,19 @@ def test_writer_refuses_what_json_refuses(obj):
         json.dumps(obj, indent=2, sort_keys=True)
     with pytest.raises(TypeError):
         _dumps(obj)
+
+
+@pytest.mark.parametrize("obj", [{"a": [[1, "x"], (2.5, None)], "b": {"c": [[]]}}, {(1, 2): 3}])
+def test_writer_leaves_no_cycle_behind(obj):
+    """What the writer builds is freed when it returns, also when it raises,
+    not at the next full collection."""
+    gc.collect()
+    gc.disable()
+    try:
+        _dumps_or_type_error(_dumps, obj)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # sha256 of the stdout of these commands, recorded with ``json.dumps(indent=2,

@@ -14,7 +14,9 @@ before is kept below as a second oracle.
 The census walk keys each level by an int vector and builds one step list
 per distinct set of states; the walk it replaced, keyed by count tuples with
 per-class successor masks of every state and one image dict per class, is
-its oracle.
+its oracle. That oracle has no cut: its minimal search extends every vector
+that dominates no minimum, so it is also the oracle of the cut, which drops
+a vector once every completion of it is dominated.
 
 On a finite carrier the automaton numbers its states by element and reads
 its successor masks off the carrier's letter rows; the divisor-indexed
@@ -26,7 +28,7 @@ from collections import Counter
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from premonoids import (
@@ -34,6 +36,7 @@ from premonoids import (
     LengthSet,
     Premonoid,
     atoms,
+    classify,
     divisibility_preorder,
     element_profile,
     enumerate_factorizations,
@@ -421,9 +424,21 @@ def walk_caps(P, x, auto) -> tuple:
     return (plain, False), (prefix_bound(P, x), True)
 
 
+def by_total(vectors) -> list:
+    """The minimal walk's order: by total, then increasing."""
+    return sorted(vectors, key=lambda v: (sum(v), v))
+
+
 def assert_walks_agree(P, elements) -> int:
     """Compare both walks on both letter kinds of the elements; returns how
-    many vectors they found."""
+    many vectors they found.
+
+    The census comes out in the tuple walk's order. The minimal search comes
+    out in order of total and, within one total, in increasing order: the
+    cut drops vectors that the tuple walk still extends, among them ones
+    whose states cannot reach x, and a vector of the next total may have
+    been met first through one of them (random_premonoid seed 100, x = 4).
+    The tuple walk's minima are put in that order and compared as a list."""
     found = 0
     for x in elements:
         for letters in ("irreducibles", "atoms"):
@@ -431,7 +446,8 @@ def assert_walks_agree(P, elements) -> int:
             cls_of, reps = auto.numbering()
             for cap, minimal in walk_caps(P, x, auto):
                 got = _class_vectors(auto, cls_of, len(reps), cap, minimal=minimal)
-                assert got == old_class_vectors(auto, cls_of, len(reps), cap, minimal), (x, letters, cap, minimal)
+                want = old_class_vectors(auto, cls_of, len(reps), cap, minimal)
+                assert got == (by_total(want) if minimal else want), (x, letters, cap, minimal)
                 found += len(got)
     return found
 
@@ -450,6 +466,7 @@ def test_walk_matches_tuple_walk_on_zn(n):
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
+@example(100)  # the cut changes the order in which a vector of one total is first met
 def test_walk_matches_tuple_walk_on_random_premonoids(seed):
     P = random_premonoid(random.Random(seed), 6)
     assert_walks_agree(P, range(P.monoid.n))
@@ -478,21 +495,38 @@ def test_walk_matches_tuple_walk_on_chains(kind, n):
     assert assert_walks_agree(P, range(n)) > 0
 
 
+def coreachable(auto) -> int:
+    """The states with a path to x."""
+    live = 1 << auto.goal
+    while live | auto.preimage(live) != live:
+        live |= auto.preimage(live)
+    return live
+
+
 def test_each_set_of_states_gets_its_steps_built_once(monkeypatch):
     """Per walk, the step lists built are one per distinct set of states the
     walk extends, and with several classes, class rows are worked out only
-    for the states in them."""
+    for the states in them. The census walk extends the sets the tuple walk
+    extends. The minimal walk builds its cut at most once; after that it
+    extends only states that can reach x, and the build reads the rows of
+    all of those but x."""
     built: list = []
-    real = fz._steps
+    cuts: list = []
+    real, real_cut = fz._steps, fz._cut
 
     def counted(mask, rows, weight):
         built.append((mask, rows))
         return real(mask, rows, weight)
 
+    def counted_cut(auto, rows, weight):
+        cuts.append(len(built))
+        return real_cut(auto, rows, weight)
+
     monkeypatch.setattr(fz, "_steps", counted)
+    monkeypatch.setattr(fz, "_cut", counted_cut)
     carriers = [(P, range(P.monoid.n)) for P in (zn_premonoid(48), _chain("max", 10), _chain("capped", 10))]
     carriers += [(P, P.nonunit_sample()) for P in (load_instance(s).payload for s in ("n2sub:5", "numerical:3,5,7"))]
-    walks = 0
+    walks = cut_walks = 0
     for P, elements in carriers:
         for x in elements:
             for letters in ("irreducibles", "atoms"):
@@ -500,16 +534,155 @@ def test_each_set_of_states_gets_its_steps_built_once(monkeypatch):
                 cls_of, reps = auto.numbering()
                 for cap, minimal in walk_caps(P, x, auto):
                     built.clear()
+                    cuts.clear()
                     _class_vectors(auto, cls_of, len(reps), cap, minimal=minimal)
-                    visited: set = set()
-                    old_class_vectors(auto, cls_of, len(reps), cap, minimal, masks=visited)
                     masks = Counter(mask for mask, _ in built)
-                    assert set(masks) == visited and set(masks.values()) <= {1}, (x, letters, cap)
+                    assert set(masks.values()) <= {1}, (x, letters, cap)
+                    states = _bitset(i for m in masks for i in range(m.bit_length()) if m >> i & 1)
+                    if not minimal:
+                        visited: set = set()
+                        old_class_vectors(auto, cls_of, len(reps), cap, minimal, masks=visited)
+                        assert set(masks) == visited, (x, letters, cap)
+                    elif cuts:
+                        assert len(cuts) == 1, (x, letters, cap)
+                        cut_walks += 1
+                        live = coreachable(auto)
+                        assert all(mask & ~live == 0 for mask, _ in built[cuts[0]:]), (x, letters, cap)
+                        states |= live & ~(1 << auto.goal)
                     rows = built[0][1] if built else None
-                    if isinstance(rows, fz._Lazy):  # several classes: rows of visited states only
+                    if isinstance(rows, fz._Lazy):  # several classes: rows of those states only
                         walks += 1
-                        assert _bitset(rows) == _bitset(i for m in masks for i in range(m.bit_length()) if m >> i & 1)
-    assert walks > 0
+                        assert _bitset(rows) == states, (x, letters, cap, minimal)
+    assert walks > 0 and cut_walks > 0
+
+
+def oracle_class_counts(auto, cls_of, c) -> dict:
+    """Each state with a path to x mapped to the least number of class-c
+    letters on such a path, by relaxing every table edge until nothing
+    changes."""
+    dist = {auto.goal: 0}
+    changed = True
+    while changed:
+        changed = False
+        for p in auto._ids:
+            for j, q in enumerate(auto.table[p]):
+                if q in dist and dist[q] + (cls_of[j] == c) < dist.get(p, len(auto.states)):
+                    dist[p] = dist[q] + (cls_of[j] == c)
+                    changed = True
+    return dist
+
+
+def assert_cut_counts_agree(P, elements, rng) -> int:
+    """The cut's entry for singletons, pairs and random sets of states
+    against the least counts over their states with a path to x; returns
+    how many automata with several classes were compared."""
+    compared = 0
+    for x in elements:
+        for letters in ("irreducibles", "atoms"):
+            auto = DivisorAutomaton(P, x, letters)
+            cls_of, reps = auto.numbering()
+            if len(reps) < 2:
+                continue
+            compared += 1
+            weight = [len(auto.states) ** c for c in range(len(reps))]
+            rows = fz._Lazy(lambda i: fz._class_row(auto.table[i], cls_of, len(reps)))
+            cut = fz._cut(auto, rows, weight)
+            dists = [oracle_class_counts(auto, cls_of, c) for c in range(len(reps))]
+            ids = list(auto._ids)
+            sets = [{i} for i in ids] + [set(pair) for pair in zip(ids, ids[1:] + ids[:1])]
+            sets += [set(rng.sample(ids, rng.randint(1, len(ids)))) for _ in range(20)]
+            for members in sets:
+                live = [i for i in members if i in dists[0]]
+                counts = [min(dist[i] for i in live) for dist in dists] if live else None
+                want = live and (_bitset(live), sum(w * k for w, k in zip(weight, counts)), sum(counts))
+                assert cut[_bitset(members)] == (want or None), (x, letters, sorted(members))
+    return compared
+
+
+@pytest.mark.parametrize("index", range(len(monoid_pool())))
+def test_cut_counts_match_edge_relaxation_on_the_pool(index):
+    P = _divisibility_premonoid(*monoid_pool()[index])
+    assert_cut_counts_agree(P, range(P.monoid.n), random.Random(index))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_cut_counts_match_edge_relaxation_on_random_premonoids(seed):
+    P = random_premonoid(random.Random(seed), 6)
+    assert_cut_counts_agree(P, range(P.monoid.n), random.Random(seed))
+
+
+@pytest.mark.parametrize("spec", ["zn:48", "zn:60", "n2sub:4", "numerical:3,5,7"])
+def test_cut_counts_match_edge_relaxation_on_larger_carriers(spec):
+    P = load_instance(spec).payload
+    elements = P.nonunits() if isinstance(P, Premonoid) else P.nonunit_sample()
+    assert assert_cut_counts_agree(P, elements, random.Random(0)) > 0
+
+
+def test_the_cut_ends_the_max_chain_walk_at_total_one(monkeypatch):
+    """On the max chain x's one minimal class is x, met at total 1. Every
+    other letter y < x leaves the state y, from which x is reached only
+    through a letter x, so y plus that letter dominates x and the cut drops
+    y: only the start set of states is ever extended."""
+    built: list = []
+    real = fz._steps
+    monkeypatch.setattr(fz, "_steps", lambda mask, rows, weight: built.append(mask) or real(mask, rows, weight))
+    P = _chain("max", 12)
+    for x in range(3, 12):
+        auto = DivisorAutomaton(P, x)
+        cls_of, reps = auto.numbering()
+        built.clear()
+        assert _class_vectors(auto, cls_of, len(reps), prefix_bound(P, x), minimal=True) == [(0,) * (x - 1) + (1,)]
+        assert built == [1 << auto.start], x
+
+
+@pytest.mark.parametrize("kind", ["max", "capped"])
+def test_chains_have_their_closed_form_minimal_classes(kind):
+    """Read off the chain, not the engine: on the max chain every non-unit x
+    is irreducible and x = max(x, y) for y <= x, so x's one minimal class is
+    x itself; under capped addition min(i + j, n - 1) the one irreducible is
+    1, so k's one minimal class is k ones (at the top, the least of the
+    lengths n - 1, n, ...). At 40 elements only the cut makes this fast."""
+    n = 40
+    report = classify(_chain(kind, n))
+    for x in range(1, n):
+        expected = (((x, 1),), (x,)) if kind == "max" else (((1, x),), (1,) * x)
+        assert report.profiles[x].minimal == (expected,), x
+
+
+def uncut_minimal_classes(P, x, letters) -> tuple:
+    """The minimal classes by the tuple walk, which has no cut, out to the
+    distinct-prefix bound, with the oracle's witness words, in output order."""
+    alphabet = tuple(sorted(factorization_alphabet(P, x, letters)))
+    auto = DivisorAutomaton(P, x, letters)
+    if auto.length_set().is_empty:
+        return ()
+    cls_of, reps = auto.numbering()
+    rep = class_reps(P.leq, alphabet)
+    vectors = old_class_vectors(auto, cls_of, len(reps), prefix_bound(P, x), minimal=True)
+    classes = [_pairs(v, reps) for v in vectors]
+    return tuple((vec, _witness_word(P, x, alphabet, rep, vec)) for vec in sorted(classes, key=lambda vec: (vector_total(vec), vec)))
+
+
+@pytest.mark.parametrize("spec", ["n2sub:4", "numerical:3,5,7"])
+def test_minimal_classes_match_the_uncut_walk_on_families(spec, monkeypatch):
+    """Classes, witnesses and order against the uncut tuple walk, from the
+    engine and from the cut walk out to the largest length. Length sets are
+    finite here, so the engine reads the minima off the census; the cut
+    walk is the one that builds cuts, and it must build some."""
+    cuts: list = []
+    real = fz._cut
+    monkeypatch.setattr(fz, "_cut", lambda auto, rows, weight: cuts.append(auto) or real(auto, rows, weight))
+    P = load_instance(spec).payload
+    compared = 0
+    for x in P.nonunit_sample():
+        for letters in ("irreducibles", "atoms"):
+            want = uncut_minimal_classes(P, x, letters)
+            assert minimal_factorization_classes(P, x, letters) == want, (x, letters)
+            if want:
+                assert pruned_minimal_classes(P, x, letters) == want, (x, letters)
+                compared += 1
+    assert compared > 0 and cuts
 
 
 # -- the finite construction against the divisor-indexed one --------------------------

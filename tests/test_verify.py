@@ -275,6 +275,26 @@ def test_minimal_brute_force_does_not_trust_the_engine(monkeypatch):
     assert len(result.details["brute"]) == len(result.details["engine"]) + 1
 
 
+def test_minimal_brute_force_does_not_trust_the_cut(monkeypatch):
+    """The check finds the minimal words itself, so a cut whose counts
+    overstate one class, and so drops vectors that still lead to minimal
+    ones, makes it fail on some small random carrier. (On the monoid pool
+    every walk that builds its cut has found its only minimum before.)"""
+    import premonoids.factorization as fz
+    import premonoids.verify as vf
+
+    carriers = [random_premonoid(random.Random(seed), 6) for seed in range(50)]
+    assert all(vf.check_minimal_brute_force(P).passed for P in carriers)
+    real = fz._cut
+
+    def overstated(auto, rows, weight):
+        cut = real(auto, rows, weight)
+        return fz._Lazy(lambda mask: cut[mask] and (cut[mask][0], cut[mask][1] + weight[0], cut[mask][2] + 1))
+
+    monkeypatch.setattr(fz, "_cut", overstated)
+    assert not all(vf.check_minimal_brute_force(P).passed for P in carriers)
+
+
 # sha256 of the stdout of ``premonoids verify`` for these arguments; the
 # checks share one RNG per instance, so any change in the order or number of
 # draws of any check changes these bytes
