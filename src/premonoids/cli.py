@@ -17,6 +17,7 @@ failure, 5 stdout closed before the output was written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -466,7 +467,10 @@ def _as_text(payload, indent: int = 0) -> str:
     return f"{pad}{payload}"
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and kept: it is
+    the same for every call, and parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="premonoids",
         description="factorization arithmetic of finite and locally finite monoids under a preorder",
@@ -507,8 +511,11 @@ def main(argv=None) -> int:
         dot = ("dot",) if p in (p_desc, p_fact) else ()
         p.add_argument("--format", choices=("json", "text", *dot), default="json")
         p.add_argument("--out", default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "describe":
             try:

@@ -546,20 +546,32 @@ def check_phi_roundtrip(P: Premonoid, rng: random.Random, dp: Premonoid) -> Chec
 def check_shuffle_oracle(P: Premonoid, rng: random.Random) -> CheckResult:
     """Class-multiset fast path against the literal injective-matching oracle.
 
-    A word is a length below 6 and that many letters below n, each drawn by
-    ``rng._randbelow``: ``randint(0, 5)`` and ``randrange(n)`` both come down
-    to that one call, so the words are theirs, draw for draw. Both sides are
-    deterministic, so a pair drawn again is not tested again; its words are
-    still drawn, which keeps the stream of the later checks."""
+    A word is a length below 6 and that many letters below n. Each number
+    below N is ``getrandbits(N.bit_length())``, drawn again while it is N or
+    more: that is how ``randint(0, 5)`` and ``randrange(n)`` draw it, call
+    for call, so the words and the generator state after them are theirs,
+    without a Python frame per number. Both sides are deterministic, so a
+    pair drawn again is not tested again; its words are still drawn, which
+    keeps the stream of the later checks."""
     name = "shuffle-oracle"
     n = P.monoid.n
     leq = P.preorder.leq
     rep = wd.class_reps(leq, range(n))
-    below = rng._randbelow
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
     tested = set()
     for _ in range(300):
-        u = tuple(map(below, [n] * below(6)))
-        v = tuple(map(below, [n] * below(6)))
+        words = [], []
+        for word in words:
+            m = getrandbits(3)
+            while m >= 6:
+                m = getrandbits(3)
+            for _ in range(m):
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                word.append(r)
+        u, v = map(tuple, words)
         if (u, v) in tested:
             continue
         tested.add((u, v))
@@ -617,9 +629,40 @@ def minimal_words_by_multiset(leq, words) -> list:
     return [w for w, k in zip(words, keys) if k in minimal]
 
 
+def words_with_product(m: FiniteMonoid, alphabet: tuple, x: int, max_len: int) -> list:
+    """Every word over ``alphabet`` of length 1 to ``max_len`` (at least 1)
+    whose product in ``m`` is x: shorter words first, words of one length in
+    the lexicographic order of ``alphabet``.
+
+    A depth-first walk over every word carries each prefix's product, so a
+    word costs one table lookup; the words of one length come out of it in
+    lexicographic order and are kept by length. It prunes nothing: every
+    word up to ``max_len`` is a node of the walk, and only the words whose
+    product is x are kept."""
+    table = m.table
+    by_length = [[] for _ in range(max_len + 1)]
+    stack = [((), m.identity)]
+    backwards = alphabet[::-1]
+    while stack:
+        prefix, p = stack.pop()
+        row = table[p]
+        length = len(prefix) + 1
+        if length < max_len:
+            for a in backwards:
+                stack.append((prefix + (a,), row[a]))
+        if x in row:
+            words = by_length[length]
+            for a in alphabet:
+                if row[a] == x:
+                    words.append(prefix + (a,))
+    return [w for words in by_length for w in words]
+
+
 def check_minimal_brute_force(P: Premonoid) -> CheckResult:
-    """Brute-force enumeration beyond the certified bound: same minimal
-    classes, none longer than the bound."""
+    """Brute-force enumeration beyond the certified bound: every word over
+    the irreducible divisors of x up to two letters past the bound
+    (``words_with_product``), then the same minimal classes as the engine,
+    none longer than the bound."""
     name = "minimal-brute-force"
     n = P.monoid.n
     if n > 6:
@@ -627,11 +670,7 @@ def check_minimal_brute_force(P: Premonoid) -> CheckResult:
     for x in P.nonunits():
         alphabet = factorization_alphabet(P, x, "irreducibles")
         bound = prefix_bound(P, x)
-        all_words = []
-        for length in range(1, bound + 3):
-            for w in it.product(alphabet, repeat=length):
-                if P.monoid.product(w) == x:
-                    all_words.append(w)
+        all_words = words_with_product(P.monoid, alphabet, x, bound + 2)
         minimal_words = minimal_words_by_multiset(P.preorder.leq, all_words)
         if any(len(w) > bound for w in minimal_words):
             return _fail(name, element=x, overlong=[w for w in minimal_words if len(w) > bound])

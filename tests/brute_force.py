@@ -18,7 +18,9 @@ from premonoids.words import embed_increasing
 
 
 def brute_words(P, x, max_len, alphabet):
-    """All words over ``alphabet`` of length 1..``max_len`` whose product is x."""
+    """All words over ``alphabet`` of length 1..``max_len`` whose product is x,
+    by length, then in ``itertools.product`` order: the sweep that
+    ``verify.check_minimal_brute_force`` ran before ``words_with_product``."""
     out = []
     for length in range(1, max_len + 1):
         for w in itertools.product(alphabet, repeat=length):

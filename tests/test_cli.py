@@ -922,3 +922,54 @@ def test_closed_stdout_is_a_labeled_exit_not_a_traceback():
     stderr = proc.stderr.decode()
     assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
     assert proc.returncode == 5
+
+
+def _captured_main(argv):
+    """Exit code, stdout and stderr of one ``main`` call, ``SystemExit``
+    (``--help``, a bad argument) read as its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_is_built_once_and_parses_as_a_fresh_one():
+    """Calls in sequence share one parser and each gives what a call with a
+    newly built parser gives, whatever the call before it parsed."""
+    from premonoids.cli import _parser
+
+    calls = [
+        ("describe", "zn:8", "--degree", "2,3"),
+        ("factorize", "zn:8", "4", "--max-len", "3", "--format", "text"),
+        ("classify", "zn:6", "--profiles"),
+        ("verify", "zn:4", "--random", "1", "--seed", "2"),
+        ("factorize", "zn:8"),
+        ("describe", "zn:8", "--format", "xml"),
+        ("--help",),
+        ("verify", "--help"),
+        ("describe", "zn:4"),
+    ]
+    fresh = []
+    for argv in calls:
+        _parser.cache_clear()
+        fresh.append(_captured_main(argv))
+    _parser.cache_clear()
+    shared = [_captured_main(argv) for argv in calls]
+    assert shared == fresh
+    assert _parser.cache_info().misses == 1
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 2, 0, 0, 0]
+    assert "usage: premonoids" in shared[6][1] and "invalid choice" in shared[5][2]
+
+
+def test_parser_is_not_built_at_import():
+    """Importing the CLI builds no parser, so start-up does not pay for it."""
+    src = str(Path(premonoids.__file__).resolve().parents[1])
+    code = "import premonoids.cli as c; print(c._parser.cache_info().currsize)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))),
+    )
+    assert proc.returncode == 0 and proc.stdout == "0\n", proc.stderr

@@ -229,6 +229,50 @@ def _assert_grouping_matches_pairwise(P):
         assert minimal_words_by_multiset(P.leq, words) == pairwise_minimal_words(P.leq, words)
 
 
+def test_brute_force_walk_is_the_product_sweep(monkeypatch):
+    """``check_minimal_brute_force`` walks, for every non-unit x in turn, the
+    words over x's irreducibles up to two letters past the bound, and the
+    walk gives the words of the ``itertools.product`` sweep, in its order."""
+    import premonoids.verify as vf
+
+    walk = vf.words_with_product
+    calls = []
+    monkeypatch.setattr(
+        vf, "words_with_product", lambda *args: calls.append((args, walk(*args))) or calls[-1][1]
+    )
+    rng = random.Random(31)
+    carriers = list(_pool_premonoids()) + [random_premonoid(rng) for _ in range(100)]
+    swept = 0
+    for P in carriers:
+        calls.clear()
+        result = vf.check_minimal_brute_force(P)
+        if P.monoid.n > 6:
+            assert not result.applicable
+            continue
+        assert result.passed
+        assert [args[2] for args, _ in calls] == list(P.nonunits())
+        for (m, alphabet, x, max_len), words in calls:
+            assert m is P.monoid and alphabet == factorization_alphabet(P, x, "irreducibles")
+            assert max_len == prefix_bound(P, x) + 2
+            assert words == brute_words(P, x, max_len, alphabet), (P, x)
+            swept += 1
+    assert swept > 150
+
+
+def test_brute_force_walk_at_every_length_cap():
+    """The walk matches the sweep for caps 1 to 4, over every letter of the
+    carrier as well as over x's irreducibles."""
+    from premonoids.verify import words_with_product
+
+    rng = random.Random(32)
+    for P in list(_pool_premonoids())[:20] + [random_premonoid(rng, 6) for _ in range(20)]:
+        for x in range(P.monoid.n):
+            for alphabet in (tuple(range(P.monoid.n)), factorization_alphabet(P, x, "irreducibles")):
+                for max_len in range(1, 5):
+                    want = brute_words(P, x, max_len, alphabet)
+                    assert words_with_product(P.monoid, alphabet, x, max_len) == want
+
+
 def test_multiset_grouping_matches_pairwise_oracle_on_the_pool():
     tables = [(t, i) for t, i in monoid_pool() if len(t) <= 6]
     assert len(tables) > 10
@@ -374,8 +418,9 @@ def _shuffle_carriers():
 
 
 def test_randbelow_is_the_draw_of_randrange_and_randint():
-    """``check_shuffle_oracle`` draws through ``Random._randbelow``, which
-    must give the numbers, and leave the state, of the public calls."""
+    """``Random._randbelow``, the draw that ``check_shuffle_oracle`` writes
+    out inline, gives the numbers, and leaves the state, of the public
+    calls."""
     for seed in range(5):
         a, b = random.Random(seed), random.Random(seed)
         for n in range(1, 65):
@@ -391,10 +436,37 @@ def test_shuffle_oracle_keeps_the_stream_and_the_verdicts():
     state, and so would change every later check of the suite."""
     from premonoids.verify import check_shuffle_oracle
 
-    for index, P in enumerate(_shuffle_carriers()):
+    # n = 1, a power of two and its neighbours besides the pool's small n
+    carriers = _shuffle_carriers() + [zn_premonoid(n) for n in (1, 12, 16, 17)]
+    for index, P in enumerate(carriers):
         new_rng, old_rng = random.Random(index), random.Random(index)
         assert check_shuffle_oracle(P, new_rng) == old_check_shuffle_oracle(P, old_rng), index
         assert new_rng.getstate() == old_rng.getstate(), index
+
+
+def test_shuffle_oracle_draws_the_words_of_randbelow(monkeypatch):
+    """The inline ``getrandbits`` draw gives the pairs, in order, and the
+    final generator state of 300 pairs drawn through ``Random._randbelow``,
+    a repeated pair tested once, for every n up to 17."""
+    import premonoids.words as wd
+    from premonoids.verify import check_shuffle_oracle
+
+    tested = []
+    monkeypatch.setattr(wd, "shuffle_leq_matching", lambda leq, u, v: tested.append((u, v)) or True)
+    monkeypatch.setattr(wd, "shuffle_leq", lambda rep, u, v: True)
+    for n in range(1, 18):
+        P = zn_premonoid(n)
+        for seed in range(10):
+            want_rng, got_rng = random.Random(seed), random.Random(seed)
+            below = want_rng._randbelow
+            pairs = [
+                (tuple(map(below, [n] * below(6))), tuple(map(below, [n] * below(6))))
+                for _ in range(300)
+            ]
+            tested.clear()
+            assert check_shuffle_oracle(P, got_rng).passed
+            assert tested == list(dict.fromkeys(pairs)), (n, seed)
+            assert got_rng.getstate() == want_rng.getstate(), (n, seed)
 
 
 def test_shuffle_oracle_reports_the_first_failing_pair_as_before(monkeypatch):
