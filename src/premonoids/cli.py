@@ -347,7 +347,7 @@ def verify_payload(instances, random_count: int, seed: int) -> tuple[dict, bool]
 
 def _emit(payload, args) -> None:
     if args.format == "dot":
-        text = payload if isinstance(payload, str) else _dumps(payload)
+        text = payload  # describe and factorize hand dot output over as text
     elif args.format == "text":
         text = _as_text(payload)
     else:

@@ -199,9 +199,30 @@ class DivisorAutomaton:
                 self._census = _class_vectors(self, cls_of, len(reps), lengths.finite[-1])
         return self._census
 
+    def class_count(self) -> int | None:
+        """The size of the census; None when the length set is infinite."""
+        return len(self.census()) if self.length_set().is_finite else None
 
-def _automaton(P: Carrier, x, letters, automaton=None) -> DivisorAutomaton:
-    return DivisorAutomaton(P, x, letters) if automaton is None else automaton
+    def minimal_classes(self) -> tuple:
+        """All minimal factorization classes of x: class vectors minimal under
+        sub-multiset order among realizable ones, each with its
+        lexicographically least representative word.
+
+        A finite length set has a complete census, and the minima are read
+        off it. Otherwise the search is complete by the distinct-prefix
+        bound: any longer factorization excises to a strictly smaller one, so
+        every minimal vector has total within ``len(states) - 1``.
+        """
+        lengths = self.length_set()
+        if lengths.is_empty:
+            return ()
+        cls_of, reps = self.numbering()
+        if lengths.is_finite:
+            vectors = _census_minima(self.census())
+        else:
+            vectors = _class_vectors(self, cls_of, len(reps), len(self.states) - 1, minimal=True)
+        classes = [(_pairs(v, reps), _witness(self, cls_of, v)) for v in vectors]
+        return tuple(sorted(classes, key=lambda vw: (vector_total(vw[0]), vw[0])))
 
 
 # -- streaming enumeration -------------------------------------------------------
@@ -215,7 +236,7 @@ def enumerate_factorizations(P: Carrier, x, max_len: int, letters: str = "irredu
     product of irreducibles cannot be a preorder unit when non-units form an
     ideal, and the empty word is excluded by contract.
     """
-    auto = _automaton(P, x, letters)
+    auto = DivisorAutomaton(P, x, letters)
     if not auto.alphabet or max_len < 1:
         return
     # finish[j] = states that reach x in exactly j more letters
@@ -259,20 +280,15 @@ def _paths(root, moves, length: int):
 # -- exact length sets -------------------------------------------------------------
 
 
-def length_set(P: Carrier, x, letters: str = "irreducibles", automaton=None) -> LengthSet:
-    """Exact set of word lengths over the alphabet with product x.
-
-    Iterates the layer map S_{k+1} = (S_k * alphabet) restricted to divisors
-    of x; the layer sequence over a finite domain is eventually periodic, so
-    hashing layers gives the exact preperiod and period.
-    """
-    return _automaton(P, x, letters, automaton).length_set()
+def length_set(P: Carrier, x, letters: str = "irreducibles") -> LengthSet:
+    """Exact set of word lengths over the alphabet with product x."""
+    return DivisorAutomaton(P, x, letters).length_set()
 
 
 def layer_automaton(P: Carrier, x, letters: str = "irreducibles"):
     """The layer-subset sequence with its (preperiod, period); for DOT export
     and diagnostics."""
-    auto = _automaton(P, x, letters)
+    auto = DivisorAutomaton(P, x, letters)
     if not auto.alphabet:
         return [], 0, 1
     layers, first = auto.layers()
@@ -565,7 +581,7 @@ def _witness(auto: DivisorAutomaton, cls_of, counts: tuple):
     return None if path is None else tuple(auto.alphabet[j] for j in path)
 
 
-def realizable_vectors(P: Carrier, x, letters: str = "irreducibles", automaton=None):
+def realizable_vectors(P: Carrier, x, letters: str = "irreducibles"):
     """Exact census of the class vectors realized by factorizations of x.
 
     Returns (vectors, infinite). A finite alphabet has finitely many vectors
@@ -574,7 +590,7 @@ def realizable_vectors(P: Carrier, x, letters: str = "irreducibles", automaton=N
     any. Otherwise no factorization is longer than the largest length, and
     every realized vector is listed.
     """
-    auto = _automaton(P, x, letters, automaton)
+    auto = DivisorAutomaton(P, x, letters)
     lengths = auto.length_set()
     if not lengths.is_finite:
         return (), True
@@ -584,27 +600,9 @@ def realizable_vectors(P: Carrier, x, letters: str = "irreducibles", automaton=N
     return tuple(sorted(_pairs(v, reps) for v in auto.census())), False
 
 
-def minimal_factorization_classes(P: Carrier, x, letters: str = "irreducibles", automaton=None):
-    """All minimal factorization classes of x: class vectors minimal under
-    sub-multiset order among realizable ones, each with its lexicographically
-    least representative word.
-
-    A finite length set has a complete census, and the minima are read off
-    it. Otherwise the search is complete by the distinct-prefix bound: any
-    longer factorization excises to a strictly smaller one, so every minimal
-    vector has total within the bound.
-    """
-    auto = _automaton(P, x, letters, automaton)
-    lengths = auto.length_set()
-    if lengths.is_empty:
-        return ()
-    cls_of, reps = auto.numbering()
-    if lengths.is_finite:
-        vectors = _census_minima(auto.census())
-    else:
-        vectors = _class_vectors(auto, cls_of, len(reps), prefix_bound(P, x), minimal=True)
-    classes = [(_pairs(v, reps), _witness(auto, cls_of, v)) for v in vectors]
-    return tuple(sorted(classes, key=lambda vw: (vector_total(vw[0]), vw[0])))
+def minimal_factorization_classes(P: Carrier, x, letters: str = "irreducibles"):
+    """All minimal factorization classes of x, each with its least word."""
+    return DivisorAutomaton(P, x, letters).minimal_classes()
 
 
 def _literal_classes(atom: DivisorAutomaton, rep, minimal) -> tuple:
@@ -665,25 +663,17 @@ def _class_list(classes) -> list:
     return [[list(map(list, v)), list(w)] for v, w in classes]
 
 
-def _column_data(P: Carrier, x, letters: str) -> tuple:
-    """The automaton of x over the letters of one kind, its length set, its
-    class count (None = infinitely many) and its minimal classes."""
-    auto = DivisorAutomaton(P, x, letters)
-    lengths = length_set(P, x, automaton=auto)
-    vectors, infinite = realizable_vectors(P, x, automaton=auto)
-    minimal = minimal_factorization_classes(P, x, automaton=auto)
-    return auto, lengths, None if infinite else len(vectors), minimal
-
-
 def element_profile(P: Carrier, x) -> ElementProfile:
-    irr, lengths, class_count, minimal = _column_data(P, x, "irreducibles")
+    irr = DivisorAutomaton(P, x, "irreducibles")
+    lengths, class_count, minimal = irr.length_set(), irr.class_count(), irr.minimal_classes()
     irr_alpha = irr.alphabet
     atom_alpha = tuple(a for a in irr_alpha if is_atom(P, a))
     if atom_alpha == irr_alpha:
         # every irreducible divisor is an atom, so the atomic data coincide
         atomic_lengths, atomic_class_count, within, literal = lengths, class_count, minimal, minimal
     else:
-        atom, atomic_lengths, atomic_class_count, within = _column_data(P, x, "atoms")
+        atom = DivisorAutomaton(P, x, "atoms")
+        atomic_lengths, atomic_class_count, within = atom.length_set(), atom.class_count(), atom.minimal_classes()
         # literal reading of minimal atomic classes: minimal among all
         # irreducible factorizations, then intersect with atom words
         literal = _literal_classes(atom, irr.class_map(), minimal)

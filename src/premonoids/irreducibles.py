@@ -149,6 +149,14 @@ def _unit_images(P: Premonoid, members) -> dict:
     return images
 
 
+def _irreducible_images(P: Premonoid) -> dict:
+    """``_unit_images`` of the degree-2 irreducibles, kept in ``_irrcache``."""
+    cache = getattr(P, "_irrcache", {})
+    if "unit_images" not in cache:
+        cache["unit_images"] = _unit_images(P, irreducibles(P, 2))
+    return cache["unit_images"]
+
+
 def _orbits(images: dict) -> tuple[tuple, ...]:
     """Blocks of the equivalence generated by a ~ b for b in ``images[a]``,
     sorted and listed by smallest member; the smaller block joins the larger."""
@@ -191,12 +199,11 @@ def irreducible_report(P: Premonoid, degrees=(2,)) -> IrreducibleReport:
         _check_degree(s)
     irr_by = {s: irreducibles(P, s) for s in degrees}
     atm_by = {s: atoms(P, s) for s in degrees}
-    base = irr_by[2] if 2 in irr_by else irreducibles(P, 2)
     return IrreducibleReport(
         quarks=quarks(P),
         irreducibles_by_degree=irr_by,
         atoms_by_degree=atm_by,
-        orbits=unit_orbits(P, base),
+        orbits=_orbits(_irreducible_images(P)),
     )
 
 
@@ -253,7 +260,7 @@ def irreducible_generating_set(P: Premonoid) -> GeneratingSetCertificate:
     """
     if not P.flags().weakly_positive:
         raise NotWeaklyPositiveError("instance is not weakly positive")
-    images = _unit_images(P, irreducibles(P, 2))
+    images = _irreducible_images(P)
     targets = list(P.nonunits())
 
     def alphabet(reps) -> tuple:

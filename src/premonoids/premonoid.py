@@ -147,7 +147,7 @@ class Premonoid:
         object.__setattr__(self, "_nonunits", None)
         object.__setattr__(self, "_heights", None)
         object.__setattr__(self, "_flags", None)
-        object.__setattr__(self, "_irrcache", {})  # irreducibles.is_irreducible/is_atom
+        object.__setattr__(self, "_irrcache", {})  # irreducibles: is_irreducible/is_atom verdicts, unit images
         object.__setattr__(self, "_letter_rows", {})  # letter kind -> (rows, folded letters)
         object.__setattr__(self, "_inverse_rows", {})  # b -> inverse_row(b), per carrier
 

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import importlib
 import inspect
 import io
 import json
@@ -37,6 +38,23 @@ def test_describe_zn4(capsys):
     assert data["preorder_units"] == [1, 3]
     assert data["irreducible_report"]["atoms"]["2"] == [2]
     assert data["premonoid_flags"]["weakly_positive"] is True
+
+
+def test_describe_builds_the_unit_images_once(monkeypatch):
+    """The orbits of the report and the generating set read one map of the
+    irreducibles' unit images, also when the report lists no degree 2."""
+    from premonoids.cli import describe_payload
+
+    irr_mod = importlib.import_module("premonoids.irreducibles")
+    real = irr_mod._unit_images
+    calls = []
+    monkeypatch.setattr(irr_mod, "_unit_images", lambda *args: calls.append(args) or real(*args))
+    for degrees in ((2,), (3,)):
+        calls.clear()
+        payload = describe_payload(load_instance("zn:9"), degrees)
+        assert payload["irreducible_generating_set"] is not None
+        assert payload["irreducible_report"]["orbits"] == [[3, 6]]
+        assert len(calls) == 1, degrees
 
 
 def test_describe_trivial_vacuous(capsys):

@@ -270,7 +270,7 @@ def assert_census_minima_match(P, elements) -> tuple[int, int]:
             auto = DivisorAutomaton(P, x, letters)
             if not auto.length_set().is_finite:
                 continue
-            got = minimal_factorization_classes(P, x, automaton=auto)
+            got = auto.minimal_classes()
             assert got == pruned_minimal_classes(P, x, letters), (x, letters)
             compared += bool(got)
             dominated += len(auto.census()) > len(got)
@@ -314,6 +314,53 @@ def test_census_minima_match_pruned_search_on_families(P, extra):
 def test_census_minima_drop_dominated_vectors(seed):
     P = random_premonoid(random.Random(seed), 6)
     assert assert_census_minima_match(P, P.nonunits())[1] > 0
+
+
+# -- the profile asks each automaton directly --------------------------------------------
+
+# the lazily presented families of the bench's ``families`` workload
+BENCH_LOCAL_SPECS = (
+    "numerical:3,5,7", "numerical:5,7,9,11", "n2sub:5", "b:c3:1,2", "b:c4:1,2,3", "b:dinf:", "powerN:8", "remarkN:20",
+)
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"element_profile called {name}")
+
+    return refuse
+
+
+def assert_profile_reads_automata(P, elements, monkeypatch) -> None:
+    """``element_profile`` calls none of the public wrappers, and each
+    automaton's class count is the size of the wrapper's census."""
+    with monkeypatch.context() as m:
+        for name in ("length_set", "realizable_vectors", "minimal_factorization_classes"):
+            m.setattr(fz, name, _refuse(name))
+        profiles = [element_profile(P, x) for x in elements]
+    for x, prof in zip(elements, profiles):
+        for letters, count in (("irreducibles", prof.class_count), ("atoms", prof.atomic_class_count)):
+            vectors, infinite = realizable_vectors(P, x, letters)
+            want = None if infinite else len(vectors)
+            assert DivisorAutomaton(P, x, letters).class_count() == want == count, (x, letters)
+
+
+@pytest.mark.parametrize("index", range(len(monoid_pool())))
+def test_profile_reads_automata_on_the_monoid_pool(index, monkeypatch):
+    P = _divisibility_premonoid(*monoid_pool()[index])
+    assert_profile_reads_automata(P, P.nonunits(), monkeypatch)
+
+
+@pytest.mark.parametrize("n", range(1, 49))
+def test_profile_reads_automata_on_zn(n, monkeypatch):
+    P = zn_premonoid(n)
+    assert_profile_reads_automata(P, P.nonunits(), monkeypatch)
+
+
+@pytest.mark.parametrize("spec", BENCH_LOCAL_SPECS)
+def test_profile_reads_automata_on_bench_families(spec, monkeypatch):
+    P = load_instance(spec).payload
+    assert_profile_reads_automata(P, P.nonunit_sample(), monkeypatch)
 
 
 def test_one_class_vector_search_per_column(monkeypatch):
@@ -706,10 +753,9 @@ def assert_constructions_agree(P):
             key = (x, letters)
             assert fz.layer_automaton(P, x, letters) == fz.layer_automaton(W, x, letters), key
             assert fast.length_set() == slow.length_set(), key
-            assert realizable_vectors(P, x, automaton=fast) == realizable_vectors(W, x, automaton=slow), key
-            assert minimal_factorization_classes(P, x, automaton=fast) == minimal_factorization_classes(
-                W, x, automaton=slow
-            ), key
+            assert fast.class_count() == slow.class_count(), key
+            assert realizable_vectors(P, x, letters) == realizable_vectors(W, x, letters), key
+            assert fast.minimal_classes() == slow.minimal_classes(), key
             assert _stream(P, x, letters) == _stream(W, x, letters), key
         assert element_profile(P, x) == element_profile(W, x), x
 

@@ -117,7 +117,7 @@ def test_bf_iff_ff_does_not_trust_the_engine_length_sets(monkeypatch):
     P = zn_premonoid(8)
     assert check_bf_iff_ff(P, classify(P)).passed
     # the powers of 2 in Z_8 have unboundedly long factorizations; claim otherwise
-    monkeypatch.setattr(fz, "length_set", lambda P, x, **kw: LengthSet.of(1))
+    monkeypatch.setattr(fz.DivisorAutomaton, "length_set", lambda self: LengthSet.of(1))
     result = check_bf_iff_ff(P, classify(P))
     assert not result.passed
     assert result.details["side"] == "factorable"
