@@ -52,6 +52,7 @@ from .preorder import (
 from .verify import CheckResult, verify_suite
 from .words import (
     erdos_rado_scan,
+    mutual_rows,
     shuffle_leq,
     shuffle_leq_matching,
 )

@@ -74,8 +74,12 @@ class Instance:
             if self.kind == "finite":
                 if self.labels is not None:
                     return self.labels.index(self.parse_label(text))
-                x = int(text)
-                if not 0 <= x < self.payload.monoid.n:
+                n = self.payload.monoid.n
+                try:
+                    x = int(text)
+                except ValueError:
+                    raise ValueError(f"expected an integer from 0 to {n - 1}") from None
+                if not 0 <= x < n:
                     raise ValueError(f"{x} is outside the carrier")
                 return x
             if self.kind == "local":
@@ -100,14 +104,25 @@ def _finite_with_preorder(monoid: FiniteMonoid, preorder_spec, spec) -> Instance
     if preorder_spec in (None, "divisibility"):
         rel = divisibility_preorder(monoid)
     else:
-        with open(preorder_spec, "r", encoding="utf-8") as fh:
-            rel = preorder_from_json(json.load(fh), monoid=monoid)
+        try:
+            with open(preorder_spec, "r", encoding="utf-8") as fh:
+                rel = preorder_from_json(json.load(fh), monoid=monoid)
+        except (PremonoidsError, OSError, ValueError, KeyError, RecursionError) as exc:
+            raise CliError(f"cannot load preorder file {preorder_spec!r}: {exc}", 2) from exc
     return Instance(spec, "finite", Premonoid(monoid, rel))
 
 
 # families ordered by divisibility; they and remarkN fix their preorder, and
 # only zn: and monoid files take --preorder
 _DIVISIBILITY_FAMILIES = ("power", "powerN", "b", "numerical", "n2sub", "matrix", "present")
+
+
+def _integer(text: str, form: str) -> int:
+    """``text`` read as an int; ``form`` says where the specifier expects it."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ShapeError(f"{form}, got {text!r}") from None
 
 
 def _load_instance(spec: str, preorder_spec: str | None) -> Instance:
@@ -117,7 +132,8 @@ def _load_instance(spec: str, preorder_spec: str | None) -> Instance:
     if head == "remarkN" and preorder_spec is not None:
         raise ShapeError("remarkN instances fix their rule preorder")
     if head == "zn":
-        return _finite_with_preorder(fam.make_zn(int(rest)), preorder_spec, spec)
+        n = _integer(rest, "zn:N takes an integer N")
+        return _finite_with_preorder(fam.make_zn(n), preorder_spec, spec)
     if head == "power":
         base = FiniteMonoid.from_file(rest)
         if base.n <= 4:
@@ -125,26 +141,29 @@ def _load_instance(spec: str, preorder_spec: str | None) -> Instance:
             return Instance(spec, "finite", P, labels=labels, parse_label=fam.PowerMonoid(base).parse)
         return Instance(spec, "local", fam.power_premonoid(base))
     if head == "powerN":
-        return Instance(spec, "local", fam.reduced_power_N_premonoid(int(rest)))
+        n = _integer(rest, "powerN:N takes an integer N")
+        return Instance(spec, "local", fam.reduced_power_N_premonoid(n))
     if head == "b":
         group_spec, _, support_text = rest.partition(":")
         if group_spec == "dinf":
             support = fam.parse_multiset_text(support_text) or ((0, 1), (1, 0))
             monoid = fam.make_product_one_dihedral(support)
         elif group_spec.startswith("c"):
-            order = int(group_spec[1:])
+            order = _integer(group_spec[1:], "b:cN takes an integer group order N")
             exponents = fam.parse_set_text(support_text) or tuple(range(1, order))
             monoid = fam.make_product_one(fam.cyclic_group(order), exponents)
         else:
             raise ShapeError(f"unknown group spec {group_spec!r}")
         return Instance(spec, "local", LocalPremonoid(monoid))
     if head == "numerical":
-        gens = [int(g) for g in rest.split(",")]
+        gens = [_integer(g, "numerical:A,B,... takes comma-separated integers") for g in rest.split(",")]
         return Instance(spec, "local", fam.numerical_premonoid(gens))
     if head == "n2sub":
-        return Instance(spec, "local", fam.n2_premonoid(int(rest)))
+        bound = _integer(rest, "n2sub:B takes an integer bound B")
+        return Instance(spec, "local", fam.n2_premonoid(bound))
     if head == "remarkN":
-        return Instance(spec, "local", fam.make_remark_premonoid(int(rest)))
+        n = _integer(rest, "remarkN:N takes an integer N")
+        return Instance(spec, "local", fam.make_remark_premonoid(n))
     if head == "matrix":
         with open(rest, "r", encoding="utf-8") as fh:
             a = mx.mat(json.load(fh))
@@ -157,9 +176,8 @@ def _load_instance(spec: str, preorder_spec: str | None) -> Instance:
             for chunk in relations_text.split(","):
                 lhs, _, rhs = chunk.partition("=")
                 relations.append((lhs, rhs))
-        return Instance(
-            spec, "presentation", (alphabet, tuple(relations), int(bound_text))
-        )
+        bound = _integer(bound_text, "present:ALPHABET:RELATIONS:BOUND takes an integer BOUND")
+        return Instance(spec, "presentation", (alphabet, tuple(relations), bound))
     # otherwise: a monoid JSON file
     return _finite_with_preorder(FiniteMonoid.from_file(spec), preorder_spec, spec)
 

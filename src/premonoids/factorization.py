@@ -232,6 +232,12 @@ def enumerate_factorizations(P: Carrier, x, max_len: int, letters: str = "irredu
     """All alphabet-words of length 1..max_len with product x, in (length,
     lexicographic) order.
 
+    The words of one length are grown a level at a time: each level holds
+    the prefixes, in lexicographic order, whose state still reaches x in the
+    letters left, and extends each by its letters in alphabet order, so the
+    last level is the words in lexicographic order. No prefix is a dead end,
+    so no level is longer than the words of that length.
+
     The unit targets of well-behaved instances yield nothing: a nonempty
     product of irreducibles cannot be a preorder unit when non-units form an
     ideal, and the empty word is excluded by contract.
@@ -243,15 +249,20 @@ def enumerate_factorizations(P: Carrier, x, max_len: int, letters: str = "irredu
     finish = [1 << auto.goal]
     for _ in range(max_len):
         finish.append(auto.preimage(finish[-1]))
-
-    def moves(p, left):
-        need = finish[left - 1]
-        return ((j, q) for j, q in enumerate(auto.table[p]) if q >= 0 and need >> q & 1)
-
+    table, alphabet = auto.table, auto.alphabet
     for length in range(1, max_len + 1):
         if finish[length] >> auto.start & 1:
-            for path in _paths(auto.start, moves, length):
-                yield tuple(auto.alphabet[j] for j in path)
+            level = [((), auto.start)]
+            for left in range(length - 1, -1, -1):
+                need = finish[left]
+                level = [
+                    (word + (a,), q)
+                    for word, p in level
+                    for a, q in zip(alphabet, table[p])
+                    if q >= 0 and need >> q & 1
+                ]
+            for word, _ in level:
+                yield word
 
 
 def _paths(root, moves, length: int):

@@ -27,9 +27,16 @@ def _parse_parts(text: str) -> list:
     return cleaned.split(",") if cleaned else []
 
 
+def _parse_int(part: str) -> int:
+    try:
+        return int(part)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {part.strip()!r}") from None
+
+
 def _parse_ints(text: str) -> tuple:
     """Comma-separated integers in the order given."""
-    return tuple(int(part) for part in _parse_parts(text))
+    return tuple(map(_parse_int, _parse_parts(text)))
 
 
 def parse_set_text(text: str) -> tuple:
@@ -41,7 +48,12 @@ def _dihedral_letter(part: str) -> tuple:
     k, dot, e = part.partition(".")
     if not dot:
         raise ShapeError(f"dihedral elements are written k.e, got {part.strip()!r}")
-    letter = (int(k), int(e))
+    try:
+        letter = (int(k), int(e))
+    except ValueError:
+        raise ShapeError(
+            f"dihedral elements are written k.e with integers k and e, got {part.strip()!r}"
+        ) from None
     if letter[1] not in (0, 1):
         raise ShapeError(f"the exponent of s is 0 or 1, got {part.strip()!r}")
     return letter
@@ -356,7 +368,7 @@ def make_product_one(group: FiniteMonoid, support) -> ProductOneMonoid:
         mul=lambda a, b: group.table[a][b],
         group_identity=group.identity,
         support=support,
-        read_letter=int,
+        read_letter=_parse_int,
     )
 
 
@@ -442,7 +454,10 @@ class PlaneSubmonoid(LocallyFiniteMonoid):
 
     def parse(self, text: str) -> tuple:
         """A pair written like (5,2)."""
-        a, b = _parse_ints(text)
+        pair = _parse_ints(text)
+        if len(pair) != 2:
+            raise ValueError(f"expected a pair of integers like (5,2), got {len(pair)} of them")
+        a, b = pair
         if not self.contains((a, b)):
             raise ValueError(f"({a}, {b}) is not in the carrier")
         return (a, b)

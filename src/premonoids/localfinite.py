@@ -37,7 +37,10 @@ class LocallyFiniteMonoid:
         """The element written ``text``; raises ``ValueError`` or a
         :class:`premonoids.errors.PremonoidsError` for anything else.  Here an
         integer member; families of other elements read their own text."""
-        value = int(text)
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError("expected an integer") from None
         if not self.contains(value):
             raise ValueError(f"{value} is not in the carrier")
         return value

@@ -134,7 +134,7 @@ class Premonoid:
     """Finite carrier: a FiniteMonoid together with a PreorderRel."""
 
     __slots__ = ("monoid", "preorder", "_units", "_nonunits", "_heights", "_flags", "_irrcache",
-                 "_letter_rows", "_inverse_rows")
+                 "_letter_rows", "_inverse_rows", "_views")
 
     def __init__(self, monoid: FiniteMonoid, preorder: PreorderRel):
         if monoid.n != preorder.n:
@@ -150,6 +150,7 @@ class Premonoid:
         object.__setattr__(self, "_irrcache", {})  # irreducibles: is_irreducible/is_atom verdicts, unit images
         object.__setattr__(self, "_letter_rows", {})  # letter kind -> (rows, folded letters)
         object.__setattr__(self, "_inverse_rows", {})  # b -> inverse_row(b), per carrier
+        object.__setattr__(self, "_views", {})  # frozenset of elements -> restrict(elements)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Premonoid is immutable")
@@ -298,10 +299,19 @@ class Premonoid:
     # -- localization ------------------------------------------------------------
 
     def restrict(self, elements) -> "SubPremonoid":
-        """Restriction to a product-closed subset containing the identity."""
-        sub_monoid, to_parent = self.monoid.submonoid(elements)
-        sub_rel = self.preorder.restrict(to_parent)
-        return SubPremonoid(sub_monoid, sub_rel, to_parent)
+        """Restriction to a product-closed subset containing the identity.
+
+        One view per element set and carrier: a set restricted again returns
+        the view built the first time, with whatever it has cached since. The
+        key is the set itself, never its ``id``, which a dead set's successor
+        may reuse; a set that raises is not kept, so it raises again."""
+        key = frozenset(elements)
+        view = self._views.get(key)
+        if view is None:
+            sub_monoid, to_parent = self.monoid.submonoid(key)
+            view = SubPremonoid(sub_monoid, self.preorder.restrict(to_parent), to_parent)
+            self._views[key] = view
+        return view
 
     def divisor_closed_localization(self, x: int) -> "SubPremonoid":
         return self.restrict(self.monoid.divisor_closed_closure(x))

@@ -557,6 +557,7 @@ def check_shuffle_oracle(P: Premonoid, rng: random.Random) -> CheckResult:
     n = P.monoid.n
     leq = P.preorder.leq
     rep = wd.class_reps(leq, range(n))
+    mutual = wd.mutual_rows(leq, n)
     getrandbits = rng.getrandbits
     k = n.bit_length()
     tested = set()
@@ -576,7 +577,7 @@ def check_shuffle_oracle(P: Premonoid, rng: random.Random) -> CheckResult:
             continue
         tested.add((u, v))
         fast = wd.shuffle_leq(rep, u, v)
-        slow = wd.shuffle_leq_matching(leq, u, v)
+        slow = wd.shuffle_leq_matching(mutual, u, v)
         if fast != slow:
             return _fail(name, u=u, v=v, fast=fast, slow=slow)
         if fast and wd.shuffle_leq(rep, v, u) is False and not len(u) < len(v):
@@ -608,24 +609,34 @@ def check_pullback_isomorphism(P: Premonoid, rng: random.Random) -> CheckResult:
     return _ok(name)
 
 
-def minimal_words_by_multiset(leq, words) -> list:
+def minimal_words_by_multiset(mutual, words) -> list:
     """The words of ``words`` that no word of ``words`` lies strictly below
-    under the literal matching order, in their given order.
+    under the literal matching order, in their given order. ``mutual`` is
+    the table of ``words.mutual_rows``.
 
     A matching between two words does not see the order of their letters, so
     the words are grouped by letter multiset. A longer word is never below a
     shorter one, and a matching between two words of equal length is a
     bijection, so it also runs backwards: one multiset lies strictly below
-    another exactly when it is shorter and the matching runs. The matching
-    therefore runs once per pair of multisets of different lengths.
+    another exactly when it is shorter and the matching runs. The multisets
+    are walked by length, and each is matched only against the minima of
+    the shorter lengths. That is exact when the relation is transitive,
+    which ``check_preorder_laws`` checks on its own: mutual comparability is
+    then transitive, so matchings compose and the order on multisets is
+    transitive. If some m lies strictly below k, follow strictly smaller
+    multisets down from m; lengths fall, so the chain ends at a minimum,
+    which is shorter than k and, by transitivity, below it.
     """
     keys = [tuple(sorted(w)) for w in words]
-    distinct = set(keys)
-    minimal = {
-        k
-        for k in distinct
-        if not any(len(m) < len(k) and wd.shuffle_leq_matching(leq, m, k) for m in distinct)
-    }
+    by_length: dict = {}
+    for k in dict.fromkeys(keys):
+        by_length.setdefault(len(k), []).append(k)
+    minima: list = []
+    for length in sorted(by_length):
+        minima += [
+            k for k in by_length[length] if not any(wd.shuffle_leq_matching(mutual, m, k) for m in minima)
+        ]
+    minimal = set(minima)
     return [w for w, k in zip(words, keys) if k in minimal]
 
 
@@ -667,11 +678,12 @@ def check_minimal_brute_force(P: Premonoid) -> CheckResult:
     n = P.monoid.n
     if n > 6:
         return _skip(name, f"carrier {n} above brute-force limit 6")
+    mutual = wd.mutual_rows(P.preorder.leq, n)
     for x in P.nonunits():
         alphabet = factorization_alphabet(P, x, "irreducibles")
         bound = prefix_bound(P, x)
         all_words = words_with_product(P.monoid, alphabet, x, bound + 2)
-        minimal_words = minimal_words_by_multiset(P.preorder.leq, all_words)
+        minimal_words = minimal_words_by_multiset(mutual, all_words)
         if any(len(w) > bound for w in minimal_words):
             return _fail(name, element=x, overlong=[w for w in minimal_words if len(w) > bound])
         rep = wd.class_reps(P.leq, alphabet)

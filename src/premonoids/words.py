@@ -7,8 +7,10 @@ comparability is an equivalence, so the comparison depends only on the
 multisets of classes of the two words: the fast path ``shuffle_leq`` takes a
 letter -> class map ``rep``, built once per carrier by ``class_reps``, and
 tests multiset inclusion of the mapped letters.  The literal matching oracle
-``shuffle_leq_matching`` is kept alongside as the definitional ground truth
-and reads only the raw relation.
+``shuffle_leq_matching`` is kept alongside as the definitional ground truth.
+It reads the rows of ``mutual_rows``, a table of the mutually comparable
+pairs that one scan of the raw relation builds once per carrier and that
+shares no code with ``class_reps``; it assumes no equivalence.
 
 ``class_reps`` stays the one builder of such maps.  It represents each class
 by its least member, and the engine keys the class vectors it prints on those
@@ -68,32 +70,54 @@ def shuffle_leq(rep, u, v) -> bool:
     return True
 
 
-def shuffle_leq_matching(leq, u, v) -> bool:
+def mutual_rows(leq, n: int) -> tuple:
+    """Row a has bit b when ``leq(a, b)`` and ``leq(b, a)``, for the labels
+    0..n-1: the adjacency of ``shuffle_leq_matching``, one scan of every
+    ordered pair of the raw relation."""
+    return tuple(sum(1 << b for b in range(n) if leq(a, b) and leq(b, a)) for a in range(n))
+
+
+def shuffle_leq_matching(mutual, u, v) -> bool:
     """Literal oracle: injective assignment with mutual comparability per letter.
 
     Kuhn's augmenting-path matching on the bipartite graph u-positions vs
     v-positions; exact, used to cross-check the class-multiset fast path.
-    Positions of u holding the same letter share one adjacency list.
+    ``mutual`` is the table of ``mutual_rows``. Each letter of u gets the
+    bitmask of the v-positions it may take, shared by the positions that
+    hold it, and a search tries the free positions in increasing order.
     """
     nu, nv = len(u), len(v)
     if nu > nv:
         return False
-    if not u:
-        return True
-    partners = {a: [j for j, b in enumerate(v) if leq(a, b) and leq(b, a)] for a in set(u)}
-    adj = list(map(partners.__getitem__, u))
+    adj = {}
+    for a in set(u):
+        row, mask, bit = mutual[a], 0, 1
+        for b in v:
+            if row >> b & 1:
+                mask |= bit
+            bit <<= 1
+        adj[a] = mask
     match_v = [-1] * nv
+    seen = 0
 
-    def augment(i: int, seen: list[bool]) -> bool:
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                if match_v[j] < 0 or augment(match_v[j], seen):
-                    match_v[j] = i
-                    return True
+    def augment(i: int) -> bool:
+        nonlocal seen
+        free = adj[u[i]] & ~seen
+        while free:
+            low = free & -free
+            seen |= low
+            j = low.bit_length() - 1
+            if match_v[j] < 0 or augment(match_v[j]):
+                match_v[j] = i
+                return True
+            free = adj[u[i]] & ~seen
         return False
 
-    return all(augment(i, [False] * nv) for i in range(nu))
+    for i in range(nu):
+        seen = 0
+        if not augment(i):
+            return False
+    return True
 
 
 # -- subword embeddings ----------------------------------------------------------

@@ -1,11 +1,18 @@
 """Pairwise brute-force oracles for minimal factorizations, shared by the tests.
 
-``position_matching`` is the literal matching order with one adjacency list
-per position of the left word, as ``words.shuffle_leq_matching`` built it
-before it shared one list between the positions of a letter;
+``letter_matching`` is the literal matching order as
+``words.shuffle_leq_matching`` computed it before it read bitmask rows: it
+calls ``leq`` for every letter of the left word and position of the right
+one, and positions holding one letter share an adjacency list;
+``position_matching`` is the same order with one adjacency list per position
+of the left word, as it was built before that sharing;
 ``pairwise_minimal_words`` compares every pair of words with it, as
 ``verify.check_minimal_brute_force`` did before it grouped the words by
-letter multiset; ``vector_leq`` is the sub-multiset comparison
+letter multiset and compared each multiset only against the minima;
+``factorizations_by_paths`` enumerates the words of
+``factorization.enumerate_factorizations`` by the depth-first ``_paths``
+walk it made before it grew the words of each length a level at a time;
+``vector_leq`` is the sub-multiset comparison
 of two class vectors; ``longest_bad_sequence`` searches all bad sequences of
 a tiny universe and ``random_left_duo_monoid`` draws random monoids until one
 is left duo; ``product_one_by_orderings`` tries every ordering of a multiset
@@ -13,6 +20,7 @@ of group elements. No code of the library calls these.
 """
 import itertools
 
+from premonoids.factorization import DivisorAutomaton, _paths
 from premonoids.randgen import random_monoid
 from premonoids.words import embed_increasing
 
@@ -30,6 +38,30 @@ def brute_words(P, x, max_len, alphabet):
             if p == x:
                 out.append(w)
     return out
+
+
+def letter_matching(leq, u, v) -> bool:
+    """Kuhn's augmenting-path matching of the positions of u into those of v
+    under mutual comparability, with one adjacency list per letter of u."""
+    nu, nv = len(u), len(v)
+    if nu > nv:
+        return False
+    if not u:
+        return True
+    partners = {a: [j for j, b in enumerate(v) if leq(a, b) and leq(b, a)] for a in set(u)}
+    adj = list(map(partners.__getitem__, u))
+    match_v = [-1] * nv
+
+    def augment(i: int, seen: list[bool]) -> bool:
+        for j in adj[i]:
+            if not seen[j]:
+                seen[j] = True
+                if match_v[j] < 0 or augment(match_v[j], seen):
+                    match_v[j] = i
+                    return True
+        return False
+
+    return all(augment(i, [False] * nv) for i in range(nu))
 
 
 def position_matching(leq, u, v) -> bool:
@@ -69,6 +101,29 @@ def pairwise_minimal_words(leq, words, against=None):
             and not position_matching(leq, w, v)
             for v in against
         )
+    ]
+
+
+def factorizations_by_paths(P, x, max_len: int, letters: str = "irreducibles") -> list:
+    """The alphabet-words of length 1..max_len with product x, in (length,
+    lexicographic) order, one ``_paths`` walk per length, each move kept
+    when its state still reaches x in the letters left."""
+    auto = DivisorAutomaton(P, x, letters)
+    if not auto.alphabet or max_len < 1:
+        return []
+    finish = [1 << auto.goal]
+    for _ in range(max_len):
+        finish.append(auto.preimage(finish[-1]))
+
+    def moves(p, left):
+        need = finish[left - 1]
+        return ((j, q) for j, q in enumerate(auto.table[p]) if q >= 0 and need >> q & 1)
+
+    return [
+        tuple(auto.alphabet[j] for j in path)
+        for length in range(1, max_len + 1)
+        if finish[length] >> auto.start & 1
+        for path in _paths(auto.start, moves, length)
     ]
 
 

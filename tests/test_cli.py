@@ -421,6 +421,36 @@ def test_a_preorder_the_family_would_ignore_is_an_input_error(argv, message, cap
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_a_malformed_preorder_file_is_named_in_the_error(tmp_path, capsys):
+    """The error names the preorder file, not the instance it was read for."""
+    empty = tmp_path / "empty.json"
+    empty.write_text("")
+    for path, reason in ((empty, "Expecting value"), (tmp_path / "missing.json", "No such file")):
+        code, out, err = run_cli(capsys, "describe", "zn:8", "--preorder", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot load preorder file {str(path)!r}: ") and reason in err, err
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("describe", "zn:x"), 2, "zn:N takes an integer N, got 'x'"),
+        (("describe", "numerical:a"), 2, "numerical:A,B,... takes comma-separated integers, got 'a'"),
+        (("describe", "present::"), 2, "present:ALPHABET:RELATIONS:BOUND takes an integer BOUND, got ''"),
+        (("describe", "b:cx:"), 2, "b:cN takes an integer group order N, got 'x'"),
+        (("describe", "b:c3:x"), 2, "cannot load instance 'b:c3:x': expected an integer, got 'x'"),
+        (("factorize", "zn:8", "abc"), 3, "cannot parse element 'abc': expected an integer from 0 to 7"),
+        (("factorize", "n2sub:3", "(1,2,3)"), 3, "cannot parse element '(1,2,3)': expected a pair of integers like (5,2), got 3 of them"),
+        (("factorize", "n2sub:3", "5"), 3, "cannot parse element '5': expected a pair of integers like (5,2), got 1 of them"),
+        (("factorize", "numerical:3,5", "q"), 3, "cannot parse element 'q': expected an integer"),
+        (("factorize", "b:c3:1", "q"), 3, "cannot parse element 'q': expected an integer, got 'q'"),
+        (("factorize", "b:dinf:", "q.1"), 3, "dihedral elements are written k.e with integers k and e, got 'q.1'"),
+    ],
+)
+def test_spec_and_element_errors_say_what_form_was_expected(argv, code, message, capsys):
+    assert run_cli(capsys, *argv) == (code, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv", [("describe", "numerical:2,3"), ("describe", "present:xy:x2=yx2y:8"), ("classify", "powerN:3")]
 )

@@ -62,7 +62,7 @@ from premonoids.cli import factorize_payload, load_instance
 from premonoids.randgen import monoid_pool, random_premonoid
 from premonoids.words import class_reps, vector_total
 
-from brute_force import vector_leq
+from brute_force import factorizations_by_paths, vector_leq
 from protocol_only import ProtocolOnly
 
 
@@ -730,6 +730,40 @@ def test_minimal_classes_match_the_uncut_walk_on_families(spec, monkeypatch):
                 assert pruned_minimal_classes(P, x, letters) == want, (x, letters)
                 compared += 1
     assert compared > 0 and cuts
+
+
+# -- level-wise enumeration against the depth-first walk ------------------------------
+
+
+def assert_levels_match_paths(P, cap: int) -> int:
+    """``enumerate_factorizations`` gives the words of the ``_paths`` walk,
+    in its order, for every element, both letter kinds, both automaton
+    constructions and every length cap up to ``cap``; returns the number of
+    words compared."""
+    compared = 0
+    for x in range(P.monoid.n):
+        for letters in ("irreducibles", "atoms"):
+            for max_len in range(cap + 1):
+                want = factorizations_by_paths(P, x, max_len, letters)
+                assert list(enumerate_factorizations(P, x, max_len, letters)) == want, (x, letters, max_len)
+                compared += len(want)
+            assert list(enumerate_factorizations(ProtocolOnly(P), x, cap, letters)) == want, (x, letters)
+    return compared
+
+
+def test_level_wise_enumeration_on_the_monoid_pool():
+    assert sum(assert_levels_match_paths(_divisibility_premonoid(*p), 5) for p in monoid_pool()) > 1000
+
+
+@pytest.mark.parametrize("n", [12, 16, 24, 30])
+def test_level_wise_enumeration_on_zn(n):
+    assert assert_levels_match_paths(zn_premonoid(n), 4) > 0
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_level_wise_enumeration_on_random_premonoids(seed):
+    assert_levels_match_paths(random_premonoid(random.Random(seed), 6), 5)
 
 
 # -- the finite construction against the divisor-indexed one --------------------------

@@ -8,16 +8,17 @@ from premonoids import (
     PreorderRel,
     Premonoid,
     erdos_rado_scan,
+    mutual_rows,
     shuffle_leq,
     shuffle_leq_matching,
 )
 from premonoids.families import make_zn, zn_premonoid
 from premonoids.monoid import FiniteMonoid
 from premonoids.preorder import divisibility_preorder
-from premonoids.randgen import random_premonoid
+from premonoids.randgen import monoid_pool, random_premonoid
 from premonoids.words import class_reps, embed_increasing
 
-from brute_force import longest_bad_sequence, position_matching
+from brute_force import letter_matching, longest_bad_sequence, position_matching
 
 
 def test_pi_examples():
@@ -57,7 +58,7 @@ def test_shuffle_fast_path_matches_matching_oracle(data):
     # induce the same classes on those letters
     fast = shuffle_leq(class_reps(rel.leq, range(n)), u, v)
     assert shuffle_leq(class_reps(rel.leq, u + v), u, v) == fast
-    assert fast == shuffle_leq_matching(rel.leq, u, v)
+    assert fast == shuffle_leq_matching(mutual_rows(rel.leq, n), u, v)
 
 
 @given(st.data())
@@ -70,8 +71,9 @@ def test_matching_per_letter_matches_matching_per_position(data):
     u = tuple(data.draw(st.lists(letters, max_size=6)))
     v = tuple(data.draw(st.lists(letters, max_size=6)))
     leq = P.preorder.leq
-    assert shuffle_leq_matching(leq, u, v) == position_matching(leq, u, v)
-    assert shuffle_leq_matching(leq, v, u) == position_matching(leq, v, u)
+    mutual = mutual_rows(leq, P.monoid.n)
+    assert shuffle_leq_matching(mutual, u, v) == position_matching(leq, u, v)
+    assert shuffle_leq_matching(mutual, v, u) == position_matching(leq, v, u)
 
 
 def test_matching_needs_both_directions_on_a_chain():
@@ -82,14 +84,58 @@ def test_matching_needs_both_directions_on_a_chain():
     m = FiniteMonoid([[max(a, b) for b in range(n)] for a in range(n)], 0)
     leq = divisibility_preorder(m).leq
     assert leq(0, 1) and not leq(1, 0)
-    assert not shuffle_leq_matching(leq, (0,), (1,))
-    assert not shuffle_leq_matching(leq, (0, 0), (1, 0))
-    assert shuffle_leq_matching(leq, (0, 3), (3, 1, 0))
-    assert shuffle_leq_matching(leq, (), ())
+    mutual = mutual_rows(leq, n)
+    assert mutual == (1, 2, 4, 8, 16)
+    assert not shuffle_leq_matching(mutual, (0,), (1,))
+    assert not shuffle_leq_matching(mutual, (0, 0), (1, 0))
+    assert shuffle_leq_matching(mutual, (0, 3), (3, 1, 0))
+    assert shuffle_leq_matching(mutual, (), ())
     words = [w for k in range(4) for w in itertools.product(range(n), repeat=k)]
     for u in words:
         for v in words:
-            assert shuffle_leq_matching(leq, u, v) == position_matching(leq, u, v), (u, v)
+            assert shuffle_leq_matching(mutual, u, v) == position_matching(leq, u, v), (u, v)
+
+
+def _word_pairs(n: int):
+    """Every pair of words up to length 4 over 0..n-1 when n <= 2; above
+    that, every pair of sorted words up to length 4 (length 3 past four
+    letters), the right one also reversed, and the left one no longer."""
+    if n <= 2:
+        words = [w for k in range(5) for w in itertools.product(range(n), repeat=k)]
+        return [(u, v) for u in words for v in words]
+    top = 4 if n <= 4 else 3
+    words = [w for k in range(top + 1) for w in itertools.combinations_with_replacement(range(n), k)]
+    return [(u, w) for u in words for v in words if len(u) <= len(v) for w in (v, v[::-1])]
+
+
+def _matching_carriers():
+    """The pool's carriers up to six elements under divisibility and under a
+    seeded explicit preorder, and random premonoids of every preorder style."""
+    rng = random.Random(41)
+    for table, identity in monoid_pool():
+        if len(table) > 6:
+            continue
+        m = FiniteMonoid(table, identity)
+        n = m.n
+        yield divisibility_preorder(m)
+        yield PreorderRel.from_pairs(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(n)])
+    for _ in range(20):
+        yield random_premonoid(rng, 6).preorder
+
+
+def test_bitmask_matching_is_the_leq_matching_on_every_short_pair():
+    """The matching on ``mutual_rows`` bitmasks gives the answer of the
+    matching that calls ``leq`` per letter and position, on every pair of
+    short words; explicit orders that are not symmetric on comparable
+    letters are among them, so a one-sided row would show."""
+    asymmetric = 0
+    for rel in _matching_carriers():
+        leq = rel.leq
+        mutual = mutual_rows(leq, rel.n)
+        asymmetric += any(leq(a, b) != leq(b, a) for a in range(rel.n) for b in range(rel.n))
+        for u, v in _word_pairs(rel.n):
+            assert shuffle_leq_matching(mutual, u, v) == letter_matching(leq, u, v), (rel.rows, u, v)
+    assert asymmetric > 30
 
 
 def test_strict_shuffle_implies_shorter():
