@@ -146,8 +146,8 @@ def _load_instance(spec: str, preorder_spec: str | None) -> Instance:
     if head == "b":
         group_spec, _, support_text = rest.partition(":")
         if group_spec == "dinf":
-            support = fam.parse_multiset_text(support_text) or ((0, 1), (1, 0))
-            monoid = fam.make_product_one_dihedral(support)
+            support = fam.parse_multiset_text(support_text)
+            monoid = fam.make_product_one_dihedral(support) if support else fam.make_product_one_dihedral()
         elif group_spec.startswith("c"):
             order = _integer(group_spec[1:], "b:cN takes an integer group order N")
             exponents = fam.parse_set_text(support_text) or tuple(range(1, order))

@@ -358,10 +358,8 @@ def _class_vectors(auto: DivisorAutomaton, cls_of, classes: int, cap: int, minim
     the least count of each class on a path to x from the states left (see
     :func:`_cut`) has total above ``cap`` or dominates a minimum. This is
     exact: every realized extension of v continues from one of those states,
-    so it is at least that vector. The cut is built at most once per walk,
-    after its first minimum, at the first level whose size, kept out to
-    ``cap``, would make the rest of the walk cost about as much as the
-    build; a walk that is about to end never builds it.
+    so it is at least that vector. The cut is built once per walk, at the
+    level of its first minimum; a walk that is about to end never builds it.
 
     Inside the walk a vector is one int whose digit c in base ``cap + 1`` is
     the count of class c, so a letter of class c adds ``weight[c]``; its
@@ -409,16 +407,10 @@ def _class_vectors(auto: DivisorAutomaton, cls_of, classes: int, cap: int, minim
                 _mark(above, m, full + 1)
                 full += full + 1
         found += met
-        # A one-class walk ends at its first minimum, so only several classes
-        # get here. Were the levels to keep this size, the rest of the walk
-        # would make len(level) * classes vectors per level, each costing about
-        # a product per class, as its digits are read for the dominance test;
-        # the build takes about a product per letter for each state whose
-        # class rows are not worked out yet.
-        if minimal and found and level and cut is None:
-            build = (len(auto.states) - len(rows)) * len(auto.alphabet) + len(auto.states) * classes
-            if (cap - total) * len(level) * classes * classes >= build:
-                cut = _cut(auto, rows, weight)
+        # a one-class walk ends at its first minimum, so only several classes
+        # build the cut
+        if minimal and found and level and cut is None and total < cap:
+            cut = _cut(auto, rows, weight)
         if cut is not None:
             kept = {}
             for v, mask in level.items():

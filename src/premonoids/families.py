@@ -10,7 +10,7 @@ import itertools
 import math
 
 from .errors import CapExceededError, NotProductOneError, ShapeError
-from .localfinite import LocallyFiniteMonoid, LocalPremonoid
+from .localfinite import LocallyFiniteMonoid, LocalPremonoid, RuleOrderPremonoid
 from .monoid import FiniteMonoid
 from .premonoid import Premonoid
 from .preorder import divisibility_preorder
@@ -415,15 +415,14 @@ class AdditiveNaturals(LocallyFiniteMonoid):
         return isinstance(x, int) and x >= 0
 
 
-def make_remark_premonoid(cap: int) -> LocalPremonoid:
+def make_remark_premonoid(cap: int) -> RuleOrderPremonoid:
     """The additive naturals ordered by: a below b iff a = 0 or both are
     positive.  All positive integers are mutually equivalent, so the only
     non-unit strictly above anything is blocked; the strict-lower hook (0,)
     is a certified superset of the (empty) set of non-units strictly below
     any element."""
-    monoid = AdditiveNaturals(cap)
-    return LocalPremonoid(
-        monoid,
+    return RuleOrderPremonoid(
+        AdditiveNaturals(cap),
         order=lambda a, b: a == 0 or (a > 0 and b > 0),
         strict_lower=lambda a: (0,),
     )

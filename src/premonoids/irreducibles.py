@@ -151,7 +151,7 @@ def _unit_images(P: Premonoid, members) -> dict:
 
 def _irreducible_images(P: Premonoid) -> dict:
     """``_unit_images`` of the degree-2 irreducibles, kept in ``_irrcache``."""
-    cache = getattr(P, "_irrcache", {})
+    cache = P._irrcache
     if "unit_images" not in cache:
         cache["unit_images"] = _unit_images(P, irreducibles(P, 2))
     return cache["unit_images"]

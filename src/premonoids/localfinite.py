@@ -5,12 +5,12 @@ labels, a binary operation, and ``divisors(x)``: the full, finite set of
 two-sided divisors of x, certified by the family author (each subclass
 documents the argument in its docstring).  Everything the engines ask of a
 :class:`premonoids.premonoid.Carrier` is local to one element, so
-:class:`LocalPremonoid` runs these instances through the same code paths as
+:class:`LocalPremonoid` (under divisibility) and :class:`RuleOrderPremonoid`
+(under a rule order) run these instances through the same code paths as
 finite carriers.
 """
 from __future__ import annotations
 
-from .errors import NotComputableError
 from .premonoid import PremonoidFlags, compatibility, heights_of
 
 
@@ -70,32 +70,15 @@ class LocallyFiniteMonoid:
 
 
 class LocalPremonoid:
-    """A locally finite monoid with a preorder, as a
-    :class:`premonoids.premonoid.Carrier`.
+    """A locally finite monoid under two-sided divisibility, compared through
+    its certified divisor sets, as a :class:`premonoids.premonoid.Carrier`."""
 
-    ``order="divisibility"`` compares by two-sided divisibility through the
-    certified divisor sets.  Otherwise pass a binary rule together with a
-    ``strict_lower`` hook giving, for each element, a certified finite
-    superset of the non-units strictly below it.
-    """
-
-    def __init__(
-        self,
-        monoid: LocallyFiniteMonoid,
-        order="divisibility",
-        strict_lower=None,
-    ):
+    def __init__(self, monoid: LocallyFiniteMonoid):
         self.monoid = monoid
-        self.order = order
-        self._strict_lower = strict_lower
         self._divcache: dict = {}
         self._below: dict = {}  # x -> strictly_below(x)
         self._divsets: dict = {}  # x -> frozenset(divisors(x)), for leq
         self._irrcache: dict = {}  # irreducibles.is_irreducible/is_atom
-        if order != "divisibility" and strict_lower is None:
-            raise NotComputableError(
-                "rule preorders need a certified strict-lower hook"
-            )
 
     # -- Carrier protocol ---------------------------------------------------
 
@@ -114,31 +97,28 @@ class LocalPremonoid:
         return got
 
     def leq(self, a, b) -> bool:
-        if self.order == "divisibility":
-            divs = self._divsets.get(b)
-            if divs is None:
-                divs = self._divsets[b] = frozenset(self.divisors(b))
-            return a in divs
-        return self.order(a, b)
+        divs = self._divsets.get(b)
+        if divs is None:
+            divs = self._divsets[b] = frozenset(self.divisors(b))
+        return a in divs
 
     def lt(self, a, b) -> bool:
         return self.leq(a, b) and not self.leq(b, a)
 
     def is_unit(self, a) -> bool:
-        e = self.identity
-        if self.order == "divisibility":
-            return self.leq(a, e)  # e divides every element, so e <= a holds
-        return self.order(a, e) and self.order(e, a)
+        return self.leq(a, self.identity)  # e divides every element, so e <= a holds
 
     def strictly_below(self, x) -> tuple:
-        """The non-units y < x, found among the divisors of x or the
-        certified candidates of the strict-lower hook; worked out once per
+        """The non-units y < x among the candidates of x; worked out once per
         element."""
         got = self._below.get(x)
         if got is None:
-            pool = self.divisors(x) if self.order == "divisibility" else self._strict_lower(x)
-            got = self._below[x] = tuple(y for y in pool if not self.is_unit(y) and self.lt(y, x))
+            got = self._below[x] = tuple(y for y in self._candidates(x) if not self.is_unit(y) and self.lt(y, x))
         return got
+
+    def _candidates(self, x):
+        """A certified finite superset of the non-units below x: its divisors."""
+        return self.divisors(x)
 
     heights_of = heights_of  # the one walk of premonoid.heights_of, as a method
 
@@ -155,10 +135,8 @@ class LocalPremonoid:
         transitive; a rule order that is not raises
         :class:`NotComputableError`.  The reduction to generating pairs also
         chains comparisons among the products, outside S: divisibility is
-        transitive there, a rule order is trusted to be.  Chain
-        conditions are certified: divisor sets are finite, so strictly
-        descending divisibility chains from x live inside the finite set of
-        divisors of x and cannot repeat."""
+        transitive there, a rule order is trusted to be.  Chain conditions
+        are certified by :meth:`_chain_note`."""
         sample = tuple(sample)
         leq = self.leq
         op = self.op
@@ -172,22 +150,44 @@ class LocalPremonoid:
         weakly_positive = all(
             leq(image[k], x) for x, image in zip(sample, images) for k in sides
         ) and all(leq(x, y) for x, image in zip(sample, images) for y in image)
-        if self.order == "divisibility":
-            artinian = strongly_artinian = True
-            note = "bounded scan; chain conditions certified by finite divisor sets"
-        else:
-            # rule orders: heights over the certified strict-lower domains
-            # terminate, which is exactly strong artinianity on the sample
-            self.heights_of(sample)
-            artinian = strongly_artinian = True
-            note = "bounded scan; heights certified by the strict-lower hook"
         return PremonoidFlags(
             preordered=preordered,
             strongly_preordered=strongly_preordered,
             positive=preordered and identity_below,
             strongly_positive=strongly_preordered and identity_below,
             weakly_positive=weakly_positive,
-            artinian=artinian,
-            strongly_artinian=strongly_artinian,
-            method=f"bounded(sample={len(sample)}); {note}",
+            artinian=True,
+            strongly_artinian=True,
+            method=f"bounded(sample={len(sample)}); bounded scan; {self._chain_note(sample)}",
         )
+
+    def _chain_note(self, sample) -> str:
+        """Strictly descending divisibility chains from x live inside the
+        finite set of divisors of x and cannot repeat."""
+        return "chain conditions certified by finite divisor sets"
+
+
+class RuleOrderPremonoid(LocalPremonoid):
+    """A locally finite monoid under a binary rule ``order``, with a
+    ``strict_lower`` hook giving, for each element, a certified finite
+    superset of the non-units strictly below it."""
+
+    def __init__(self, monoid: LocallyFiniteMonoid, order, strict_lower):
+        super().__init__(monoid)
+        self.order = order
+        self._strict_lower = strict_lower
+
+    def leq(self, a, b) -> bool:
+        return self.order(a, b)
+
+    def is_unit(self, a) -> bool:
+        return self.order(a, self.identity) and self.order(self.identity, a)
+
+    def _candidates(self, x):
+        return self._strict_lower(x)
+
+    def _chain_note(self, sample) -> str:
+        # heights over the certified strict-lower domains terminate, which is
+        # exactly strong artinianity on the sample
+        self.heights_of(sample)
+        return "heights certified by the strict-lower hook"

@@ -10,42 +10,35 @@ import json
 from dataclasses import asdict, dataclass
 from functools import reduce
 from itertools import chain
-from operator import itemgetter, or_
+from operator import or_
 
 from .bitrows import indices
 from .errors import BadIdentityError, NonAssociativeError, ShapeError
 
-# Above this carrier size the O(n^3) associativity sweep is skipped unless
-# explicitly forced; tables that big come from generators already known to be
-# associative.
+# Above this carrier size the O(n^3) associativity sweep is skipped; tables
+# that big come from generators already known to be associative. It is also
+# the largest size whose indices fit in a byte, which the sweep relies on.
 ASSOCIATIVITY_CHECK_LIMIT = 256
 
 
 def _first_nonassociative(rows) -> tuple[int, int, int] | None:
-    """The lexicographically first (x, y, z) with (xy)z != x(yz), or None.
+    """The lexicographically first (x, y, z) with (xy)z != x(yz), or None, on
+    a table of at most ``ASSOCIATIVITY_CHECK_LIMIT`` elements.
 
     Whole rows are compared at once: over all z, (xy)z is the row of xy and
-    x(yz) is row y mapped through row x. Only an x with a mismatching row is
-    rescanned for its first (y, z).
+    x(yz) is row y mapped through row x. The indices fit in a byte, so one
+    translate maps the whole table through row x, and row y of the result is
+    x(yz) over all z. Only an x with a mismatching row is rescanned for its
+    first (y, z).
     """
     n = len(rows)
-    if n <= 256:
-        # indices fit in a byte: one translate maps the whole table through
-        # row x, and row y of the result is x(yz) over all z
-        packed = [bytes(row) for row in rows]
-        table = b"".join(packed)
-        pad = bytes(256 - n)
+    packed = [bytes(row) for row in rows]
+    table = b"".join(packed)
+    pad = bytes(256 - n)
 
-        def agrees(x: int) -> bool:
-            rx = packed[x]
-            return b"".join(map(packed.__getitem__, rx)) == table.translate(rx + pad)
-    else:
-        # n > 256, so each itemgetter takes many indices and returns a tuple
-        through = [itemgetter(*row) for row in rows]
-
-        def agrees(x: int) -> bool:
-            rx = rows[x]
-            return [rows[p] for p in rx] == [g(rx) for g in through]
+    def agrees(x: int) -> bool:
+        rx = packed[x]
+        return b"".join(map(packed.__getitem__, rx)) == table.translate(rx + pad)
 
     for x, rx in enumerate(rows):
         if agrees(x):
@@ -78,7 +71,7 @@ class StructureFlags:
 class FiniteMonoid:
     __slots__ = ("n", "identity", "table", "_ideal_masks", "_ideals", "_units", "_divisors", "_flags")
 
-    def __init__(self, table, identity: int, *, check_associativity: bool | None = None):
+    def __init__(self, table, identity: int, *, check_associativity: bool = True):
         rows = tuple(tuple(row) for row in table)
         n = len(rows)
         if n == 0:
@@ -100,9 +93,7 @@ class FiniteMonoid:
         for x in range(n):
             if rows[identity][x] != x or rows[x][identity] != x:
                 raise BadIdentityError(x)
-        if check_associativity is None:
-            check_associativity = n <= ASSOCIATIVITY_CHECK_LIMIT
-        if check_associativity:
+        if check_associativity and n <= ASSOCIATIVITY_CHECK_LIMIT:
             witness = _first_nonassociative(rows)
             if witness is not None:
                 raise NonAssociativeError(witness)

@@ -699,12 +699,11 @@ def check_minimal_brute_force(P: Premonoid) -> CheckResult:
     return _ok(name)
 
 
-def check_length_set_agreement(P: Premonoid, sample=None) -> CheckResult:
+def check_length_set_agreement(P: Premonoid) -> CheckResult:
     """LengthSet membership against plain layer reachability, past one full
     period beyond the preperiod."""
     name = "length-set-agreement"
-    sample = sample if sample is not None else P.nonunits()
-    for x in sample:
+    for x in P.nonunits():
         ls = length_set(P, x)
         alphabet = factorization_alphabet(P, x, "irreducibles")
         horizon = (ls.offset or len(P.divisors(x))) + 2 * (ls.period or 1) + 2

@@ -27,7 +27,7 @@ from premonoids import (
 from premonoids.cli import load_instance
 from premonoids.factorization import DivisorAutomaton
 from premonoids.families import AdditiveNaturals, cyclic_group, power_premonoid, zn_premonoid
-from premonoids.localfinite import LocalPremonoid
+from premonoids.localfinite import LocalPremonoid, RuleOrderPremonoid
 from premonoids.premonoid import Carrier, Premonoid, SubPremonoid, heights_of
 from premonoids.randgen import monoid_pool, random_premonoid
 
@@ -185,7 +185,7 @@ def test_heights_of_matches_the_recursive_definition(spec, P):
 def test_heights_of_walks_a_long_chain_without_recursing():
     # the hook lists candidates in descending order, so a recursive walk
     # would go 800 frames deep before the first height is known
-    P = LocalPremonoid(
+    P = RuleOrderPremonoid(
         AdditiveNaturals(900),
         order=lambda a, b: a <= b,
         strict_lower=lambda a: range(a - 1, 0, -1),
@@ -196,7 +196,7 @@ def test_heights_of_walks_a_long_chain_without_recursing():
 def test_heights_of_reports_a_strict_cycle():
     # not a preorder: 1 < 2 < 3 < 1 with nothing else related but 0 below all
     cycle = {(1, 2), (2, 3), (3, 1)}
-    P = LocalPremonoid(
+    P = RuleOrderPremonoid(
         AdditiveNaturals(5),
         order=lambda a, b: a == b or a == 0 or (a, b) in cycle,
         strict_lower=lambda a: (1, 2, 3),

@@ -24,6 +24,7 @@ construction, which any carrier without letter rows gets, is its oracle.
 """
 import json
 import random
+import sys
 from collections import Counter
 from itertools import islice
 
@@ -601,6 +602,53 @@ def test_each_set_of_states_gets_its_steps_built_once(monkeypatch):
                         walks += 1
                         assert _bitset(rows) == states, (x, letters, cap, minimal)
     assert walks > 0 and cut_walks > 0
+
+
+def leaves_vectors(auto, cls_of, classes: int, total: int) -> bool:
+    """Whether the words of ``total`` letters that stay among the divisors of
+    x have a class vector that none of them realizes at x, by walking
+    (vector, state) pairs."""
+    level = {((0,) * classes, auto.start)}
+    for _ in range(total):
+        level = {
+            (v[:c] + (v[c] + 1,) + v[c + 1 :], q)
+            for v, p in level
+            for c, q in zip(cls_of, auto.table[p])
+            if q >= 0
+        }
+    met = {v for v, q in level if q == auto.goal}
+    return any(v not in met for v, _ in level)
+
+
+def test_the_cut_is_built_at_the_first_minimum(monkeypatch):
+    """A minimal walk builds its cut once, at the total of its first minimum,
+    whenever vectors of that total are left to extend and the bound is not
+    reached yet; otherwise it builds none."""
+    totals: list = []
+    real = fz._cut
+
+    def counted(auto, rows, weight):
+        totals.append(sys._getframe(1).f_locals["total"])
+        return real(auto, rows, weight)
+
+    monkeypatch.setattr(fz, "_cut", counted)
+    carriers = [zn_premonoid(48), powerset_premonoid(4)[0], _chain("max", 10), _chain("capped", 10)]
+    builds = 0
+    for P in carriers:
+        for x in range(P.monoid.n):
+            for letters in ("irreducibles", "atoms"):
+                auto = DivisorAutomaton(P, x, letters)
+                cls_of, reps = auto.numbering()
+                cap = prefix_bound(P, x)
+                totals.clear()
+                found = _class_vectors(auto, cls_of, len(reps), cap, minimal=True)
+                first = min(map(sum, found), default=None)
+                if first is not None and first < cap and leaves_vectors(auto, cls_of, len(reps), first):
+                    assert totals == [first], (x, letters)
+                    builds += 1
+                else:
+                    assert totals == [], (x, letters)
+    assert builds > 0
 
 
 def oracle_class_counts(auto, cls_of, c) -> dict:

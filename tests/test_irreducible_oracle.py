@@ -46,7 +46,7 @@ from premonoids import verify
 from premonoids.cli import describe_payload, load_instance
 from premonoids.families import NumericalMonoid, zn_premonoid
 from premonoids.irreducibles import GeneratingSetCertificate, _layered_product_hit, _pair_product_hit
-from premonoids.localfinite import LocalPremonoid
+from premonoids.localfinite import LocalPremonoid, RuleOrderPremonoid
 from premonoids.randgen import monoid_pool, random_monoid, random_premonoid
 from test_kernel_oracle import old_coverage_witnesses
 
@@ -362,16 +362,7 @@ def count_pool_filters(P) -> Counter:
     """Count, per element, the pools ``strictly_below`` draws: the divisors
     of x under divisibility, the strict-lower hook otherwise."""
     calls: Counter = Counter()
-    if P.order == "divisibility":
-        real = P.divisors
-
-        def divisors(x):
-            if sys._getframe(1).f_code.co_name == "strictly_below":
-                calls[x] += 1
-            return real(x)
-
-        P.divisors = divisors
-    else:
+    if isinstance(P, RuleOrderPremonoid):
         hook = P._strict_lower
 
         def counted(x):
@@ -379,6 +370,15 @@ def count_pool_filters(P) -> Counter:
             return hook(x)
 
         P._strict_lower = counted
+    else:
+        real = P.divisors
+
+        def divisors(x):
+            if sys._getframe(1).f_code.co_name == "_candidates":
+                calls[x] += 1
+            return real(x)
+
+        P.divisors = divisors
     return calls
 
 
@@ -390,11 +390,11 @@ def test_each_local_element_is_filtered_once_across_describe(spec):
     assert calls and set(calls.values()) == {1}, calls.most_common(3)
 
 
-def natural_order_numerical(generators) -> LocalPremonoid:
+def natural_order_numerical(generators) -> RuleOrderPremonoid:
     """A numerical monoid under the order of the integers: its strict-lower
     hook names every smaller member, most of which do not divide."""
     monoid = NumericalMonoid(generators)
-    return LocalPremonoid(
+    return RuleOrderPremonoid(
         monoid,
         order=lambda a, b: a <= b,
         strict_lower=lambda x: tuple(y for y in range(x) if monoid.contains(y)),

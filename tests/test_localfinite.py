@@ -12,7 +12,7 @@ from premonoids.families import (
     make_remark_premonoid,
     power_premonoid,
 )
-from premonoids.localfinite import LocalPremonoid
+from premonoids.localfinite import LocalPremonoid, RuleOrderPremonoid
 
 
 def all_local_premonoids():
@@ -24,11 +24,6 @@ def all_local_premonoids():
         LocalPremonoid(make_product_one(cyclic_group(3), (1, 2))),
         make_remark_premonoid(8),
     ]
-
-
-def test_rule_preorders_need_a_strict_lower_hook():
-    with pytest.raises(NotComputableError):
-        LocalPremonoid(NumericalMonoid((2, 3)), order=lambda a, b: a <= b)
 
 
 def test_divisor_certificates_across_families():
@@ -159,7 +154,7 @@ def test_non_transitive_rule_order_is_refused():
     """Within distance 2 is reflexive but not transitive (0 ~ 2 ~ 4, not
     0 ~ 4): the generating pairs cannot stand for it, so the scan refuses
     instead of giving a verdict."""
-    lp = LocalPremonoid(
+    lp = RuleOrderPremonoid(
         NumericalMonoid((2, 3)),
         order=lambda a, b: abs(a - b) <= 2,
         strict_lower=lambda x: (),
@@ -170,7 +165,7 @@ def test_non_transitive_rule_order_is_refused():
 
 
 def test_non_reflexive_rule_order_is_refused():
-    lp = LocalPremonoid(
+    lp = RuleOrderPremonoid(
         NumericalMonoid((2, 3)), order=lambda a, b: a < b, strict_lower=lambda x: ()
     )
     with pytest.raises(NotComputableError, match="not reflexive and transitive"):

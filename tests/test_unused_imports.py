@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module, every
 private module-level function or class is referenced somewhere in the
 package, ``object.__setattr__`` sets attributes of ``self`` only, so no
-code patches an immutable object after it is built, and no module-level
-function only forwards its parameters to another callable.
+code patches an immutable object after it is built, no module-level
+function only forwards its parameters to another callable, and the engines
+probe their carrier for only the listed capabilities.
 
 ``__init__.py`` is exempt from the import scan: its imports are the package's
 public surface.
@@ -152,3 +153,52 @@ def test_no_module_function_only_forwards():
         f"{p.name}: {name}" for p in sorted(PACKAGE.glob("*.py")) for name in forwarders(p.read_text())
     ]
     assert found == []
+
+
+def carrier_probes(source: str) -> list[str]:
+    """``getattr``/``hasattr`` calls on the carrier argument, which the
+    engines always name ``P``: each as the module-level function or method
+    that makes it, and the attribute it asks for."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef):
+            scopes = [node for node in top.body if isinstance(node, functions)]
+        else:
+            scopes = [top] if isinstance(top, functions) else []
+        for scope in scopes:
+            name = scope.name if scope is top else f"{top.name}.{scope.name}"
+            for node in ast.walk(scope):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("getattr", "hasattr")
+                    and len(node.args) >= 2
+                    and isinstance(node.args[0], ast.Name)
+                    and node.args[0].id == "P"
+                    and isinstance(node.args[1], ast.Constant)
+                ):
+                    found.append(f"{name}: {node.args[1].value}")
+    return found
+
+
+def test_the_scan_sees_a_carrier_probe():
+    source = (
+        "def f(P, p):\n    return getattr(P, 'a', None), hasattr(p, 'b'), getattr(p, 'c')\n"
+        "class K:\n    def m(self, P):\n        def g():\n            return hasattr(P, 'd')\n        return g\n"
+    )
+    assert carrier_probes(source) == ["f: a", "K.m: d"]
+
+
+def test_the_engines_probe_their_carrier_for_the_listed_capabilities_only():
+    """A new probe that picks an engine path is a visible edit of this list."""
+    found = [
+        f"{module}: {probe}"
+        for module in ("irreducibles.py", "factorization.py")
+        for probe in carrier_probes((PACKAGE / module).read_text())
+    ]
+    assert sorted(found) == [
+        "factorization.py: DivisorAutomaton.__init__: letter_rows",
+        "irreducibles.py: _per_premonoid: _irrcache",
+        "irreducibles.py: _product_hit: inverse_row",
+    ]
