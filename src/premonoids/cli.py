@@ -174,7 +174,9 @@ def _load_instance(spec: str, preorder_spec: str | None) -> Instance:
         relations = []
         if relations_text:
             for chunk in relations_text.split(","):
-                lhs, _, rhs = chunk.partition("=")
+                lhs, eq, rhs = chunk.partition("=")
+                if not eq:
+                    raise ShapeError(f"present:ALPHABET:RELATIONS:BOUND takes relations LHS=RHS, got {chunk!r}")
                 relations.append((lhs, rhs))
         bound = _integer(bound_text, "present:ALPHABET:RELATIONS:BOUND takes an integer BOUND")
         return Instance(spec, "presentation", (alphabet, tuple(relations), bound))

@@ -27,7 +27,7 @@ from operator import and_, or_
 from .errors import NotComputableError, ShapeError
 from .irreducibles import is_atom, is_irreducible
 from .lengthset import LengthSet
-from .premonoid import Carrier
+from .premonoid import Carrier, Premonoid
 from .words import class_reps, vector_total
 
 
@@ -89,11 +89,12 @@ class DivisorAutomaton:
     ``"atoms"``: its states are the divisors of x, and sets of states are int
     bitmasks.
 
-    A finite carrier (one with ``letter_rows``) numbers each state by its
-    element, and the successors of p are the carrier's letter row of p masked
-    by the divisors of x, so no product is taken to build the automaton. Any
-    other carrier numbers the divisors 0..d-1 and multiplies each by each
-    letter once; that construction is also the test oracle of the first.
+    A finite carrier (a :class:`premonoids.premonoid.Premonoid`) numbers each
+    state by its element, and the successors of p are the carrier's letter
+    row of p masked by the divisors of x, so no product is taken to build the
+    automaton. Any other carrier numbers the divisors 0..d-1 and multiplies
+    each by each letter once; that construction is also the test oracle of
+    the first.
 
     ``succ[i]`` is the mask of the successors of state i. ``table[i][j]``
     numbers the product of state i with ``alphabet[j]``, or is -1 when that
@@ -110,26 +111,25 @@ class DivisorAutomaton:
     def __init__(self, P: Carrier, x, letters: str = "irreducibles"):
         states = P.divisors(x)
         alphabet = factorization_alphabet(P, x, letters)
-        letter_rows = getattr(P, "letter_rows", None)
         self.states = states
         self.alphabet = alphabet
         self.leq = P.leq
         op = P.op
-        if letter_rows is None:
-            index = {p: i for i, p in enumerate(states)}
-            self._ids = range(len(states))
-            self.table = [[index.get(op(p, a), -1) for a in alphabet] for p in states]
-            self.succ = [_bitset(row) for row in self.table]
-            self.start = index[P.identity]
-            self.goal = index[x]
-        else:
-            rows = letter_rows(letters, alphabet)
+        if isinstance(P, Premonoid):
+            rows = P.letter_rows(letters, alphabet)
             mask = _bitset(states)
             self._ids = states
             self.table = _Lazy(lambda p: [q if mask >> q & 1 else -1 for q in map(op, repeat(p), alphabet)])
             self.succ = dict(zip(states, map(and_, map(rows.__getitem__, states), repeat(mask))))
             self.start = P.identity
             self.goal = x
+        else:
+            index = {p: i for i, p in enumerate(states)}
+            self._ids = range(len(states))
+            self.table = [[index.get(op(p, a), -1) for a in alphabet] for p in states]
+            self.succ = [_bitset(row) for row in self.table]
+            self.start = index[P.identity]
+            self.goal = index[x]
         self._lengths = None
         self._rep = None
         self._classes = None

@@ -78,20 +78,18 @@ def _pair_product_hit(P: Premonoid, a: int, candidates) -> bool:
 
 def _product_hit(P: Carrier, a, candidates, s: int) -> bool:
     """True iff a is a product of k of the ``candidates`` for some 2 <= k <= s."""
-    if s == 2 and hasattr(P, "inverse_row"):
+    if s == 2 and isinstance(P, Premonoid):
         return _pair_product_hit(P, a, candidates)
     return _layered_product_hit(P, a, candidates, s)
 
 
 def _per_premonoid(decide):
-    """Memoise a verdict on (a, s) in the premonoid's ``_irrcache`` dict;
-    premonoids without one decide afresh on every call."""
+    """Memoise a verdict on (a, s) in the carrier's ``_irrcache`` dict, which
+    every carrier holds (see :class:`premonoids.premonoid.Carrier`)."""
 
     @functools.wraps(decide)
     def cached(P, a, s: int = 2) -> bool:
-        cache = getattr(P, "_irrcache", None)
-        if cache is None:
-            return decide(P, a, s)
+        cache = P._irrcache
         key = (decide.__name__, a, s)
         got = cache.get(key)
         if got is None:
@@ -223,65 +221,56 @@ class GeneratingSetCertificate:
         }
 
 
-def _coverage_witnesses(P: Premonoid, alphabet, targets):
-    """Factorization witnesses over the alphabet: the words of
-    ``P.monoid.shortest_words``, first shortest in the alphabet's order.
-
-    Returns (witnesses, None) covering every target, or (None, missing) with
-    the first unreachable target.
-    """
-    words = P.monoid.shortest_words(alphabet)
-    for x in targets:
-        if x not in words:
-            return None, x
-    return {x: words[x] for x in targets}, None
-
-
 def irreducible_generating_set(P: Premonoid) -> GeneratingSetCertificate:
     """One representative per needed unit-orbit of irreducibles such that every
     non-unit factors over the irreducibles lying in the chosen orbits.
 
-    Requires weak positivity; raises NotFactorableError (with a witness) if
-    even the full orbit family cannot reach some non-unit.
+    Requires weak positivity; raises NotFactorableError with the first
+    non-unit that even the full orbit family cannot reach.
 
     The orbits are thinned by reverse-delete: each is dropped in turn, and the
-    drop is kept when every non-unit stays reachable. A trial is decided
-    without its search when the dropped orbit's unit images hold an
-    irreducible a whose preorder class is {a}, by this lemma: under weak
-    positivity such an a lies in the submonoid generated by a set A' of
-    irreducibles only if a is in A'. Sketch: divisors lie below what they
-    divide, and a product with a non-unit factor is a non-unit. Take a
-    shortest word over A' with product a; if it has k >= 2 letters, then
-    a = p*c with p and c non-units and p, c <= a. Irreducibility forces p ~ a
-    or c ~ a, so c = a, or else p = a comes from a shorter word. The orbits
-    are disjoint, so a is in no other orbit's images and the trial fails. A
-    failed trial changes neither the kept orbits nor the witnesses, so the
-    certificate is the one of the full reverse-delete.
+    drop is kept when every non-unit stays reachable. The kept alphabet
+    reaches every non-unit, so the trial alphabet does exactly when it reaches
+    every letter of the dropped orbit: one walk of ``P.monoid.shortest_words``
+    per trial, asked about those letters alone. The witnesses are the words
+    of the last walk kept. A trial is decided without its walk when the
+    dropped orbit's unit images hold an irreducible a whose preorder class is
+    {a}, by this lemma: under weak positivity such an a lies in the submonoid
+    generated by a set A' of irreducibles only if a is in A'. Sketch:
+    divisors lie below what they divide, and a product with a non-unit factor
+    is a non-unit. Take a shortest word over A' with product a; if it has
+    k >= 2 letters, then a = p*c with p and c non-units and p, c <= a.
+    Irreducibility forces p ~ a or c ~ a, so c = a, or else p = a comes from
+    a shorter word. The orbits are disjoint, so a is in no other orbit's
+    images and the trial fails. A failed trial changes neither the kept
+    orbits nor the witnesses, so the certificate is the one of the full
+    reverse-delete.
     """
     if not P.flags().weakly_positive:
         raise NotWeaklyPositiveError("instance is not weakly positive")
     images = _irreducible_images(P)
-    targets = list(P.nonunits())
 
     def alphabet(reps) -> tuple:
         """The irreducibles in the orbits of ``reps``: their unit images."""
         return tuple(sorted(set().union(*map(images.__getitem__, reps))))
 
     reps = [block[0] for block in _orbits(images)]
-    witnesses, missing = _coverage_witnesses(P, alphabet(reps), targets)
-    if witnesses is None:
-        raise NotFactorableError(missing)
+    words = P.monoid.shortest_words(alphabet(reps))
+    targets = P.nonunits()
+    for x in targets:
+        if x not in words:
+            raise NotFactorableError(x)
     alone = {block[0] for block in P.preorder.equivalence_classes() if len(block) == 1}
-    # reverse-delete: drop orbits whose removal keeps every non-unit reachable
+    # reverse-delete: drop orbits whose letters the other kept orbits reach
     kept = list(reps)
     for rep in sorted(reps, reverse=True):
         if not alone.isdisjoint(images[rep]):
             continue  # the lemma: the trial cannot reach that a
         trial = [r for r in kept if r != rep]
-        got, _ = _coverage_witnesses(P, alphabet(trial), targets)
-        if got is not None:
+        got = P.monoid.shortest_words(alphabet(trial))
+        if all(a in got for a in images[rep]):
             kept = trial
-            witnesses = got
+            words = got
     return GeneratingSetCertificate(
-        representatives=tuple(kept), alphabet=alphabet(kept), witnesses=witnesses
+        representatives=tuple(kept), alphabet=alphabet(kept), witnesses={x: words[x] for x in targets}
     )

@@ -8,11 +8,11 @@ samples of lazily presented ones alike.
 :class:`Carrier` is the query protocol that the irreducibility and
 factorization engines are written against; :class:`Premonoid` implements it
 for finite carriers, and lazily presented carriers plug into the same
-machinery through :class:`premonoids.localfinite.LocalPremonoid`. Beyond the
-protocol, :meth:`Premonoid.letter_rows` lets the factorization engine read
-successor masks off the table instead of multiplying, and
-:meth:`Premonoid.inverse_row` lets the irreducibility engine read the
-factorizations of an element into two factors off a row.
+machinery through :class:`premonoids.localfinite.LocalPremonoid`. On a
+:class:`Premonoid`, and on no other carrier, the factorization engine reads
+successor masks off :meth:`Premonoid.letter_rows` instead of multiplying,
+and the irreducibility engine reads the factorizations of an element into
+two factors off :meth:`Premonoid.inverse_row`.
 """
 from __future__ import annotations
 
@@ -31,7 +31,11 @@ from .preorder import PreorderRel
 class Carrier(Protocol):
     """What the engines ask of a premonoid. The divisors of x and the
     non-units strictly below x are finite sets, and the quarks, irreducibles,
-    heights and factorizations of x are decided from them alone."""
+    heights and factorizations of x are decided from them alone.
+
+    Every carrier also holds an ``_irrcache`` dict, empty when built, in
+    which the irreducibility engine memoises its verdicts; it is engine
+    state, not a query, so the protocol does not declare it."""
 
     identity: object
 
@@ -204,7 +208,7 @@ class Premonoid:
         up = rows[x]
         return tuple(y for y in self.nonunits() if rows[y] >> x & 1 and not up >> y & 1)
 
-    # -- finite capability of the factorization engine --------------------------
+    # -- finite paths of the engines, taken on a Premonoid only -------------------
 
     def letter_rows(self, letters: str, alphabet) -> list:
         """Row p holds the bits of p*a over the letters a of kind ``letters``

@@ -1,19 +1,24 @@
 """A carrier that answers the ``Carrier`` queries and nothing else.
 
-Wrapping a finite ``Premonoid`` hides its finite capability (``letter_rows``),
-so the engines run their divisor-indexed constructions on it: that is the
-oracle of the finite-carrier fast paths.
+The engines take their finite paths by type, on a ``Premonoid`` only, so a
+wrapper of a finite ``Premonoid`` is run through the divisor-indexed
+automaton and the layered product search: those are the oracles of the
+finite-carrier fast paths. Like every carrier, the wrapper holds its own
+``_irrcache`` memo, empty when built, so no verdict of the wrapped carrier
+is read back.
 """
 
 
 class ProtocolOnly:
     """A carrier that answers the ``Carrier`` queries and nothing else: no
-    caches, no element list, no other method of the carrier it wraps."""
+    element list and no other method of the carrier it wraps, and a memo of
+    its own."""
 
-    __slots__ = ("_carrier",)
+    __slots__ = ("_carrier", "_irrcache")
 
     def __init__(self, carrier):
         self._carrier = carrier
+        self._irrcache: dict = {}
 
     @property
     def identity(self):

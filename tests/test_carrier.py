@@ -7,6 +7,7 @@ that filter.
 """
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,45 @@ def test_finite_carriers_take_the_finite_construction():
         for letters in ("irreducibles", "atoms"):
             assert takes_finite_construction(carrier, x, letters), (carrier, x, letters)
             assert not takes_finite_construction(ProtocolOnly(carrier), x, letters), (carrier, x)
+
+
+class WithCapabilities(ProtocolOnly):
+    """A carrier that is no ``Premonoid`` but offers its finite capabilities,
+    counting the calls to each."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, carrier):
+        super().__init__(carrier)
+        self.calls = Counter()
+
+    def letter_rows(self, letters, alphabet):
+        self.calls["letter_rows"] += 1
+        return self._carrier.letter_rows(letters, alphabet)
+
+    def inverse_row(self, b):
+        self.calls["inverse_row"] += 1
+        return self._carrier.inverse_row(b)
+
+
+def test_finite_paths_go_by_type_not_by_capability():
+    """Offering ``letter_rows`` and ``inverse_row`` does not make a carrier
+    finite: the engines never call them on a non-``Premonoid``, and the
+    verdicts stay those of the wrapped carrier."""
+    P = zn_premonoid(12)
+    sub = P.divisor_closed_localization(2)  # elements 1, 2, 4, 5, 7, 8, 10, 11
+    for carrier, x in ((P, 4), (P, 9), (sub, sub.from_parent(10))):
+        W = WithCapabilities(carrier)
+        for letters in ("irreducibles", "atoms"):
+            assert not takes_finite_construction(W, x, letters), (carrier, x, letters)
+        elements = carrier.nonunits()
+        for y in elements:
+            assert element_profile(W, y) == element_profile(carrier, y), y
+            for s in (2, 3):
+                assert is_irreducible(W, y, s) == is_irreducible(carrier, y, s), (y, s)
+                assert is_atom(W, y, s) == is_atom(carrier, y, s), (y, s)
+        assert classify(W, elements=elements) == classify(carrier, elements=elements)
+        assert W.calls == {}, carrier
 
 
 @pytest.mark.parametrize("spec, P", PROTOCOL_CASES, ids=[s for s, _ in PROTOCOL_CASES])

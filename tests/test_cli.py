@@ -445,6 +445,8 @@ def test_a_malformed_preorder_file_is_named_in_the_error(tmp_path, capsys):
         (("factorize", "numerical:3,5", "q"), 3, "cannot parse element 'q': expected an integer"),
         (("factorize", "b:c3:1", "q"), 3, "cannot parse element 'q': expected an integer, got 'q'"),
         (("factorize", "b:dinf:", "q.1"), 3, "dihedral elements are written k.e with integers k and e, got 'q.1'"),
+        (("describe", "present:xy:x2:5"), 2, "present:ALPHABET:RELATIONS:BOUND takes relations LHS=RHS, got 'x2'"),
+        (("describe", "present:xy:x=y,,y=x:5"), 2, "present:ALPHABET:RELATIONS:BOUND takes relations LHS=RHS, got ''"),
     ],
 )
 def test_spec_and_element_errors_say_what_form_was_expected(argv, code, message, capsys):
@@ -452,7 +454,14 @@ def test_spec_and_element_errors_say_what_form_was_expected(argv, code, message,
 
 
 @pytest.mark.parametrize(
-    "argv", [("describe", "numerical:2,3"), ("describe", "present:xy:x2=yx2y:8"), ("classify", "powerN:3")]
+    "argv",
+    [
+        ("describe", "numerical:2,3"),
+        ("describe", "present:xy:x2=yx2y:8"),
+        ("classify", "powerN:3"),
+        ("describe", "present:xy::3"),  # no relations
+        ("describe", "present:xy:x2=:5"),  # an empty side
+    ],
 )
 def test_divisibility_stays_accepted_where_it_is_the_family_order(argv, capsys):
     plain = run_cli(capsys, *argv)

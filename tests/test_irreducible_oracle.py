@@ -35,6 +35,7 @@ from premonoids import (
     NotFactorableError,
     NotWeaklyPositiveError,
     Premonoid,
+    PreorderRel,
     divisibility_preorder,
     irreducible_generating_set,
     is_atom,
@@ -235,15 +236,16 @@ def test_random_premonoids_match_the_old_routines(seed):
 
 
 def count_coverage_searches(monkeypatch) -> list:
-    """The alphabets of the generating set's reachability searches, in order."""
+    """The alphabets of the ``FiniteMonoid.shortest_words`` walks, in order:
+    the generating set's reachability searches."""
     alphabets = []
-    real = irreducibles_module._coverage_witnesses
+    real = FiniteMonoid.shortest_words
 
-    def counted(P, alphabet, targets):
+    def counted(m, alphabet):
         alphabets.append(alphabet)
-        return real(P, alphabet, targets)
+        return real(m, alphabet)
 
-    monkeypatch.setattr(irreducibles_module, "_coverage_witnesses", counted)
+    monkeypatch.setattr(FiniteMonoid, "shortest_words", counted)
     return alphabets
 
 
@@ -301,6 +303,30 @@ def test_dropped_orbits_match_the_full_reverse_delete(seed):
 @pytest.mark.parametrize("kind", ["max", "capped"])
 def test_chains_match_the_old_routines(kind, n):
     assert_finite_matches(_chain(kind, n))
+
+
+def test_a_trial_that_reaches_part_of_the_dropped_orbit_fails():
+    """e, u, a, b, t, z with u*u = u, u*a = u*b = b, u*t = t, t*t = b, every
+    other product of non-units z, commutative; e ~ u < a ~ b ~ t < z. The
+    orbits are {a, b} and {t}. Dropping {a, b} leaves {t}, which reaches b
+    and z but not a, so that trial fails although it reaches a letter of the
+    dropped orbit. No ``random_premonoid(random.Random(seed), 9)`` over seeds
+    0..59999 has such a trial."""
+    e, u, a, b, t, z = range(6)
+    products = {(u, u): u, (u, a): b, (u, b): b, (u, t): t, (t, t): b}
+
+    def op(x, y):
+        if e in (x, y):
+            return x if y == e else y
+        return products.get((x, y), products.get((y, x), z))
+
+    level = [0, 0, 1, 1, 1, 2]
+    rel = PreorderRel.from_pairs(6, [(x, y) for x in range(6) for y in range(6) if level[x] <= level[y]])
+    P = Premonoid(FiniteMonoid([[op(x, y) for y in range(6)] for x in range(6)], e), rel)
+    assert P.flags().weakly_positive
+    assert unit_orbits(P, irreducibles_module.irreducibles(P)) == ((a, b), (t,))
+    assert irreducible_generating_set(P).representatives == (a, t)
+    assert_finite_matches(P)
 
 
 @pytest.mark.parametrize("n", [12, 60])

@@ -191,14 +191,9 @@ def test_the_scan_sees_a_carrier_probe():
 
 
 def test_the_engines_probe_their_carrier_for_the_listed_capabilities_only():
-    """A new probe that picks an engine path is a visible edit of this list."""
+    """No module picks a path by probing its carrier: the finite paths are
+    taken by type, and every carrier holds the irreducibility memo."""
     found = [
-        f"{module}: {probe}"
-        for module in ("irreducibles.py", "factorization.py")
-        for probe in carrier_probes((PACKAGE / module).read_text())
+        f"{p.name}: {probe}" for p in sorted(PACKAGE.glob("*.py")) for probe in carrier_probes(p.read_text())
     ]
-    assert sorted(found) == [
-        "factorization.py: DivisorAutomaton.__init__: letter_rows",
-        "irreducibles.py: _per_premonoid: _irrcache",
-        "irreducibles.py: _product_hit: inverse_row",
-    ]
+    assert found == []
