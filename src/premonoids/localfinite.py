@@ -11,7 +11,7 @@ finite carriers.
 """
 from __future__ import annotations
 
-from .premonoid import PremonoidFlags, compatibility, heights_of
+from .premonoid import heights_of, scan_flags
 
 
 class LocallyFiniteMonoid:
@@ -129,36 +129,24 @@ class LocalPremonoid:
         """Compatibility flags decided by quantifier scans over a finite
         sample S of the carrier; the verdicts are labeled as bounded evidence,
         not certificates.  Each x in S has its |S|^2 sandwich products uxv
-        (u, v in S) computed once: :func:`premonoid.compatibility` compares
-        them over the generating pairs of the order restricted to S, and weak
-        positivity reads them too.  That restriction must be reflexive and
-        transitive; a rule order that is not raises
-        :class:`NotComputableError`.  The reduction to generating pairs also
-        chains comparisons among the products, outside S: divisibility is
-        transitive there, a rule order is trusted to be.  Chain conditions
-        are certified by :meth:`_chain_note`."""
+        (u, v in S) computed once and handed to :func:`premonoid.scan_flags`,
+        which compares them over the generating pairs of the order restricted
+        to S; that restriction must be reflexive and transitive, and a rule
+        order that is not raises :class:`NotComputableError`.  The reduction
+        to generating pairs also chains comparisons among the products,
+        outside S: divisibility is transitive there, a rule order is trusted
+        to be.  Chain conditions are certified by :meth:`_chain_note`."""
         sample = tuple(sample)
         leq = self.leq
         op = self.op
         up = [sum(1 << j for j, y in enumerate(sample) if leq(x, y)) for x in sample]
         images = [tuple(op(op(u, x), v) for u in sample for v in sample) for x in sample]
-        preordered, strongly_preordered = compatibility(up, images, leq, self.lt)
-        e = self.identity
-        identity_below = all(leq(e, y) for y in sample)
         units = [i for i, u in enumerate(sample) if self.is_unit(u)]
-        sides = [i * len(sample) + j for i in units for j in units]  # uxv, u and v units
-        weakly_positive = all(
-            leq(image[k], x) for x, image in zip(sample, images) for k in sides
-        ) and all(leq(x, y) for x, image in zip(sample, images) for y in image)
-        return PremonoidFlags(
-            preordered=preordered,
-            strongly_preordered=strongly_preordered,
-            positive=preordered and identity_below,
-            strongly_positive=strongly_preordered and identity_below,
-            weakly_positive=weakly_positive,
-            artinian=True,
-            strongly_artinian=True,
-            method=f"bounded(sample={len(sample)}); bounded scan; {self._chain_note(sample)}",
+        return scan_flags(
+            sample, up, images, leq, self.lt, self.identity,
+            [i * len(sample) + j for i in units for j in units],  # uxv, u and v units
+            all(leq(x, y) for x, image in zip(sample, images) for y in image),
+            lambda: f"bounded(sample={len(sample)}); bounded scan; {self._chain_note(sample)}",
         )
 
     def _chain_note(self, sample) -> str:

@@ -1,9 +1,9 @@
 """A monoid paired with a preorder on its carrier.
 
 No compatibility between the operation and the preorder is assumed; the
-compatibility predicates live in :class:`PremonoidFlags`. :func:`compatibility`
-decides them over a generating set of pairs, for finite carriers and for the
-samples of lazily presented ones alike.
+compatibility predicates live in :class:`PremonoidFlags`. :func:`scan_flags`
+decides them all from the images a carrier builds, for finite carriers and
+for the samples of lazily presented ones alike.
 
 :class:`Carrier` is the query protocol that the irreducibility and
 factorization engines are written against; :class:`Premonoid` implements it
@@ -99,27 +99,32 @@ class PremonoidFlags:
     weakly_positive: bool
     artinian: bool
     strongly_artinian: bool
-    method: str = "exhaustive"
+    method: str
 
     def to_json(self) -> dict:
         return asdict(self)
 
 
-def compatibility(up, images, leq, lt) -> tuple[bool, bool]:
-    """(preordered, strongly preordered) of elements 0..k-1 under the
-    preorder ``up`` (bit rows, row i has bit j when i <= j), where
-    ``images[i]`` lists the images of element i under a family of maps and
-    ``leq``/``lt`` compare two images.
+def scan_flags(elements, up, images, leq, lt, identity, unit_maps, below_sandwiches, method) -> PremonoidFlags:
+    """All flags of ``elements`` under the preorder ``up`` (bit rows over
+    their positions, row i has bit j when element i <= element j), from
+    ``images[i]``, the images of element i under a family of maps, compared
+    by ``leq``/``lt``; ``unit_maps`` are the positions of the maps by units,
+    ``below_sandwiches`` is the verdict "x <= axb for all a, b", and
+    ``method()``, asked after the scan, gives the label.
 
-    Each map must be monotone (i <= j gives m(i) <= m(j)), and strictly so
-    on strict pairs. Only the pairs of :func:`bitrows.generating_pairs` are
-    scanned: every pair i <= j is a chain of links and covers, so
-    monotonicity carries over by transitivity; links are equivalent pairs,
-    so once monotonicity holds a chain with one strict cover step is strict
-    (a <= b < c and a < b <= c both give a < c), and strictness needs only
-    the covers. The cost is |links + covers| times the number of maps.
-    ``up`` must be reflexive and transitive; otherwise the scan raises
-    :class:`NotComputableError` instead of giving a verdict."""
+    Preordered: each map is monotone (i <= j gives m(i) <= m(j)); strongly
+    preordered: strictly so on strict pairs. Only the pairs of
+    :func:`bitrows.generating_pairs` are scanned: every pair i <= j is a chain
+    of links and covers, so monotonicity carries over by transitivity; links
+    are equivalent pairs, so once monotonicity holds a chain with one strict
+    cover step is strict (a <= b < c and a < b <= c both give a < c), and
+    strictness needs only the covers. The cost is |links + covers| times the
+    number of maps. ``up`` must be reflexive and transitive; otherwise the
+    scan raises :class:`NotComputableError` instead of giving a verdict.
+    (Strongly) positive adds 1 <= every element; weakly positive is the unit
+    images of x below x, and ``below_sandwiches``. Both artinian flags hold:
+    finite chains cannot descend forever, a bounded label certifies its own."""
     try:
         links, covers = generating_pairs(up)
     except ValueError as exc:
@@ -131,7 +136,18 @@ def compatibility(up, images, leq, lt) -> tuple[bool, bool]:
     strongly_preordered = preordered and all(
         all(map(lt, images[a], images[b])) for a, b in covers
     )
-    return preordered, strongly_preordered
+    identity_below = all(leq(identity, x) for x in elements)
+    return PremonoidFlags(
+        preordered=preordered,
+        strongly_preordered=strongly_preordered,
+        positive=preordered and identity_below,
+        strongly_positive=strongly_preordered and identity_below,
+        weakly_positive=all(leq(image[k], x) for x, image in zip(elements, images) for k in unit_maps)
+        and below_sandwiches,
+        artinian=True,
+        strongly_artinian=True,
+        method=method(),
+    )
 
 
 class Premonoid:
@@ -256,9 +272,9 @@ class Premonoid:
         return self._heights
 
     def flags(self) -> PremonoidFlags:
-        """Compatibility flags by :func:`compatibility` over the images of
-        each element under every left and every right multiplication (column
-        x and row x of the table).
+        """Compatibility flags by :func:`scan_flags` over the images of each
+        element under every left and every right multiplication (column x
+        and row x of the table); x <= axb is read off the ideal masks.
 
         Two-sided compatibility (x <= y implies uxv <= uyv for all u, v) holds
         iff both one-sided laws do (ux <= uy and xu <= yu): u = 1 or v = 1
@@ -273,29 +289,14 @@ class Premonoid:
         rows = self.preorder.rows
         columns = tuple(zip(*t))
         images = [columns[x] + t[x] for x in range(n)]  # u*x, then x*u, over all u
-        preordered, strongly_preordered = compatibility(
-            rows,
-            images,
+        ideals = self.monoid.ideal_masks()
+        flags = scan_flags(
+            range(n), rows, images,
             lambda a, b: rows[a] >> b & 1,
             lambda a, b: rows[a] >> b & 1 and not rows[b] >> a & 1,
-        )
-        identity_below_all = rows[self.identity] == (1 << n) - 1
-        positive = preordered and identity_below_all
-        strongly_positive = strongly_preordered and identity_below_all
-        sides = [k for u in self.units() for k in (u, n + u)]
-        ideals = self.monoid.ideal_masks()
-        weakly_positive = all(
-            rows[image[k]] >> x & 1 for x, image in enumerate(images) for k in sides
-        ) and all(ideal & ~row == 0 for ideal, row in zip(ideals, rows))
-        flags = PremonoidFlags(
-            preordered=preordered,
-            strongly_preordered=strongly_preordered,
-            positive=positive,
-            strongly_positive=strongly_positive,
-            weakly_positive=weakly_positive,
-            artinian=True,
-            strongly_artinian=True,
-            method="exhaustive (finite carrier)",
+            self.identity, [k for u in self.units() for k in (u, n + u)],  # u*x and x*u, u a unit
+            all(ideal & ~row == 0 for ideal, row in zip(ideals, rows)),
+            lambda: "exhaustive (finite carrier)",
         )
         object.__setattr__(self, "_flags", flags)
         return flags

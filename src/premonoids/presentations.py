@@ -22,6 +22,9 @@ classes whose chain has h classes: each class steps to the least class on
 the highest level its children meet, at a cost of classes times levels
 big-int ANDs rather than a step per divisibility pair.  The cycle scan stops
 at the class that fills its quota.
+
+The words are counted before any is built, and a bound whose words would
+pass :data:`WORD_CAP` or :data:`LETTER_CAP` is refused.
 """
 from __future__ import annotations
 
@@ -29,7 +32,10 @@ import itertools
 from dataclasses import dataclass, field
 
 from .bitrows import close
-from .errors import BoundTooSmallError, ShapeError
+from .errors import BoundTooSmallError, CapExceededError, ShapeError
+
+WORD_CAP = 2**15  # most words of length <= bound an exploration lists
+LETTER_CAP = 2**19  # most letters those words may hold together
 
 
 def parse_relation_word(text: str, alphabet: str) -> str:
@@ -47,6 +53,26 @@ def parse_relation_word(text: str, alphabet: str) -> str:
             i += 1
         out.append(c * (int(digits) if digits else 1))
     return "".join(out)
+
+
+def _word_lengths(alphabet: str, bound: int) -> int:
+    """The number of word lengths to list from 0: ``bound + 1``, or the
+    first length with no words (1 over an empty alphabet, whose only word is
+    empty).  Words are counted length by length, never built, and a bound
+    past :data:`WORD_CAP` words or :data:`LETTER_CAP` letters raises
+    :class:`CapExceededError` at the first length that passes it."""
+    words = letters = 0
+    for n in range(bound + 1):
+        count = len(alphabet) ** n
+        if not count:
+            return n
+        words += count
+        letters += n * count
+        if words > WORD_CAP:
+            raise CapExceededError(f"bound {bound} over {alphabet!r} passes the cap of {WORD_CAP} words")
+        if letters > LETTER_CAP:
+            raise CapExceededError(f"bound {bound} over {alphabet!r} passes the cap of {LETTER_CAP} letters")
+    return bound + 1
 
 
 @dataclass
@@ -67,7 +93,7 @@ class BoundedCongruence:
             )
         self.words = tuple(
             "".join(w)
-            for n in range(self.bound + 1)
+            for n in range(_word_lengths(self.alphabet, self.bound))
             for w in itertools.product(self.alphabet, repeat=n)
         )
         for w in self.words:

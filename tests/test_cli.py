@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -447,6 +448,7 @@ def test_a_malformed_preorder_file_is_named_in_the_error(tmp_path, capsys):
         (("factorize", "b:dinf:", "q.1"), 3, "dihedral elements are written k.e with integers k and e, got 'q.1'"),
         (("describe", "present:xy:x2:5"), 2, "present:ALPHABET:RELATIONS:BOUND takes relations LHS=RHS, got 'x2'"),
         (("describe", "present:xy:x=y,,y=x:5"), 2, "present:ALPHABET:RELATIONS:BOUND takes relations LHS=RHS, got ''"),
+        (("describe", "present:xy::40"), 2, "bound 40 over 'xy' passes the cap of 32768 words"),
     ],
 )
 def test_spec_and_element_errors_say_what_form_was_expected(argv, code, message, capsys):
@@ -962,6 +964,42 @@ def test_bad_presentation_alphabet_exits_2(command, spec, capsys):
     code, out, err = run_cli(capsys, command, spec)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "alphabet" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["describe", "verify"])
+def test_presentation_bounds_stop_at_the_letter_cap(command, capsys):
+    """Over one letter the words up to 1023 hold 523,776 letters, under the
+    cap of 2^19; one more length passes it."""
+    assert run_cli(capsys, command, "present:x::1023")[0] == 0
+    assert run_cli(capsys, command, "present:x::1024") == (
+        2, "", "error: bound 1024 over 'x' passes the cap of 524288 letters\n"
+    )
+
+
+def test_presentation_bounds_past_the_cap_build_no_word(capsys, monkeypatch):
+    """The words are counted before any is built, so a bound whose words
+    would fill the memory is refused at once."""
+    import itertools
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a word was built past the cap")
+
+    monkeypatch.setattr(itertools, "product", refuse)
+    code, out, err = run_cli(capsys, "describe", "present:xy::40")
+    assert (code, out) == (2, "") and "cap of 32768 words" in err
+
+
+def test_an_empty_alphabet_lists_the_empty_word_only(capsys):
+    """Lengths past 0 hold no words over an empty alphabet, so a huge bound
+    takes one step and reports what a small one does."""
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "describe", "present:::1000000000")
+    assert code == 0 and time.perf_counter() - start < 1
+    small = json.loads(run_cli(capsys, "describe", "present:::3")[1])
+    payload = json.loads(out)
+    assert payload.pop("instance") == "present:::1000000000" and payload.pop("bound") == 1000000000
+    del small["instance"], small["bound"]
+    assert payload == small
 
 
 def test_closed_stdout_is_a_labeled_exit_not_a_traceback():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from premonoids import NotComputableError, is_atom, is_irreducible
+from premonoids import NotComputableError, Premonoid, divisibility_preorder, is_atom, is_irreducible
 from premonoids.cli import load_instance
 from premonoids.families import (
     NumericalMonoid,
@@ -11,8 +11,11 @@ from premonoids.families import (
     make_product_one,
     make_remark_premonoid,
     power_premonoid,
+    zn_premonoid,
 )
-from premonoids.localfinite import LocalPremonoid, RuleOrderPremonoid
+from premonoids.localfinite import LocallyFiniteMonoid, LocalPremonoid, RuleOrderPremonoid
+from premonoids.monoid import FiniteMonoid
+from premonoids.randgen import monoid_pool, random_premonoid
 
 
 def all_local_premonoids():
@@ -148,6 +151,38 @@ def test_bounded_flags_match_all_pairs_oracle(spec):
         flags = load_instance(spec).payload.bounded_flags(sample[:size]).to_json()
         expected = oracle_bounded_flags(load_instance(spec).payload, sample[:size])
         assert {k: flags[k] for k in COMPATIBILITY} == expected, size
+
+
+class TableMonoid(LocallyFiniteMonoid):
+    """A finite table presented lazily: products and divisors read off it."""
+
+    def __init__(self, monoid: FiniteMonoid):
+        self.finite = monoid
+        self.identity = monoid.identity
+
+    def op(self, x, y):
+        return self.finite.table[x][y]
+
+    def divisors(self, x) -> tuple:
+        return self.finite.divisors(x)
+
+
+def sandwich_carriers() -> list:
+    carriers = [Premonoid(FiniteMonoid(t, e), divisibility_preorder(FiniteMonoid(t, e))) for t, e in monoid_pool()]
+    carriers += [zn_premonoid(n) for n in (8, 9, 12)]
+    rng = random.Random(5)
+    return carriers + [random_premonoid(rng) for _ in range(300)]
+
+
+def test_one_sided_flags_match_a_whole_carrier_sandwich_scan():
+    """``Premonoid.flags`` scans left and right multiplications only; the
+    bounded scan of the same table, sampled whole, scans every sandwich
+    u * _ * v. The two must give the same five verdicts."""
+    for i, P in enumerate(sandwich_carriers()):
+        lazy = RuleOrderPremonoid(TableMonoid(P.monoid), order=P.leq, strict_lower=P.strictly_below)
+        bounded = lazy.bounded_flags(range(P.monoid.n)).to_json()
+        finite = P.flags().to_json()
+        assert {k: bounded[k] for k in COMPATIBILITY} == {k: finite[k] for k in COMPATIBILITY}, i
 
 
 def test_non_transitive_rule_order_is_refused():

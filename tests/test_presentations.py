@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from premonoids import BoundTooSmallError, ShapeError, presentations
+from premonoids import BoundTooSmallError, CapExceededError, ShapeError, presentations
 from premonoids.presentations import (
     BoundedCongruence,
     parse_relation_word,
@@ -28,6 +28,16 @@ def test_parse_relation_word():
 def test_bound_too_small():
     with pytest.raises(BoundTooSmallError):
         presentation_explore("xy", [("x2", "yx2y")], 3)
+
+
+def test_word_caps_hold_for_library_callers():
+    """The caps are checked where the words are listed, so every caller gets
+    them; lengths are counted only up to the first with no words."""
+    with pytest.raises(CapExceededError, match="cap of 32768 words"):
+        BoundedCongruence(alphabet="xy", relations=(), bound=15)
+    assert len(BoundedCongruence(alphabet="xy", relations=(), bound=14).words) == 2**15 - 1
+    assert presentations._word_lengths("", 10**9) == 1
+    assert presentations._word_lengths("x", 1023) == 1024
 
 
 def test_relation_merges_at_bound_eight():

@@ -2,8 +2,9 @@
 private module-level function or class is referenced somewhere in the
 package, ``object.__setattr__`` sets attributes of ``self`` only, so no
 code patches an immutable object after it is built, no module-level
-function only forwards its parameters to another callable, and the engines
-probe their carrier for only the listed capabilities.
+function only forwards its parameters to another callable, the engines
+probe their carrier for only the listed capabilities, and one function builds
+every ``PremonoidFlags``.
 
 ``__init__.py`` is exempt from the import scan: its imports are the package's
 public surface.
@@ -197,3 +198,45 @@ def test_the_engines_probe_their_carrier_for_the_listed_capabilities_only():
         f"{p.name}: {probe}" for p in sorted(PACKAGE.glob("*.py")) for probe in carrier_probes(p.read_text())
     ]
     assert found == []
+
+
+def flags_constructors(source: str) -> list[str]:
+    """For each ``PremonoidFlags(...)`` call, the name of the innermost
+    function around it (``None`` at module level); for each definition named
+    ``compatibility``, ``"def compatibility"``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+            if node.name == "compatibility":
+                found.append("def compatibility")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "PremonoidFlags":
+                found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_scan_sees_each_flags_construction():
+    source = (
+        "def a():\n    return PremonoidFlags(x=1)\n"
+        "class K:\n    def m(self):\n        f = lambda: PremonoidFlags()\n        return m.PremonoidFlags()\n"
+        "def compatibility(): pass\n"
+        "PremonoidFlags()\n"
+    )
+    assert flags_constructors(source) == ["a", "m", "m", "def compatibility", None]
+
+
+def test_one_function_builds_every_flags_record():
+    """Finite carriers and lazily presented samples hand their images to one
+    scan, which alone builds the flags; no module defines a separate
+    ``compatibility`` scan."""
+    found = [
+        f"{p.name}: {name}" for p in sorted(PACKAGE.glob("*.py")) for name in flags_constructors(p.read_text())
+    ]
+    assert found == ["premonoid.py: scan_flags"]

@@ -196,11 +196,11 @@ def test_divisibility_laws_do_not_use_the_generating_pair_scan(monkeypatch):
     carriers += [Premonoid(FiniteMonoid(t, e), divisibility_preorder(FiniteMonoid(t, e))) for t, e in monoid_pool()]
 
     def refuse(*args):
-        raise AssertionError("verify called the kernel's compatibility scan")
+        raise AssertionError("verify called the kernel's flags scan")
 
     for module in (premonoids.bitrows, premonoids.premonoid):
         monkeypatch.setattr(module, "generating_pairs", refuse)
-    monkeypatch.setattr(premonoids.premonoid, "compatibility", refuse)
+    monkeypatch.setattr(premonoids.premonoid, "scan_flags", refuse)
     for P in carriers:
         assert check_divisibility_premonoid_laws(P, Premonoid(P.monoid, divisibility_preorder(P.monoid))).passed
 
