@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     DegreeTooSmallError,
@@ -137,10 +138,32 @@ def atoms(P: Premonoid, s: int = 2) -> tuple:
 
 def _unit_images(P: Premonoid, members) -> dict:
     """Each member a mapped to the set of members u*a*v over preorder units
-    u, v."""
+    u, v.
+
+    When the units U are closed under the product (the closure gate of
+    :meth:`Premonoid.unit_generators`), U*a*U is the closure of {a} under
+    left and right multiplication by the generators G_U: u*a*v is reached a
+    generator at a time, and each step stays in U*a*U because U is closed.
+    U need not be a group, so b in U*a*U does not make the two sets equal,
+    and each member gets its own search, |U*a*U| * 2|G_U| products. When U
+    is not closed, every u*a*v is multiplied out."""
+    gens, closed = P.unit_generators()
+    images = dict.fromkeys(members)
+    if closed:
+        t = P.monoid.table
+        maps = [t[g] for g in gens] + [tuple(map(itemgetter(g), t)) for g in gens]  # x -> g*x, x -> x*g
+        for a in images:
+            orbit, fresh = {a}, {a}
+            while fresh:
+                step: set = set()
+                for m in maps:
+                    step.update(map(m.__getitem__, fresh))
+                fresh = step - orbit
+                orbit |= fresh
+            images[a] = orbit & images.keys()
+        return images
     units = sorted(P.units())
     op = P.op
-    images = dict.fromkeys(members)
     for a in images:
         lefts = {op(u, a) for u in units}
         images[a] = {b for b in {op(ua, v) for ua in lefts for v in units} if b in images}

@@ -10,7 +10,7 @@ import json
 from dataclasses import asdict, dataclass
 from functools import reduce
 from itertools import chain
-from operator import or_
+from operator import itemgetter, or_
 
 from .bitrows import indices
 from .errors import BadIdentityError, NonAssociativeError, ShapeError
@@ -53,7 +53,8 @@ def _first_nonassociative(rows) -> tuple[int, int, int] | None:
 
 @dataclass(frozen=True)
 class StructureFlags:
-    """Structural predicates of a monoid, each decided by exhaustive scan."""
+    """Structural predicates of a monoid, each decided by a scan of its
+    table (see :meth:`FiniteMonoid.structure_flags`)."""
 
     commutative: bool
     dedekind_finite: bool
@@ -69,7 +70,8 @@ class StructureFlags:
 
 
 class FiniteMonoid:
-    __slots__ = ("n", "identity", "table", "_ideal_masks", "_ideals", "_units", "_divisors", "_flags")
+    __slots__ = ("n", "identity", "table", "_ideal_masks", "_ideals", "_units", "_divisors", "_flags",
+                 "_generators")
 
     def __init__(self, table, identity: int, *, check_associativity: bool = True):
         rows = tuple(tuple(row) for row in table)
@@ -105,6 +107,7 @@ class FiniteMonoid:
         object.__setattr__(self, "_units", None)
         object.__setattr__(self, "_divisors", {})
         object.__setattr__(self, "_flags", None)
+        object.__setattr__(self, "_generators", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("FiniteMonoid is immutable")
@@ -152,14 +155,18 @@ class FiniteMonoid:
         in column x, so each row's image is masked once and OR-ed per column.
         """
         if self._ideal_masks is None:
-            bit = [1 << i for i in range(self.n)]
-            images = [reduce(or_, map(bit.__getitem__, set(row)), 0) for row in self.table]
+            images = self._image_masks(self.table)
             masks = tuple(
                 reduce(or_, map(images.__getitem__, set(column)), 0)
                 for column in zip(*self.table)
             )
             object.__setattr__(self, "_ideal_masks", masks)
         return self._ideal_masks
+
+    def _image_masks(self, lines) -> list[int]:
+        """The set of values of each row or column in ``lines`` as a bit mask."""
+        bit = [1 << i for i in range(self.n)]
+        return [reduce(or_, map(bit.__getitem__, set(line)), 0) for line in lines]
 
     def principal_ideal(self, x: int) -> frozenset:
         """The two-sided ideal {u*x*v : u, v in the carrier}."""
@@ -202,6 +209,41 @@ class FiniteMonoid:
                     words[q] = words[p] + (a,)
                     queue.append(q)
         return words
+
+    def generating_set(self, members) -> tuple[tuple, frozenset]:
+        """Greedy generators of the submonoid generated by ``members``, and
+        that submonoid: the members are walked in the order given, and each
+        one not generated by those chosen before it joins.
+
+        The generated set is extended as each generator joins: every element
+        reached so far is multiplied on the right by the new generator, and
+        every element first reached is multiplied by all generators chosen,
+        so each (element, generator) product is taken once, |set| * |gens| in
+        all. The set stays closed under right multiplication by the
+        generators and holds the identity, so it holds every product of
+        them."""
+        rows = self.table
+        gens: list = []
+        reached = {self.identity}
+        for a in members:
+            if a in reached:
+                continue
+            gens.append(a)
+            fresh = set(map(itemgetter(a), map(rows.__getitem__, reached))) - reached
+            while fresh:
+                reached |= fresh
+                step: set = set()
+                for q in fresh:
+                    step.update(map(rows[q].__getitem__, gens))
+                fresh = step - reached
+        return tuple(gens), frozenset(reached)
+
+    def generators(self) -> tuple:
+        """Greedy generators of the whole monoid: :meth:`generating_set` of
+        0..n-1, kept once found."""
+        if self._generators is None:
+            object.__setattr__(self, "_generators", self.generating_set(range(self.n))[0])
+        return self._generators
 
     def generated_submonoid(self, seed) -> frozenset:
         """Least subset containing seed and the identity, closed under
@@ -247,19 +289,31 @@ class FiniteMonoid:
     # -- structural predicates ---------------------------------------------
 
     def structure_flags(self) -> StructureFlags:
+        """Each predicate by a scan of the whole table, or of what decides it:
+
+        - commutative: the pairs of :meth:`generators`; every element is a
+          product of them, so generators that commute make a monoid that does;
+        - Dedekind-finite (xy = 1 gives yx = 1): the identity lies in row x
+          exactly when it lies in column x. That follows from the law, and
+          gives it back: from xy = 1 and zx = 1, z = z(xy) = (zx)y = y;
+        - unit-cancellative (xy = x or yx = x only for units y): x in neither
+          row x nor column x at a non-unit's position;
+        - left duo (aH within Ha) and right duo (Ha within aH): the values of
+          row a against those of column a, as bit masks;
+        - acyclic (uxv = x only for units u, v): every (u, v, x).
+        """
         if self._flags is not None:
             return self._flags
         n, t, e = self.n, self.table, self.identity
         units = self.units()
-        commutative = all(t[x][y] == t[y][x] for x in range(n) for y in range(x + 1, n))
-        dedekind_finite = all(
-            t[y][x] == e for x in range(n) for y in range(n) if t[x][y] == e
-        )
-        unit_cancellative = all(
-            t[x][y] != x and t[y][x] != x
-            for x in range(n)
-            for y in range(n)
-            if y not in units
+        gens = self.generators()
+        commutative = all(t[g][h] == t[h][g] for i, g in enumerate(gens) for h in gens[i + 1:])
+        columns = tuple(zip(*t))
+        dedekind_finite = all((e in row) == (e in column) for row, column in zip(t, columns))
+        nonunits = [y for y in range(n) if y not in units]
+        unit_cancellative = not any(
+            x in map(row.__getitem__, nonunits) or x in map(column.__getitem__, nonunits)
+            for x, (row, column) in enumerate(zip(t, columns))
         )
         acyclic = True
         for u in range(n):
@@ -274,12 +328,9 @@ class FiniteMonoid:
                     break
             if not acyclic:
                 break
-        left_duo = all(
-            {t[a][h] for h in range(n)} <= {t[h][a] for h in range(n)} for a in range(n)
-        )
-        right_duo = all(
-            {t[h][a] for h in range(n)} <= {t[a][h] for h in range(n)} for a in range(n)
-        )
+        row_images, column_images = self._image_masks(t), self._image_masks(columns)
+        left_duo = all(r & ~c == 0 for r, c in zip(row_images, column_images))
+        right_duo = all(c & ~r == 0 for r, c in zip(row_images, column_images))
         flags = StructureFlags(
             commutative=commutative,
             dedekind_finite=dedekind_finite,

@@ -111,7 +111,10 @@ def scan_flags(elements, up, images, leq, lt, identity, unit_maps, below_sandwic
     ``images[i]``, the images of element i under a family of maps, compared
     by ``leq``/``lt``; ``unit_maps`` are the positions of the maps by units,
     ``below_sandwiches`` is the verdict "x <= axb for all a, b", and
-    ``method()``, asked after the scan, gives the label.
+    ``method()``, asked after the scan, gives the label. The maps need not be
+    all of them: a finite carrier hands over multiplication by generators
+    only, and a law that holds for each generator holds for their products
+    (see :meth:`Premonoid.flags`).
 
     Preordered: each map is monotone (i <= j gives m(i) <= m(j)); strongly
     preordered: strictly so on strict pairs. Only the pairs of
@@ -153,8 +156,8 @@ def scan_flags(elements, up, images, leq, lt, identity, unit_maps, below_sandwic
 class Premonoid:
     """Finite carrier: a FiniteMonoid together with a PreorderRel."""
 
-    __slots__ = ("monoid", "preorder", "_units", "_nonunits", "_heights", "_flags", "_irrcache",
-                 "_letter_rows", "_inverse_rows", "_views")
+    __slots__ = ("monoid", "preorder", "_units", "_unit_generators", "_nonunits", "_heights", "_flags",
+                 "_irrcache", "_letter_rows", "_inverse_rows", "_views")
 
     def __init__(self, monoid: FiniteMonoid, preorder: PreorderRel):
         if monoid.n != preorder.n:
@@ -164,6 +167,7 @@ class Premonoid:
         object.__setattr__(self, "monoid", monoid)
         object.__setattr__(self, "preorder", preorder)
         object.__setattr__(self, "_units", None)
+        object.__setattr__(self, "_unit_generators", None)
         object.__setattr__(self, "_nonunits", None)
         object.__setattr__(self, "_heights", None)
         object.__setattr__(self, "_flags", None)
@@ -209,6 +213,17 @@ class Premonoid:
 
     def is_unit(self, a: int) -> bool:
         return a in self.units()
+
+    def unit_generators(self) -> tuple[tuple, bool]:
+        """Greedy generators G_U of the submonoid generated by the preorder
+        units U (:meth:`FiniteMonoid.generating_set` over U in index order),
+        and whether they generate U itself: the closure gate, true exactly
+        when U is closed under the product."""
+        if self._unit_generators is None:
+            units = self.units()
+            gens, generated = self.monoid.generating_set(sorted(units))
+            object.__setattr__(self, "_unit_generators", (gens, generated == units))
+        return self._unit_generators
 
     def nonunits(self) -> tuple:
         if self._nonunits is None:
@@ -273,28 +288,39 @@ class Premonoid:
 
     def flags(self) -> PremonoidFlags:
         """Compatibility flags by :func:`scan_flags` over the images of each
-        element under every left and every right multiplication (column x
-        and row x of the table); x <= axb is read off the ideal masks.
+        element under left and right multiplication by the members of G and
+        of G_U: G the monoid's :meth:`FiniteMonoid.generators`, G_U the
+        :meth:`unit_generators`. x <= axb is read off the ideal masks.
 
         Two-sided compatibility (x <= y implies uxv <= uyv for all u, v) holds
         iff both one-sided laws do (ux <= uy and xu <= yu): u = 1 or v = 1
         gives each side, and ux <= uy gives (ux)v <= (uy)v by the right-hand
         law. The strict laws and the unit part of weak positivity
-        ((ux)v <= ux <= x) chain the same way.
+        ((ux)v <= ux <= x) chain the same way. Each one-sided law needs only
+        the generators: multiplication by u = g1...gk is the composite of
+        the multiplications by the g's, and a composite of (strictly)
+        monotone maps is (strictly) monotone. Weakly so for the units: every
+        unit is a product of G_U, which lies in U, and g*y <= y for each g in
+        G_U and every y gives u*x = g1*(g2...gk*x) <= g2...gk*x <= ... <= x.
         """
         if self._flags is not None:
             return self._flags
         n = self.monoid.n
         t = self.monoid.table
         rows = self.preorder.rows
-        columns = tuple(zip(*t))
-        images = [columns[x] + t[x] for x in range(n)]  # u*x, then x*u, over all u
+        gens = self.monoid.generators()
+        unit_gens, _ = self.unit_generators()
+        maps = gens + unit_gens
+        lefts = [t[g] for g in maps]  # x -> g*x
+        rights = [tuple(map(itemgetter(g), t)) for g in maps]  # x -> x*g
+        images = list(zip(*lefts, *rights))  # empty only for the one-element monoid: no pairs to scan
+        k = len(maps)
         ideals = self.monoid.ideal_masks()
         flags = scan_flags(
             range(n), rows, images,
             lambda a, b: rows[a] >> b & 1,
             lambda a, b: rows[a] >> b & 1 and not rows[b] >> a & 1,
-            self.identity, [k for u in self.units() for k in (u, n + u)],  # u*x and x*u, u a unit
+            self.identity, [i for j in range(len(gens), k) for i in (j, k + j)],  # g*x and x*g, g in G_U
             all(ideal & ~row == 0 for ideal, row in zip(ideals, rows)),
             lambda: "exhaustive (finite carrier)",
         )
