@@ -70,8 +70,8 @@ class StructureFlags:
 
 
 class FiniteMonoid:
-    __slots__ = ("n", "identity", "table", "_ideal_masks", "_ideals", "_units", "_divisors", "_flags",
-                 "_generators")
+    __slots__ = ("n", "identity", "table", "_row_masks", "_ideal_masks", "_ideals", "_units", "_divisors",
+                 "_flags", "_generators")
 
     def __init__(self, table, identity: int, *, check_associativity: bool = True):
         rows = tuple(tuple(row) for row in table)
@@ -102,6 +102,7 @@ class FiniteMonoid:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "table", rows)
+        object.__setattr__(self, "_row_masks", None)
         object.__setattr__(self, "_ideal_masks", None)
         object.__setattr__(self, "_ideals", {})
         object.__setattr__(self, "_units", None)
@@ -156,6 +157,7 @@ class FiniteMonoid:
         """
         if self._ideal_masks is None:
             images = self._image_masks(self.table)
+            object.__setattr__(self, "_row_masks", images)  # structure_flags reads them too
             masks = tuple(
                 reduce(or_, map(images.__getitem__, set(column)), 0)
                 for column in zip(*self.table)
@@ -328,7 +330,8 @@ class FiniteMonoid:
                     break
             if not acyclic:
                 break
-        row_images, column_images = self._image_masks(t), self._image_masks(columns)
+        row_images = self._image_masks(t) if self._row_masks is None else self._row_masks
+        column_images = self._image_masks(columns)
         left_duo = all(r & ~c == 0 for r, c in zip(row_images, column_images))
         right_duo = all(c & ~r == 0 for r, c in zip(row_images, column_images))
         flags = StructureFlags(

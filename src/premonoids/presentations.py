@@ -14,11 +14,11 @@ kinds of evidence, both tagged as bounded evidence rather than certificates:
   an unbounded supply of them is exactly how the ascending chain condition on
   principal two-sided ideals fails.
 
-The divisibility digraph has one-letter edges only.  Its closure, and the
-closure of the reversed digraph (the transpose), are each built once per
-strongly connected component, so the strict children of a class are one
-mask.  Chains come from one pass in topological order over level masks, the
-classes whose chain has h classes: each class steps to the least class on
+The divisibility digraph has one-letter edges only, and one closure of the
+reversed digraph gives each class the mask of its divisors; a divisor with
+an equal mask divides back, so a class's strict children are one mask.
+Chains come from one pass, in order of mask size, over level masks (the
+classes whose chain has h classes): each class steps to the least class on
 the highest level its children meet, at a cost of classes times levels
 big-int ANDs rather than a step per divisibility pair.  The cycle scan stops
 at the class that fills its quota.
@@ -197,33 +197,27 @@ def _cycles(reps: list, members: list, index: dict, limit: int) -> list:
 def _divisibility(cong: BoundedCongruence) -> tuple:
     """Classes of the bounded congruence and their bounded divisibility.
 
-    Returns ``(reps, members, index, reach, below)``: representatives in
-    (length, word) order, each class's words in order of length, the word ->
-    class map, and the divisibility rows (``reach[c]`` has bit v when c
-    divides v, ``below[v]`` has bit c then).  The digraph has one-letter
-    edges only: a factor inside the bound grows into its word by one-letter
-    appends that all stay inside the bound, so the closure holds every factor
-    edge.  Divisibility is transitive in the monoid even when the composed
-    witness would not fit inside the bound, so both digraphs are closed, and
-    the closure of the reversed digraph is the transpose of ``reach``."""
+    Returns ``(reps, members, index, below)``: representatives in (length,
+    word) order, each class's words in order of length, the word -> class
+    map, and ``below[v]`` with bit c when c divides v.  The digraph has
+    one-letter edges only: a factor inside the bound grows into its word by
+    one-letter appends inside the bound.  Divisibility is transitive even
+    where the composed witness would not fit, so ``below`` is the closure of
+    the reversed digraph."""
     roots = [cong.class_of(w) for w in cong.words]
     reps = sorted(set(roots), key=lambda w: (len(w), w))
     rep_index = {rep: i for i, rep in enumerate(reps)}
-    k = len(reps)
     index = {w: rep_index[r] for w, r in zip(cong.words, roots)}
-    succ: list = [[] for _ in range(k)]
-    pred: list = [[] for _ in range(k)]
-    members: list = [[] for _ in range(k)]
+    pred: list = [[] for _ in reps]
+    members: list = [[] for _ in reps]
     for w in cong.words:
         c = index[w]
         members[c].append(w)
         if len(w) < cong.bound:
-            edges = succ[c]
             for a in cong.alphabet:
-                for d in (index[w + a], index[a + w]):
-                    edges.append(d)
-                    pred[d].append(c)
-    return reps, members, index, close(succ), close(pred)
+                pred[index[w + a]].append(c)
+                pred[index[a + w]].append(c)
+    return reps, members, index, close(pred)
 
 
 def _least(mask: int) -> int:
@@ -247,32 +241,35 @@ def _put(levels: list, h: int, v: int) -> None:
     levels[h] |= 1 << v
 
 
-def _chains(reach: list, below: list, reps: list) -> tuple:
+def _chains(below: list, reps: list) -> tuple:
     """The longest strictly descending chain and the longest evidence chain,
     as lists of classes (the evidence chain empty when there is none).
 
-    c is a strict child of v when c divides v and v does not divide c.  A
-    step "qualifies" when the representative fails to get shorter, which no
-    free monoid step can do; an evidence chain has at least one qualifying
-    step.  A child has fewer children than its parent, so ascending child
-    counts are a topological order.  ``plain[h]`` and ``evid[h]`` are the
-    masks of the classes done so far whose chain has h classes.  Each class
-    steps to the least class on the highest level its children meet: the
+    c is a strict child of v when c divides v and v does not divide c: when c
+    is in ``below[v]`` with a different row (equal rows are one strongly
+    connected component).  A strict child's row is a proper subset, so
+    ascending row sizes are a topological order; a class reads only its
+    children's levels, so any such order gives the same chains.  A step
+    "qualifies" when the representative fails to get shorter, which no free
+    monoid step can do; an evidence chain has one.  ``plain[h]`` and
+    ``evid[h]`` mask the classes done so far whose chain has h classes.  Each
+    class steps to the least class on the highest level its children meet: the
     plain chain over all children, the evidence chain either by a plain step
     to a child whose representative is no shorter (reps come in order of
     length, so those children are a suffix mask) or by an evidence step, the
     longer chain winning, then the lesser class, then the plain step."""
-    k = len(reach)
-    children = [b & ~r for b, r in zip(below, reach)]
+    k = len(below)
+    same: dict = {}  # row -> the classes with that row
     first: dict = {}  # length -> the first class whose representative has it
-    for c, rep in enumerate(reps):
+    for c, (rep, row) in enumerate(zip(reps, below)):
+        same[row] = same.get(row, 0) | 1 << c
         first.setdefault(len(rep), c)
     plain: list = [0]
     evid: list = [0]
     plain_next = [-1] * k
     evid_next: list = [None] * k  # (child, whether the rest is plain)
-    for v in sorted(range(k), key=[m.bit_count() for m in children].__getitem__):
-        kids = children[v]
+    for v in sorted(range(k), key=[row.bit_count() for row in below].__getitem__):
+        kids = below[v] & ~same[below[v]]
         h, plain_next[v] = _top(plain, kids, len(plain) - 1)
         f = first[len(reps[v])]
         a, by_plain = _top(plain, kids >> f << f, h)
@@ -314,8 +311,8 @@ def presentation_explore(alphabet: str, relations, bound: int) -> ExplorationRep
         for l, r in relations
     )
     cong = BoundedCongruence(alphabet=alphabet, relations=rels, bound=bound)
-    reps, members, index, reach, below = _divisibility(cong)
-    best_plain, best_evidence = _chains(reach, below, reps)
+    reps, members, index, below = _divisibility(cong)
+    best_plain, best_evidence = _chains(below, reps)
     cycles = _cycles(reps, members, index, 20)
     sample = tuple(
         (u, v) for u, v, _ in cong.merge_log[:10]

@@ -211,6 +211,29 @@ def test_commutativity_needs_every_pair_of_generators():
     assert m.structure_flags().to_json() == oracle_structure_flags(m)
 
 
+def test_structure_flags_read_the_row_masks_of_the_ideals(monkeypatch):
+    """Once ``ideal_masks`` has masked the rows, ``structure_flags`` masks
+    only the columns; without them it masks both."""
+    calls = []
+    image_masks = FiniteMonoid._image_masks
+
+    def counted(self, lines):
+        calls.append(len(lines))
+        return image_masks(self, lines)
+
+    monkeypatch.setattr(FiniteMonoid, "_image_masks", counted)
+    for seed in range(20):
+        fresh = random_premonoid(random.Random(seed), 6).monoid
+        m, cold = FiniteMonoid(fresh.table, fresh.identity), FiniteMonoid(fresh.table, fresh.identity)
+        m.ideal_masks()
+        calls.clear()
+        assert m.structure_flags().to_json() == oracle_structure_flags(m)
+        assert len(calls) == 1
+        calls.clear()
+        assert cold.structure_flags() == m.structure_flags()
+        assert len(calls) == 2
+
+
 def test_generating_sets_of_chosen_members():
     P = zn_premonoid(48)
     m = P.monoid

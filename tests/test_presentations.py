@@ -1,11 +1,14 @@
+import hashlib
 import inspect
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from premonoids import BoundTooSmallError, CapExceededError, ShapeError, presentations
+from premonoids import BoundTooSmallError, CapExceededError, ShapeError, bitrows, presentations
+from premonoids.cli import main
 from premonoids.presentations import (
     BoundedCongruence,
     parse_relation_word,
@@ -14,7 +17,7 @@ from premonoids.presentations import (
 
 from premonoids.bitrows import indices
 
-from presentation_oracle import loop_chains, oracle_explore, strict_children
+from presentation_oracle import loop_chains, oracle_explore, strict_children, warshall
 
 
 def test_parse_relation_word():
@@ -96,30 +99,82 @@ def test_report_json_shape():
 
 
 def _divisibility(case):
+    """The explorer's ``(reps, below)``, and ``reach``: Warshall's closure of
+    the forward one-letter edges, built here and not by the program."""
     alphabet, relations, bound = case
     rels = tuple((parse_relation_word(l, alphabet), parse_relation_word(r, alphabet)) for l, r in relations)
-    return presentations._divisibility(BoundedCongruence(alphabet=alphabet, relations=rels, bound=bound))
+    cong = BoundedCongruence(alphabet=alphabet, relations=rels, bound=bound)
+    reps, _, index, below = presentations._divisibility(cong)
+    succ: list = [[] for _ in reps]
+    for w in cong.words:
+        if len(w) < bound:
+            succ[index[w]] += [index[d] for a in alphabet for d in (w + a, a + w)]
+    return reps, below, warshall(succ)
 
 
 def test_strict_children_match_the_pairwise_definition():
-    """``below`` is the transpose of ``reach``, so the child masks the chain
-    pass reads, ``below[v] & ~reach[v]``, are the classes c with c | v and
+    """``below`` is the transpose of the forward closure ``reach``, and the
+    equal-row child masks the chain pass reads, ``below[v]`` less the
+    classes whose row equals ``below[v]``, are the classes c with c | v and
     not v | c."""
     cases = [
         ("xy", [("x2", "yx2y")], 8),
         ("xy", [], 4),
         ("xyz", [("xy", "yx"), ("xz", "zx")], 5),
         ("ab", [("aa", "b"), ("ab", "ba")], 5),
+        ("x", [("x3", "x5")], 12),
     ]
     for case in cases:
-        _, _, _, reach, below = _divisibility(case)
+        _, below, reach = _divisibility(case)
         k = len(reach)
         assert sum(map(int.bit_count, below)) == sum(map(int.bit_count, reach))
         assert all(below[v] >> c & 1 for c in range(k) for v in indices(reach[c]))
         children = strict_children(reach)
         for v in range(k):
+            same = [c for c in range(k) if below[c] == below[v]]
             pairwise = [c for c in range(k) if reach[c] >> v & 1 and not reach[v] >> c & 1]
-            assert indices(below[v] & ~reach[v]) == pairwise == children[v]
+            assert [c for c in indices(below[v]) if c not in same] == pairwise == children[v]
+
+
+def test_one_exploration_builds_one_closure(monkeypatch):
+    calls = []
+
+    def counted(succ):
+        calls.append(len(succ))
+        return bitrows.close(succ)
+
+    monkeypatch.setattr(presentations, "close", counted)
+    report = presentation_explore("xy", [("x2", "yx2y")], 9)
+    assert len(calls) == 1 and calls[0] == report.class_count
+
+
+def test_exploration_memory_stays_under_fifteen_megabytes():
+    """The one closure holds 8191 rows of up to 8191 bits; a second,
+    forward closure would take the traced peak to about 19 MB."""
+    tracemalloc.start()
+    try:
+        presentation_explore("xy", (), 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 * 2**20
+
+
+# stdout digests of ``describe`` on larger presentations, recorded while the
+# explorer still built the forward closure as well
+DESCRIBE_DIGESTS = {
+    "present:xy::14": "c1ca1ba50aaab06e101132fa05d4df4bd9ad496d245fa8eea6bc1e62b2d4092c",
+    "present:xyz::9": "dea4a763f1283d81f2767448cb7a07006d9283a8eaeda1298d74517f05dbf798",
+    "present:xy:x2=yx2y:11": "c9f84fad1eefa3ab9a522323668b8b13537d6d09afc9a41d487aa10ccf3345e5",
+    "present:xy:x3=x5:13": "514ec2ac8e27662bc2471ddc372011b1df18b9e59458e42ddf9e5e248daa2642",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(DESCRIBE_DIGESTS))
+def test_describe_presentation_is_byte_identical(spec, capsys):
+    assert main(["describe", spec]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DESCRIBE_DIGESTS[spec]
 
 
 # the largest bound drawn per alphabet size keeps the oracle's factor loop small
@@ -179,8 +234,8 @@ _CHAIN_CASES = _BENCH_CASES + _MANY_CYCLES + [
 
 @pytest.mark.parametrize("case", _CHAIN_CASES)
 def test_chains_by_level_masks_match_the_child_loop(case):
-    reps, _, _, reach, below = _divisibility(case)
-    assert presentations._chains(reach, below, reps) == loop_chains(reach, reps)
+    reps, below, reach = _divisibility(case)
+    assert presentations._chains(below, reps) == loop_chains(reach, reps)
 
 
 @pytest.mark.parametrize("case", _MANY_CYCLES)
