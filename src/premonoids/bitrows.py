@@ -1,4 +1,4 @@
-"""Sets of indices 0..n-1 as int masks."""
+"""Sets of indices 0..n-1 as int masks, and the digraph walks that build them."""
 from __future__ import annotations
 
 
@@ -54,16 +54,16 @@ def generating_pairs(up) -> tuple[list, list]:
     return links, covers
 
 
-def close(succ) -> list[int]:
-    """Reflexive-transitive closure of the digraph ``succ`` (a list of
-    successor lists over 0..n-1): row i has bit j when j is reachable from i.
+def components(succ):
+    """The strongly connected components of the digraph ``succ`` (a list of
+    successor lists over 0..n-1), each as a list of its members, in finishing
+    order: every edge leads into the component it leaves or into one yielded
+    earlier.
 
-    Tarjan's strongly connected components, with an explicit stack: a
-    component is finished only after every component it reaches, so its row
-    is the OR of its members' bits and of the rows its edges lead to.  Work
-    is linear in vertices plus edges, apart from the big-int ORs."""
+    Tarjan's algorithm (SIAM J. Comput. 1972) with an explicit stack, so deep
+    paths cannot reach the recursion limit; work is linear in vertices plus
+    edges."""
     n = len(succ)
-    rows = [0] * n
     order = [-1] * n  # discovery number; -1 while unseen
     low = [0] * n
     on_stack = [False] * n
@@ -103,11 +103,21 @@ def close(succ) -> list[int]:
                         members.append(w)
                         if w == v:
                             break
-                    row = 0
-                    for m in members:
-                        row |= 1 << m
-                        for w in succ[m]:
-                            row |= rows[w]  # 0 inside this component
-                    for m in members:
-                        rows[m] = row
+                    yield members
+
+
+def close(succ) -> list[int]:
+    """Reflexive-transitive closure of the digraph ``succ`` (a list of
+    successor lists over 0..n-1): row i has bit j when j is reachable from i.
+    In finishing order, a component's row is the OR of its members' bits and
+    of the rows, already built, that its edges lead to."""
+    rows = [0] * len(succ)
+    for members in components(succ):
+        row = 0
+        for m in members:
+            row |= 1 << m
+            for w in succ[m]:
+                row |= rows[w]  # 0 inside this component
+        for m in members:
+            rows[m] = row
     return rows

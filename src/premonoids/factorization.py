@@ -265,29 +265,6 @@ def enumerate_factorizations(P: Carrier, x, max_len: int, letters: str = "irredu
                 yield word
 
 
-def _paths(root, moves, length: int):
-    """Depth first, the paths of ``length`` >= 1 steps from ``root`` as tuples
-    of letter indices. ``moves(node, left)`` gives the (letter index, next
-    node) steps out of a node with ``left`` steps to go, in the order to try
-    them; with one step left, every step it gives ends a path. The stack of
-    move iterators stands in for recursion, so long words cannot reach the
-    recursion limit.
-    """
-    word: list = []
-    stack = [moves(root, length)]
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            if word:
-                word.pop()
-        elif len(word) + 1 == length:
-            yield (*word, step[0])
-        else:
-            word.append(step[0])
-            stack.append(moves(step[1], length - len(word)))
-
-
 # -- exact length sets -------------------------------------------------------------
 
 
@@ -566,22 +543,31 @@ def _census_minima(vectors) -> list:
 
 def _witness(auto: DivisorAutomaton, cls_of, counts: tuple):
     """Lexicographically least alphabet word with the given class counts and
-    product x, or None."""
+    product x, or None: depth first over (state, counts left) on an explicit
+    stack, letters in order, never entering again a node that led nowhere."""
     table, goal = auto.table, auto.goal
+    length = sum(counts)
     dead: set = set()
-
-    def moves(node, left):
-        p, rem = node
-        for j, q in enumerate(table[p]):
-            c = cls_of[j]
-            if q >= 0 and rem[c] and (left > 1 or q == goal):
+    word: list = []  # the letters from the root to the node on top
+    stack = [(auto.start, counts, 0)]  # node and the first letter left to try
+    while stack:
+        p, rem, first = stack.pop()
+        last = len(word) + 1 == length
+        for j in range(first, len(table[p])):
+            q, c = table[p][j], cls_of[j]
+            if q >= 0 and rem[c] and (q == goal or not last):
                 after = (q, rem[:c] + (rem[c] - 1,) + rem[c + 1:])
                 if after not in dead:
-                    yield j, after
-        dead.add(node)  # reached only when no move led to a witness
-
-    path = next(_paths((auto.start, counts), moves, sum(counts)), None)
-    return None if path is None else tuple(auto.alphabet[j] for j in path)
+                    word.append(j)
+                    if last:
+                        return tuple(auto.alphabet[i] for i in word)
+                    stack += [(p, rem, j + 1), (*after, 0)]
+                    break
+        else:
+            dead.add((p, rem))
+            if word:
+                word.pop()
+    return None
 
 
 def realizable_vectors(P: Carrier, x, letters: str = "irreducibles"):

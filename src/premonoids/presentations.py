@@ -14,14 +14,12 @@ kinds of evidence, both tagged as bounded evidence rather than certificates:
   an unbounded supply of them is exactly how the ascending chain condition on
   principal two-sided ideals fails.
 
-The divisibility digraph has one-letter edges only, and one closure of the
-reversed digraph gives each class the mask of its divisors; a divisor with
-an equal mask divides back, so a class's strict children are one mask.
-Chains come from one pass, in order of mask size, over level masks (the
-classes whose chain has h classes): each class steps to the least class on
-the highest level its children meet, at a cost of classes times levels
-big-int ANDs rather than a step per divisibility pair.  The cycle scan stops
-at the class that fills its quota.
+The divisibility digraph has one-letter edges only.  A best chain step
+never skips over a class, so a class's candidate steps are the members of
+the strongly connected components with a one-letter edge into its own, and
+both chains come from one pass over the components, children first, with
+memory linear in the words: no closure is built.  The cycle scan stops at
+the class that fills its quota.
 
 The words are counted before any is built, and a bound whose words would
 pass :data:`WORD_CAP` or :data:`LETTER_CAP` is refused.
@@ -29,9 +27,10 @@ pass :data:`WORD_CAP` or :data:`LETTER_CAP` is refused.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .bitrows import close
+from .bitrows import components
 from .errors import BoundTooSmallError, CapExceededError, ShapeError
 
 WORD_CAP = 2**15  # most words of length <= bound an exploration lists
@@ -195,15 +194,15 @@ def _cycles(reps: list, members: list, index: dict, limit: int) -> list:
 
 
 def _divisibility(cong: BoundedCongruence) -> tuple:
-    """Classes of the bounded congruence and their bounded divisibility.
+    """Classes of the bounded congruence and their one-letter digraph.
 
-    Returns ``(reps, members, index, below)``: representatives in (length,
+    Returns ``(reps, members, index, pred)``: representatives in (length,
     word) order, each class's words in order of length, the word -> class
-    map, and ``below[v]`` with bit c when c divides v.  The digraph has
-    one-letter edges only: a factor inside the bound grows into its word by
-    one-letter appends inside the bound.  Divisibility is transitive even
-    where the composed witness would not fit, so ``below`` is the closure of
-    the reversed digraph."""
+    map, and ``pred[v]``, the classes c (with repeats) that grow into v by
+    appending one letter on either side.  A factor inside the bound grows
+    into its word by such appends inside the bound, and divisibility is
+    transitive even where the composed witness would not fit, so c divides
+    v exactly when v is reachable from c; no closure is built."""
     roots = [cong.class_of(w) for w in cong.words]
     reps = sorted(set(roots), key=lambda w: (len(w), w))
     rep_index = {rep: i for i, rep in enumerate(reps)}
@@ -217,70 +216,72 @@ def _divisibility(cong: BoundedCongruence) -> tuple:
             for a in cong.alphabet:
                 pred[index[w + a]].append(c)
                 pred[index[a + w]].append(c)
-    return reps, members, index, close(pred)
+    return reps, members, index, pred
 
 
-def _least(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
-def _top(levels: list, mask: int, h: int) -> tuple:
-    """The highest level at or below ``h`` that meets ``mask``, and the least
-    class of ``mask`` there; ``(0, -1)`` when none does."""
-    while h:
-        hit = levels[h] & mask
-        if hit:
-            return h, _least(hit)
-        h -= 1
-    return 0, -1
-
-
-def _put(levels: list, h: int, v: int) -> None:
-    while len(levels) <= h:
-        levels.append(0)
-    levels[h] |= 1 << v
-
-
-def _chains(below: list, reps: list) -> tuple:
+def _chains(pred: list, reps: list) -> tuple:
     """The longest strictly descending chain and the longest evidence chain,
     as lists of classes (the evidence chain empty when there is none).
 
-    c is a strict child of v when c divides v and v does not divide c: when c
-    is in ``below[v]`` with a different row (equal rows are one strongly
-    connected component).  A strict child's row is a proper subset, so
-    ascending row sizes are a topological order; a class reads only its
-    children's levels, so any such order gives the same chains.  A step
-    "qualifies" when the representative fails to get shorter, which no free
-    monoid step can do; an evidence chain has one.  ``plain[h]`` and
-    ``evid[h]`` mask the classes done so far whose chain has h classes.  Each
-    class steps to the least class on the highest level its children meet: the
-    plain chain over all children, the evidence chain either by a plain step
-    to a child whose representative is no shorter (reps come in order of
-    length, so those children are a suffix mask) or by an evidence step, the
-    longer chain winning, then the lesser class, then the plain step."""
-    k = len(below)
-    same: dict = {}  # row -> the classes with that row
-    first: dict = {}  # length -> the first class whose representative has it
-    for c, (rep, row) in enumerate(zip(reps, below)):
-        same[row] = same.get(row, 0) | 1 << c
-        first.setdefault(len(rep), c)
-    plain: list = [0]
-    evid: list = [0]
+    c is a strict child of v when c divides v and v does not divide c.  A
+    step "qualifies" when the representative fails to get shorter, which no
+    free monoid step can do; an evidence chain has one.  Each class steps to
+    a child with the longest chain, then the least: the plain chain over all
+    children, the evidence chain by a plain step to a child whose
+    representative is no shorter or by an evidence step, the longer chain
+    winning, then the lesser class, then the plain step.
+
+    A best step never skips a class.  When c < m < v, v -> m -> c is a longer
+    plain chain than v -> c; if rep c is no shorter than rep v, then v -> m
+    or m -> c qualifies too, so the refined evidence chain is longer; and an
+    evidence chain through c extends through m.  A class c with no class
+    strictly between it and v grows into v along one-letter edges whose
+    classes are each equivalent to c or v, so c's component has an edge into
+    v's.  So one pass over the components of the one-letter digraph
+    ``pred``, children first, gives both chains: the members of a component
+    divide each other and share their plain chain, and each component with
+    an edge into v's offers its first member, its first member whose
+    representative is no shorter than v's, and its first member with the
+    longest evidence chain."""
+    k = len(pred)
+    comp = [-1] * k
+    groups: list = []  # each component's members, ascending
+    # keys (-chain length, class), least first: the longest chain, then the
+    # least class; ``none`` is no chain.  Per component: its plain chain and
+    # first member, and its first member with the longest evidence chain
+    none = (0, -1)
+    plain_key: list = []
+    evid_key: list = []
     plain_next = [-1] * k
     evid_next: list = [None] * k  # (child, whether the rest is plain)
-    for v in sorted(range(k), key=[row.bit_count() for row in below].__getitem__):
-        kids = below[v] & ~same[below[v]]
-        h, plain_next[v] = _top(plain, kids, len(plain) - 1)
-        f = first[len(reps[v])]
-        a, by_plain = _top(plain, kids >> f << f, h)
-        e, by_evid = _top(evid, kids, len(evid) - 1)
-        if a > e or (a == e and a and by_plain <= by_evid):
-            evid_next[v] = (by_plain, True)
-            _put(evid, a + 1, v)
-        elif e:
-            evid_next[v] = (by_evid, False)
-            _put(evid, e + 1, v)
-        _put(plain, h + 1, v)
+    rep_length = [len(rep) for rep in reps].__getitem__
+    for g, group in enumerate(components(pred)):
+        group.sort()
+        for v in group:
+            comp[v] = g
+        ids = {comp[c] for v in group for c in pred[v]}
+        ids.discard(g)
+        # the members of a component divide each other: one plain chain
+        length, step = min(map(plain_key.__getitem__, ids), default=none)
+        by_evid = min(map(evid_key.__getitem__, ids), default=none)
+        best = none
+        size = -1
+        for v in group:  # in order of representative length
+            plain_next[v] = step
+            if rep_length(v) > size:
+                size = rep_length(v)
+                # each component's first member whose representative is no shorter
+                firsts = ((h, bisect_left(groups[h], size, key=rep_length)) for h in ids)
+                by_plain = min([(plain_key[h][0], groups[h][i]) for h, i in firsts if i < len(groups[h])], default=none)
+            # the longer chain, then the lesser class, then the plain step
+            rest_plain = by_plain != none and by_plain <= by_evid
+            chain, child = by_plain if rest_plain else by_evid
+            if chain:
+                evid_next[v] = (child, rest_plain)
+                best = min(best, (chain - 1, v))
+        groups.append(group)
+        plain_key.append((length - 1, group[0]))
+        evid_key.append(best)
 
     def plain_chain(v: int) -> list:
         chain = [v]
@@ -289,17 +290,15 @@ def _chains(below: list, reps: list) -> tuple:
             chain.append(v)
         return chain
 
-    # the least class of the top level is the first of the longest
     best_evidence: list = []
-    if len(evid) > 1:
-        v = _least(evid[-1])
-        while True:
-            best_evidence.append(v)
-            v, rest_plain = evid_next[v]
-            if rest_plain:
-                best_evidence += plain_chain(v)
-                break
-    return plain_chain(_least(plain[-1])), best_evidence
+    v = min(evid_key)[1]
+    while v >= 0:
+        best_evidence.append(v)
+        v, rest_plain = evid_next[v]
+        if rest_plain:
+            best_evidence += plain_chain(v)
+            break
+    return plain_chain(min(plain_key)[1]), best_evidence
 
 
 def presentation_explore(alphabet: str, relations, bound: int) -> ExplorationReport:
@@ -311,8 +310,8 @@ def presentation_explore(alphabet: str, relations, bound: int) -> ExplorationRep
         for l, r in relations
     )
     cong = BoundedCongruence(alphabet=alphabet, relations=rels, bound=bound)
-    reps, members, index, below = _divisibility(cong)
-    best_plain, best_evidence = _chains(below, reps)
+    reps, members, index, pred = _divisibility(cong)
+    best_plain, best_evidence = _chains(pred, reps)
     cycles = _cycles(reps, members, index, 20)
     sample = tuple(
         (u, v) for u, v, _ in cong.merge_log[:10]

@@ -20,7 +20,7 @@ of group elements. No code of the library calls these.
 """
 import itertools
 
-from premonoids.factorization import DivisorAutomaton, _paths
+from premonoids.factorization import DivisorAutomaton
 from premonoids.randgen import random_monoid
 from premonoids.words import embed_increasing
 
@@ -102,6 +102,29 @@ def pairwise_minimal_words(leq, words, against=None):
             for v in against
         )
     ]
+
+
+def _paths(root, moves, length: int):
+    """Depth first, the paths of ``length`` >= 1 steps from ``root`` as tuples
+    of letter indices. ``moves(node, left)`` gives the (letter index, next
+    node) steps out of a node with ``left`` steps to go, in the order to try
+    them; with one step left, every step it gives ends a path. The stack of
+    move iterators stands in for recursion, so long words cannot reach the
+    recursion limit.
+    """
+    word: list = []
+    stack = [moves(root, length)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if word:
+                word.pop()
+        elif len(word) + 1 == length:
+            yield (*word, step[0])
+        else:
+            word.append(step[0])
+            stack.append(moves(step[1], length - len(word)))
 
 
 def factorizations_by_paths(P, x, max_len: int, letters: str = "irreducibles") -> list:

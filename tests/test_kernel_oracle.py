@@ -36,7 +36,7 @@ from premonoids import (
     ShapeError,
     divisibility_preorder,
 )
-from premonoids.bitrows import close, generating_pairs
+from premonoids.bitrows import close, components, generating_pairs
 from premonoids.families import powerset_premonoid, zn_premonoid
 from premonoids.preorder import natural_order_rel, phi_preorder, pullback_preorder
 from premonoids.monoid import _first_nonassociative
@@ -367,6 +367,25 @@ def test_scc_closure_matches_warshall(succ):
     assert list(PreorderRel.from_pairs(n, pairs).rows) == expected
     matrix = [[bool(row >> j & 1) for j in range(n)] for row in rows]
     assert list(PreorderRel.from_matrix(matrix).rows) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs)
+@example([])
+@example([[0]])
+@example([[1], [2], [0], [3]])
+def test_components_are_the_mutual_reachability_classes_in_finishing_order(succ):
+    n = len(succ)
+    reach = oracle_close(n, [sum({1 << j for j in targets}) for targets in succ])
+    comps = list(components(succ))
+    assert sorted(v for members in comps for v in members) == list(range(n))
+    place = {}
+    for i, members in enumerate(comps):
+        first = members[0]
+        mutual = [v for v in range(n) if reach[first] >> v & 1 and reach[v] >> first & 1]
+        assert sorted(members) == mutual
+        place.update(dict.fromkeys(members, i))
+    assert all(place[w] <= place[v] for v, targets in enumerate(succ) for w in targets)
 
 
 def test_scc_closure_needs_no_recursion():

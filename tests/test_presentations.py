@@ -1,12 +1,16 @@
 import hashlib
 import inspect
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import premonoids
 from premonoids import BoundTooSmallError, CapExceededError, ShapeError, bitrows, presentations
 from premonoids.cli import main
 from premonoids.presentations import (
@@ -99,23 +103,23 @@ def test_report_json_shape():
 
 
 def _divisibility(case):
-    """The explorer's ``(reps, below)``, and ``reach``: Warshall's closure of
+    """The explorer's ``(reps, pred)``, and ``reach``: Warshall's closure of
     the forward one-letter edges, built here and not by the program."""
     alphabet, relations, bound = case
     rels = tuple((parse_relation_word(l, alphabet), parse_relation_word(r, alphabet)) for l, r in relations)
     cong = BoundedCongruence(alphabet=alphabet, relations=rels, bound=bound)
-    reps, _, index, below = presentations._divisibility(cong)
+    reps, _, index, pred = presentations._divisibility(cong)
     succ: list = [[] for _ in reps]
     for w in cong.words:
         if len(w) < bound:
             succ[index[w]] += [index[d] for a in alphabet for d in (w + a, a + w)]
-    return reps, below, warshall(succ)
+    return reps, pred, warshall(succ)
 
 
 def test_strict_children_match_the_pairwise_definition():
-    """``below`` is the transpose of the forward closure ``reach``, and the
-    equal-row child masks the chain pass reads, ``below[v]`` less the
-    classes whose row equals ``below[v]``, are the classes c with c | v and
+    """The closure of the returned predecessor lists, built here, is the
+    transpose of the forward closure ``reach``, and ``below[v]`` less the
+    classes whose row equals ``below[v]`` are the classes c with c | v and
     not v | c."""
     cases = [
         ("xy", [("x2", "yx2y")], 8),
@@ -125,10 +129,10 @@ def test_strict_children_match_the_pairwise_definition():
         ("x", [("x3", "x5")], 12),
     ]
     for case in cases:
-        _, below, reach = _divisibility(case)
+        _, pred, reach = _divisibility(case)
         k = len(reach)
-        assert sum(map(int.bit_count, below)) == sum(map(int.bit_count, reach))
-        assert all(below[v] >> c & 1 for c in range(k) for v in indices(reach[c]))
+        below = warshall(pred)
+        assert below == [sum((reach[c] >> v & 1) << c for c in range(k)) for v in range(k)]
         children = strict_children(reach)
         for v in range(k):
             same = [c for c in range(k) if below[c] == below[v]]
@@ -136,28 +140,52 @@ def test_strict_children_match_the_pairwise_definition():
             assert [c for c in indices(below[v]) if c not in same] == pairwise == children[v]
 
 
-def test_one_exploration_builds_one_closure(monkeypatch):
+def test_exploration_builds_no_closure(monkeypatch):
     calls = []
 
     def counted(succ):
         calls.append(len(succ))
         return bitrows.close(succ)
 
-    monkeypatch.setattr(presentations, "close", counted)
-    report = presentation_explore("xy", [("x2", "yx2y")], 9)
-    assert len(calls) == 1 and calls[0] == report.class_count
+    monkeypatch.setattr(bitrows, "close", counted)
+    presentation_explore("xy", [("x2", "yx2y")], 9)
+    assert calls == [] and not hasattr(presentations, "close")
 
 
-def test_exploration_memory_stays_under_fifteen_megabytes():
-    """The one closure holds 8191 rows of up to 8191 bits; a second,
-    forward closure would take the traced peak to about 19 MB."""
+def test_exploration_memory_stays_under_eight_megabytes():
+    """Linear in the words: a closure of the 8191 classes, one row of up to
+    8191 bits each, took the traced peak to 12 MB."""
     tracemalloc.start()
     try:
         presentation_explore("xy", (), 12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 15 * 2**20
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the Linux VmHWM")
+def test_describe_presentation_peaks_under_sixty_megabytes():
+    """``describe present:xy::14`` in its own process, which reports its own
+    peak resident size: 170 MB with one closure, about 13 MB for a bare
+    interpreter.  It reads VmHWM, the high-water mark of its own image in
+    kilobytes, because ``ru_maxrss`` keeps the peak of the forking test
+    process across exec."""
+    code = (
+        "import contextlib, io\n"
+        "from premonoids.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['describe', 'present:xy::14'])\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+    )
+    src = str(Path(premonoids.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 60 * 1024
 
 
 # stdout digests of ``describe`` on larger presentations, recorded while the
@@ -234,8 +262,10 @@ _CHAIN_CASES = _BENCH_CASES + _MANY_CYCLES + [
 
 @pytest.mark.parametrize("case", _CHAIN_CASES)
 def test_chains_by_level_masks_match_the_child_loop(case):
-    reps, below, reach = _divisibility(case)
-    assert presentations._chains(below, reps) == loop_chains(reach, reps)
+    """The chains read off the components of the one-letter digraph equal
+    the child loop's over every strict child of the Warshall closure."""
+    reps, pred, reach = _divisibility(case)
+    assert presentations._chains(pred, reps) == loop_chains(reach, reps)
 
 
 @pytest.mark.parametrize("case", _MANY_CYCLES)
