@@ -1,8 +1,13 @@
 """Bounded exploration of finitely presented monoids.
 
-All words over the alphabet up to a length bound are merged by applying the
-rewriting rules in every context that fits inside the bound (a worklist keeps
-the merges closed under appending letters on either side).  On the resulting
+All words over the alphabet up to a length bound are merged by a worklist:
+each relation's sides are united, and each pair a union merges is extended
+by one letter on either side while both sides fit.  When every relation's
+sides have equal length, this is the congruence restricted to the bound
+(u ~ v is then joined through words of their own length, whose extensions
+all fit).  Otherwise it can be finer: under ``bbz = z`` at bound 7, bbzzz
+joins zzz's class only through words of length 7 such as bbzbbzz, whose
+extensions do not fit, so bbzzzz and zzzz stay apart.  On the resulting
 classes the explorer builds a bounded divisibility digraph and extracts two
 kinds of evidence, both tagged as bounded evidence rather than certificates:
 
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bitrows import components
 from .errors import BoundTooSmallError, CapExceededError, ShapeError
@@ -74,63 +79,55 @@ def _word_lengths(alphabet: str, bound: int) -> int:
     return bound + 1
 
 
-@dataclass
 class BoundedCongruence:
-    """Union-find over all words of length <= bound, congruence-closed."""
+    """Union-find over the positions of all words of length <= bound.
 
-    alphabet: str
-    relations: tuple
-    bound: int
-    _parent: dict = field(default_factory=dict, repr=False)
-    merge_log: list = field(default_factory=list, repr=False)
+    ``words`` lists them by length, then in code point order, and ``index``
+    maps a word to its position.  A union hangs the larger root under the
+    smaller, so a class's root is its least position: its shortest, then
+    least, word."""
 
-    def __post_init__(self):
-        longest = max((len(side) for rel in self.relations for side in rel), default=0)
-        if self.bound < longest:
-            raise BoundTooSmallError(
-                f"bound {self.bound} below longest relation side {longest}"
-            )
+    def __init__(self, alphabet: str, relations: tuple, bound: int):
+        self.alphabet, self.relations, self.bound = alphabet, relations, bound
+        longest = max((len(side) for rel in relations for side in rel), default=0)
+        if bound < longest:
+            raise BoundTooSmallError(f"bound {bound} below longest relation side {longest}")
         self.words = tuple(
             "".join(w)
-            for n in range(_word_lengths(self.alphabet, self.bound))
-            for w in itertools.product(self.alphabet, repeat=n)
+            for n in range(_word_lengths(alphabet, bound))
+            for w in itertools.product(sorted(alphabet), repeat=n)
         )
-        for w in self.words:
-            self._parent[w] = w
-        queue = []
-        for lhs, rhs in self.relations:
-            if self._union(lhs, rhs, reason=("relation", lhs, rhs)):
-                queue.append((lhs, rhs))
-        # close under appending letters on either side: any congruence
-        # consequence within the bound is a chain of such one-letter moves
+        self.index = {w: i for i, w in enumerate(self.words)}
+        self._parent = list(range(len(self.words)))
+        self.merge_log: list = []
+        queue = [rel for rel in relations if self._union(*rel)]
+        # extend each merged pair by a letter on either side while both fit;
+        # exact only when every relation keeps length (module docstring)
         while queue:
             u, v = queue.pop()
-            for a in self.alphabet:
-                for pair in ((u + a, v + a), (a + u, a + v)):
-                    if len(pair[0]) <= self.bound and len(pair[1]) <= self.bound:
-                        if self._union(*pair, reason=("append", u, v, a)):
+            if len(u) < bound and len(v) < bound:
+                for a in alphabet:
+                    for pair in ((u + a, v + a), (a + u, a + v)):
+                        if self._union(*pair):
                             queue.append(pair)
 
-    def _find(self, w: str) -> str:
-        root = w
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[w] != root:
-            self._parent[w], w = root, self._parent[w]
-        return root
+    def _find(self, i: int) -> int:
+        parent = self._parent
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
 
-    def _union(self, u: str, v: str, reason=None) -> bool:
-        ru, rv = self._find(u), self._find(v)
+    def _union(self, u: str, v: str) -> bool:
+        ru, rv = self._find(self.index[u]), self._find(self.index[v])
         if ru == rv:
             return False
-        keep, drop = sorted((ru, rv), key=lambda w: (len(w), w))
-        self._parent[drop] = keep
-        self.merge_log.append((u, v, reason))
+        self._parent[max(ru, rv)] = min(ru, rv)
+        self.merge_log.append((u, v))
         return True
 
     def class_of(self, w: str) -> str:
         """Canonical (shortest, then lexicographically least) representative."""
-        return self._find(w)
+        return self.words[self._find(self.index[w])]
 
 
 @dataclass
@@ -203,10 +200,10 @@ def _divisibility(cong: BoundedCongruence) -> tuple:
     into its word by such appends inside the bound, and divisibility is
     transitive even where the composed witness would not fit, so c divides
     v exactly when v is reachable from c; no closure is built."""
-    roots = [cong.class_of(w) for w in cong.words]
-    reps = sorted(set(roots), key=lambda w: (len(w), w))
-    rep_index = {rep: i for i, rep in enumerate(reps)}
-    index = {w: rep_index[r] for w, r in zip(cong.words, roots)}
+    # a root is its class's least position, so the first member met
+    number: dict = {}
+    index = {w: number.setdefault(cong._find(i), len(number)) for i, w in enumerate(cong.words)}
+    reps = [cong.words[r] for r in number]
     pred: list = [[] for _ in reps]
     members: list = [[] for _ in reps]
     for w in cong.words:
@@ -313,13 +310,10 @@ def presentation_explore(alphabet: str, relations, bound: int) -> ExplorationRep
     reps, members, index, pred = _divisibility(cong)
     best_plain, best_evidence = _chains(pred, reps)
     cycles = _cycles(reps, members, index, 20)
-    sample = tuple(
-        (u, v) for u, v, _ in cong.merge_log[:10]
-    )
     return ExplorationReport(
         congruence=cong,
         class_count=len(reps),
-        sample_merges=sample,
+        sample_merges=tuple(cong.merge_log[:10]),
         cycles=tuple(cycles),
         longest_descending_chain=tuple(reps[i] for i in best_plain),
         accp_evidence_chain=tuple(reps[i] for i in best_evidence),

@@ -6,6 +6,10 @@ loop, finds strict children pairwise, computes chains by memoized recursion
 and sorts every cycle it finds.  It shares the congruence and the report type
 with the program, not the evidence search.
 
+``rewrite_classes`` is the congruence by definition: every relation applied
+in every context that fits, joined by a union-find of its own.  It shares
+nothing with ``BoundedCongruence``, which ``oracle_explore`` reuses.
+
 ``loop_chains`` is the chain pass the explorer ran before it read chains off
 level masks: child lists built pair by pair from the closed rows, and one
 loop over each class's children in a topological order.
@@ -34,6 +38,36 @@ def warshall(succ) -> list[int]:
             if rows[i] & bit:
                 rows[i] |= rk
     return rows
+
+
+def rewrite_classes(alphabet: str, relations, bound: int) -> dict:
+    """Each word of length <= bound mapped to the shortest, then least, word
+    of its class under the moves p*l*s <-> p*r*s, for each relation (l, r)
+    and each context p, s in which both sides fit the bound."""
+    rels = [
+        (parse_relation_word(l, alphabet), parse_relation_word(r, alphabet))
+        for l, r in relations
+    ]
+    words = [""]
+    for w in words:
+        if len(w) < bound:
+            words += [w + a for a in alphabet]
+    parent = {w: w for w in words}
+
+    def find(w):
+        while parent[w] != w:
+            parent[w] = w = parent[parent[w]]
+        return w
+
+    for w in words:
+        for l, r in rels:
+            for i in range(len(w) - len(l) + 1):
+                if w[i:i + len(l)] == l and len(w) - len(l) + len(r) <= bound:
+                    parent[find(w)] = find(w[:i] + r + w[i + len(l):])
+    least = {}
+    for w in sorted(words, key=lambda x: (len(x), x)):
+        least.setdefault(find(w), w)
+    return {w: least[find(w)] for w in words}
 
 
 def oracle_explore(alphabet: str, relations, bound: int) -> ExplorationReport:
@@ -112,7 +146,7 @@ def oracle_explore(alphabet: str, relations, bound: int) -> ExplorationReport:
     return ExplorationReport(
         congruence=cong,
         class_count=k,
-        sample_merges=tuple((u, v) for u, v, _ in cong.merge_log[:10]),
+        sample_merges=tuple((u, v) for u, v in cong.merge_log[:10]),
         cycles=tuple(cycles),
         longest_descending_chain=tuple(reps[i] for i in best_plain),
         accp_evidence_chain=tuple(reps[i] for i in best_evidence),
